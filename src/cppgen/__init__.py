@@ -23,11 +23,13 @@ from .kernel import (
     ClosedFormTail,
     GridTail,
     InverseTail,
+    PiecewiseTail,
     closed_form_F,
     death_density_g,
     node_depth_density_f,
     solve_F,
     survival_a,
+    tail_for,
 )
 from .ksample import (
     MixtureParams,
@@ -38,6 +40,7 @@ from .ksample import (
     joint_df_bruteforce,
     ksample_likelihood,
     ksample_loglikelihood,
+    ksample_loglikelihoods,
     likelihood_with_missing,
     mixing_density,
     power_sum_identity,

@@ -4,6 +4,11 @@ Stochastic subcommands require ``--seed`` and are bit-reproducible from
 (seed, config): replicates are generated from per-replicate split streams,
 so worker count never changes the output.  ``CPPGEN_THREADS`` (or
 ``--workers``) sizes the simulation worker pool.
+
+Each command builds the model's inverse tail F once (``kernel.tail_for``);
+``simulate`` hands it to its pool workers once each, through the pool
+initializer.  ``solve_F`` is passed to ``tail_for`` under this module's
+name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from . import __version__
-from .cpp import RandomStream, simulate_cpp, simulate_forward
+from .cpp import RandomStream, simulate_cpp, simulate_forward, thinned_inverse_tail
 from .errors import CppgenError
 from .inference import fit_mle, neg_log_likelihood
-from .kernel import ClosedFormTail, InverseTail, solve_F
+from .kernel import solve_F, step_grid, tail_for
 from .ksample import (
     bernoulli_loglikelihood,
     definetti_sample,
@@ -45,12 +50,6 @@ def _load_model(path: str) -> RateModel:
         return rate_model_from_json(json.load(fh))
 
 
-def _tail_for_model(model: RateModel, step: float) -> InverseTail:
-    if model.kind == "constant":
-        return ClosedFormTail(model.lambda_constant, model.mu_constant, model.T)
-    return solve_F(model, step)
-
-
 def _workers(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
@@ -60,21 +59,30 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _simulate_one(payload):
-    model, scheme, step, seq, forward = payload
-    rng = RandomStream(seq)
-    if forward:
-        tree = simulate_forward(model, rng)
-        return tree.height, tree.depths
-    F = _tail_for_model(model, step)
-    if scheme.variant == "full":
-        tree = simulate_cpp(F, rng)
-    elif scheme.variant == "bernoulli":
-        from .cpp import thinned_inverse_tail
+# The per-command simulation job (F, k, forward model) in a pool worker.
+_JOB = None
 
-        tree = simulate_cpp(thinned_inverse_tail(F, scheme.y), rng)
+
+def _init_worker(job):
+    global _JOB
+    _JOB = job
+
+
+def _simulate_pooled(seq):
+    return _simulate_one(seq, *_JOB)
+
+
+def _simulate_one(seq, F, k, forward_model):
+    """One replicate from split stream ``seq``: a CPP tree from ``F`` (a
+    de Finetti k-sample when ``k`` is set), or a forward run of
+    ``forward_model`` when that is set."""
+    rng = RandomStream(seq)
+    if forward_model is not None:
+        tree = simulate_forward(forward_model, rng)
+    elif k is None:
+        tree = simulate_cpp(F, rng)
     else:
-        _, tree = definetti_sample(F, scheme.k, rng)
+        _, tree = definetti_sample(F, k, rng)
     return tree.height, tree.depths
 
 
@@ -83,17 +91,22 @@ def cmd_simulate(args) -> int:
     scheme = parse_scheme(args.scheme)
     if scheme.variant == "bernoulli" and scheme.y is None:
         raise CppgenError("simulation needs a concrete Bernoulli y")
-    root = RandomStream(args.seed)
-    streams = root.split(args.reps)
-    payloads = [
-        (model, scheme, args.step, s._seq, args.forward) for s in streams
-    ]
+    if args.forward:
+        job = (None, None, model)
+    else:
+        F = tail_for(model, args.step, solve=solve_F)
+        if scheme.variant == "bernoulli":
+            F = thinned_inverse_tail(F, scheme.y)
+        job = (F, scheme.k if scheme.variant == "uniform_k" else None, None)
+    seqs = [s._seq for s in RandomStream(args.seed).split(args.reps)]
     workers = _workers(args)
     if workers > 1 and args.reps > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_one, payloads, chunksize=32))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(job,)
+        ) as pool:
+            results = list(pool.map(_simulate_pooled, seqs, chunksize=32))
     else:
-        results = [_simulate_one(p) for p in payloads]
+        results = [_simulate_one(seq, *job) for seq in seqs]
     from .model import OrientedUltrametricTree
 
     trees = [OrientedUltrametricTree(height=h, depths=d) for h, d in results]
@@ -124,7 +137,7 @@ def cmd_likelihood(args) -> int:
     model = _load_model(args.model)
     scheme = parse_scheme(args.scheme)
     trees = read_newick_file(args.tree)
-    F = _tail_for_model(model, args.step)
+    F = tail_for(model, args.step, solve=solve_F)
     oriented = not args.unoriented
     total = 0.0
     for tree in trees:
@@ -170,9 +183,10 @@ def cmd_validate(args) -> int:
 
 def cmd_dump_f(args) -> int:
     model = _load_model(args.model)
-    F = solve_F(model, args.step)
+    F = tail_for(model, args.step, solve=solve_F)
+    ts = step_grid(model.T, args.step)
     lines = ["t,F"] + [
-        f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(F.ts, F.values)
+        f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, F.value(ts))
     ]
     _write_lines(args.out, lines)
     return 0
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     tier.add_argument("--full", action="store_true", default=False)
     val.set_defaults(func=cmd_validate)
 
-    dump = sub.add_parser("dump-f", help="dump the solved F grid as CSV")
+    dump = sub.add_parser("dump-f", help="dump F on the --step grid as CSV")
     dump.add_argument("--model", required=True)
     dump.add_argument("--step", type=float, default=_DEFAULT_STEP)
     dump.add_argument("--out", default=None)

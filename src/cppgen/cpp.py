@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, InsufficientTipsError, PopulationCapError
-from .kernel import ClosedFormTail, GridTail, InverseTail, invert_tail, survival_a
+from .kernel import InverseTail, invert_tail, survival_a
 from .model import OrientedUltrametricTree, RateModel
 
 __all__ = [
@@ -250,9 +250,10 @@ def thinned_inverse_tail(F: InverseTail, y: float) -> InverseTail:
         raise DomainError("y must lie in (0, 1]")
     if y == 1.0:
         return F
-    if isinstance(F, (ClosedFormTail, GridTail)):
-        return F.thinned(y)
-    raise DomainError(f"cannot thin inverse tail of type {type(F).__name__}")
+    thinned = getattr(F, "thinned", None)
+    if thinned is None:
+        raise DomainError(f"cannot thin inverse tail of type {type(F).__name__}")
+    return thinned(y)
 
 
 def subsample_depths(depths: Sequence[float], kept: Sequence[int]) -> tuple:

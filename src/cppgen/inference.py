@@ -11,12 +11,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DomainError, FitError
-from .kernel import ClosedFormTail, InverseTail, solve_F
+from .errors import DomainError, FitError, QuadratureError
+from .kernel import ClosedFormTail, InverseTail, solve_F, tail_for
 from .ksample import (
     bernoulli_loglikelihood,
     full_loglikelihood,
     ksample_loglikelihood,
+    ksample_loglikelihoods,
 )
 from .model import OrientedUltrametricTree, RateModel, SamplingScheme
 
@@ -31,18 +32,11 @@ _DEFAULT_SOLVER_STEP = 1e-3
 
 
 @lru_cache(maxsize=32)
-def _cached_grid_tail(model_key, step: float):
-    model, = model_key
-    return solve_F(model, step)
-
-
-def _tail_for(model: RateModel, step: float = _DEFAULT_SOLVER_STEP) -> InverseTail:
-    if model.kind == "constant":
-        return ClosedFormTail(model.lambda_constant, model.mu_constant, model.T)
+def _cached_solve_F(model: RateModel, step: float):
     # RateModel is hashable (frozen dataclass of tuples); quantization of the
     # cache key is unnecessary because callers construct identical models for
     # identical parameter values.
-    return _cached_grid_tail((model,), step)
+    return solve_F(model, step)
 
 
 def neg_log_likelihood(
@@ -58,14 +52,15 @@ def neg_log_likelihood(
     """Sum of per-tree negative log-likelihoods under the given scheme.
 
     Constant-rate evaluation by default (closed-form F); pass ``model`` to
-    evaluate a non-constant rate model instead (F solved once and cached).
+    evaluate a non-constant rate model instead (exact F where death does not
+    depend on age, else a Volterra grid solved once and cached).
     """
     if model is None:
         if lam < 0 or mu < 0:
             raise DomainError("rates must be >= 0")
         F = ClosedFormTail(lam, max(mu, 0.0), T)
         return _nll_vectorized(trees, F, scheme, y, oriented)
-    F = _tail_for(model)
+    F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=_cached_solve_F)
     total = 0.0
     if scheme.variant == "full":
         for tree in trees:
@@ -82,10 +77,8 @@ def neg_log_likelihood(
     return total
 
 
-def _nll_vectorized(trees, F: ClosedFormTail, scheme, y, oriented) -> float:
-    """Closed-form-F evaluation batched across trees (the optimizer's hot path)."""
-    from scipy.special import logsumexp
-
+def _nll_vectorized(trees, F: InverseTail, scheme, y, oriented) -> float:
+    """Evaluation batched across trees (the optimizer's hot path)."""
     from .model import count_cherries
 
     T = F.T
@@ -109,28 +102,8 @@ def _nll_vectorized(trees, F: ClosedFormTail, scheme, y, oriented) -> float:
     for t in trees:
         if t.n_tips != k:
             raise DomainError(f"tree has {t.n_tips} tips, expected k={k}")
-    a = 1.0 - 1.0 / F.value(T)
-    base = math.log(k) - (k - 1) * math.log(a)
-    if k == 1:
-        return -len(trees) * base - orient
-    d = np.asarray([t.depths for t in trees])  # (R, k-1)
-    Fv = F.value(d)
-    log_dF = np.log(F.deriv(d))
-
-    def log_integrals(n: int) -> np.ndarray:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        v = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        yv = v * (1.0 - a) / (1.0 - a * v)
-        FY = 1.0 - yv[:, None, None] + yv[:, None, None] * Fv[None, :, :]
-        logf = np.log(yv)[:, None, None] + log_dF[None, :, :] - 2.0 * np.log(FY)
-        return logsumexp(logf.sum(axis=2) + np.log(w)[:, None], axis=0)
-
-    prev = log_integrals(64)
-    cur = log_integrals(128)
-    if float(np.abs(cur - prev).max()) > 1e-6:
-        cur = log_integrals(256)
-    return -float(np.sum(base + cur)) - orient
+    d = [t.depths for t in trees]
+    return -float(np.sum(ksample_loglikelihoods(d, F, k))) - orient
 
 
 @dataclass
@@ -192,7 +165,7 @@ def fit_mle(
         mu = min(max(mu, MU_FLOOR), bounds["mu"][1]) if bounds["mu"][1] > 0 else MU_FLOOR
         try:
             return neg_log_likelihood(trees, lam, mu, scheme, T, y=y, oriented=oriented)
-        except (ValueError, FloatingPointError, OverflowError):
+        except (ValueError, FloatingPointError, OverflowError, QuadratureError):
             return math.inf
 
     starts = []

@@ -7,8 +7,12 @@ unique solution of the linear Volterra integro-differential equation
     F'(t) = lambda(T - t) * ( F(t) - int_0^t F(s) g(T - t, T - s) ds ),
 
 with F(0) = 1, where g(t, s) is the density of the death time s of a particle
-born at time t.  Constant-rate models admit a closed form, used both as a fast
-path and as the solver's validation oracle.
+born at time t.  Where death does not depend on age, F has an exact form:
+constant rates give the closed form (``ClosedFormTail``), and piecewise-constant
+lambda(t), mu(t) give a sum of exponentials (``PiecewiseTail``).  Both have an
+exact inverse.  Only age-dependent death needs the Volterra solver
+(``solve_F``), whose ``GridTail`` is inverted by bisection.  ``tail_for`` picks
+the right one for a model.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, SolverError
-from .model import RateModel
+from .model import PiecewiseConstant, RateModel
 
 __all__ = [
     "InverseTail",
     "ClosedFormTail",
     "GridTail",
+    "PiecewiseTail",
+    "tail_for",
+    "step_grid",
     "closed_form_F",
     "closed_form_dF",
     "death_density_g",
@@ -40,6 +47,27 @@ _R_SWITCH = 1e-12
 # Quadratic series kicks in when |r t| is below this, to dodge cancellation
 # in (e^{rt} - 1) / r right at the branch switch.
 _SERIES_SWITCH = 1e-8
+
+
+def _growth(r, dt, critical):
+    """(e^{r dt} - 1) / r elementwise, and dt where ``critical`` (r taken as 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.expm1(r * dt) / r
+    return np.where(critical, dt, out)
+
+
+def _growth_inverse(r, w, critical):
+    """The dt >= 0 with (e^{r dt} - 1) / r = w; +inf past a subcritical asymptote."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log1p(np.maximum(r * w, -1.0)) / r
+    return np.where(critical, w, out)
+
+
+def _is_critical(lam, mu):
+    """Elementwise: is r = lam - mu below the threshold where it is taken as 0?"""
+    return np.abs(np.asarray(lam) - np.asarray(mu)) < _R_SWITCH * np.maximum(
+        np.maximum(lam, mu), 1.0
+    )
 
 
 def closed_form_F(lam: float, mu: float, t):
@@ -70,7 +98,12 @@ def closed_form_dF(lam: float, mu: float, t):
 
 
 class InverseTail:
-    """Common interface: a nondecreasing F on [0, T] with F(0) = 1."""
+    """Common interface: a nondecreasing F on [0, T] with F(0) = 1.
+
+    A tail with an exact inverse also has ``inverse(targets)``, the smallest
+    t in [0, T] with F(t) = target; ``invert_tail`` uses it when present.
+    Tails closed under Bernoulli thinning have ``thinned(y)``.
+    """
 
     T: float
 
@@ -109,6 +142,109 @@ class ClosedFormTail(InverseTail):
 
     def thinned(self, y: float) -> "ClosedFormTail":
         return ClosedFormTail(self.lam, self.mu, self.T, self.y * y)
+
+    def inverse(self, targets):
+        """Exact inverse: t = log1p((F - 1) r / lam) / r with F the unthinned
+        target (target - 1 + y) / y, or (F - 1) / lam at r = 0; clipped to [0, T]."""
+        u = (np.asarray(targets, dtype=float) - 1.0) / self.y  # F - 1, unthinned
+        if self.lam == 0.0:
+            return np.zeros(u.shape)
+        critical = _is_critical(self.lam, self.mu)
+        t = _growth_inverse(self.lam - self.mu, u / self.lam, critical)
+        return np.clip(t, 0.0, self.T)
+
+
+@dataclass(frozen=True)
+class PiecewiseTail(InverseTail):
+    """Exact F for piecewise-constant lambda(s) and mu(s), optionally thinned.
+
+    With age-independent death, F(t) = 1 + int_{T-t}^T lambda(s) e^{int_s^T r} ds
+    with r = lambda - mu (Kendall 1948; Lambert & Stadler 2013).  In reverse
+    time t = T - s, on a piece [tau_j, tau_{j+1}] of constant lambda_j and r_j,
+
+        F(t) = F(tau_j) + lambda_j e^{R_j} (e^{r_j (t - tau_j)} - 1) / r_j,
+
+    where R_j = int_{T - tau_j}^T r, so F is a sum of exponentials with an
+    exact inverse on each piece.  ``breaks`` are the left edges of the pieces
+    in model time (the union of the lambda and mu breaks); ``lam`` and ``mu``
+    hold the rates on each piece.  Thinning composes multiplicatively in y.
+    """
+
+    breaks: tuple
+    lam: tuple
+    mu: tuple
+    T: float
+    y: float = 1.0
+
+    def __post_init__(self):
+        if not (0.0 < self.y <= 1.0):
+            raise DomainError("y must lie in (0, 1]")
+        if not (self.T > 0):
+            raise DomainError("T must be > 0")
+        b = np.asarray(self.breaks, dtype=float)
+        lam = np.asarray(self.lam, dtype=float)
+        mu = np.asarray(self.mu, dtype=float)
+        if not (b.size and b.shape == lam.shape == mu.shape):
+            raise DomainError("breaks, lam and mu must have equal, positive length")
+        if b[0] != 0.0 or np.any(np.diff(b) <= 0) or b[-1] >= self.T:
+            raise DomainError("breaks must rise strictly from 0 inside [0, T)")
+        if np.any(lam < 0) or np.any(mu < 0):
+            raise DomainError("rates must be >= 0")
+        # Reverse time: piece j spans model time [b_{n-1-j}, b_{n-j}).
+        knots = self.T - np.append(b, self.T)[::-1]
+        lam, mu = lam[::-1], mu[::-1]
+        r = lam - mu
+        width = np.diff(knots)
+        critical = _is_critical(lam, mu)
+        R = np.cumsum(np.append(0.0, r * width))  # int_{T-t}^T r at the knots
+        slope = lam * np.exp(R[:-1])  # F' at the start of each piece
+        # F - 1 at the knots, accumulated in the order value() evaluates it.
+        G = np.cumsum(np.append(0.0, slope * _growth(r, width, critical)))
+        derived = dict(knots=knots, lam=lam, r=r, critical=critical, R=R, slope=slope, G=G)
+        for name, arr in derived.items():
+            object.__setattr__(self, "_" + name, arr)
+
+    @classmethod
+    def from_model(cls, model: RateModel) -> "PiecewiseTail":
+        if not isinstance(model.mu, PiecewiseConstant):
+            raise DomainError("the exact piecewise tail needs age-independent death")
+        breaks = np.union1d(model.lam.breaks, model.mu.breaks)
+        lam = np.atleast_1d(model.lam(breaks)).tolist()
+        mu = np.atleast_1d(model.mu(breaks)).tolist()
+        return cls(tuple(breaks.tolist()), tuple(lam), tuple(mu), model.T)
+
+    def _piece(self, t):
+        idx = np.searchsorted(self._knots, t, side="right") - 1
+        idx = np.clip(idx, 0, len(self._lam) - 1)
+        return idx, t - self._knots[idx]
+
+    def value(self, t):
+        t = np.asarray(t, dtype=float)
+        j, dt = self._piece(t)
+        g = self._G[j] + self._slope[j] * _growth(self._r[j], dt, self._critical[j])
+        out = 1.0 + self.y * g
+        return out if out.ndim else float(out)
+
+    def deriv(self, t):
+        t = np.asarray(t, dtype=float)
+        j, dt = self._piece(t)
+        out = self.y * self._lam[j] * np.exp(self._R[j] + self._r[j] * dt)
+        return out if out.ndim else float(out)
+
+    def thinned(self, y: float) -> "PiecewiseTail":
+        return PiecewiseTail(self.breaks, self.lam, self.mu, self.T, self.y * y)
+
+    def inverse(self, targets):
+        """Exact inverse, piece by piece; clipped to [0, T]."""
+        u = (np.asarray(targets, dtype=float) - 1.0) / self.y  # F - 1, unthinned
+        j = np.clip(np.searchsorted(self._G, u, side="right") - 1, 0, len(self._lam) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (u - self._G[j]) / self._slope[j]
+        dt = _growth_inverse(self._r[j], w, self._critical[j])
+        # A piece with lambda = 0 is flat in F: its targets sit at its start.
+        dt = np.where(self._slope[j] > 0, dt, 0.0)
+        dt = np.clip(dt, 0.0, self._knots[j + 1] - self._knots[j])
+        return np.clip(self._knots[j] + dt, 0.0, self.T)
 
 
 @dataclass(frozen=True)
@@ -173,6 +309,16 @@ def death_density_g(model: RateModel, t: float, s):
     return out if out.ndim else float(out)
 
 
+def step_grid(T: float, step: float) -> np.ndarray:
+    """The grid 0, step, ..., T; ``step`` must divide T into at least 2 cells."""
+    if not (step > 0):
+        raise DomainError("step must be > 0")
+    n = round(T / step)
+    if n < 2 or abs(n * step - T) > 1e-9 * T:
+        raise DomainError("step must divide T")
+    return np.linspace(0.0, T, n + 1)
+
+
 def solve_F(model: RateModel, step: float) -> GridTail:
     """Solve the Volterra equation for F on [0, T] with grid spacing ``step``.
 
@@ -181,26 +327,22 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     step (second order).  A corrector move larger than 1e-3 relative is
     diagnosed as the step being too large.
     """
-    if not (step > 0):
-        raise DomainError("step must be > 0")
     T = model.T
-    n = round(T / step)
-    if n < 2 or abs(n * step - T) > 1e-9 * T:
-        raise DomainError("step must divide T")
-    ts = np.linspace(0.0, T, n + 1)
-    # lambda(T - t) is left-continuous in t at breakpoints of lambda.  The
-    # left endpoint of each step must use the in-cell limit (phys time just
-    # below T - t_i), otherwise the scheme degrades to first order there.
-    lam_rev = np.asarray(model.lam(T - ts))  # right endpoint of a cell
-    lam_rev_cell = np.asarray(model.lam(T - ts, side="left"))  # left endpoint
-    F = np.empty(n + 1)
-    F[0] = 1.0
-
+    ts = step_grid(T, step)
+    n = len(ts) - 1
     # Memory quadrature nodes are cell midpoints: the kernel g(T-t, T-s) jumps
     # in s wherever T-s crosses a mu breakpoint, and those jumps land on grid
     # nodes when breakpoints are multiples of the step, so midpoint product
     # integration keeps second order where node-based trapezoid would not.
     mids = 0.5 * (ts[:-1] + ts[1:])
+    # lambda(T - t) is taken at the cell midpoint and used at both ends of the
+    # cell.  Looking it up at the nodes would pick the wrong side of a lambda
+    # break whenever T - t_i misses the break by a rounding error, and one
+    # wrong cell per break drops the scheme to first order; a break strictly
+    # inside a cell costs only O(step^2) locally.
+    lam_cell = np.asarray(model.lam(T - mids))
+    F = np.empty(n + 1)
+    F[0] = 1.0
 
     def g_row(i: int) -> np.ndarray:
         # g(T - t_i, T - mid_j) for j = 0..i-1; birth at T - t_i.
@@ -221,11 +363,11 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     row_i = g_row(0)
     worst_move = 0.0
     for i in range(n):
-        rhs_i = lam_rev_cell[i] * (F[i] - memory(i, row_i, F))
+        rhs_i = lam_cell[i] * (F[i] - memory(i, row_i, F))
         pred = F[i] + step * rhs_i
         row_next = g_row(i + 1)
         F[i + 1] = pred
-        rhs_next = lam_rev[i + 1] * (pred - memory(i + 1, row_next, F))
+        rhs_next = lam_cell[i] * (pred - memory(i + 1, row_next, F))
         F[i + 1] = F[i] + 0.5 * step * (rhs_i + rhs_next)
         move = abs(F[i + 1] - pred) / max(abs(pred), 1.0)
         worst_move = max(worst_move, move)
@@ -235,6 +377,21 @@ def solve_F(model: RateModel, step: float) -> GridTail:
             f"step {step} too large: corrector moved values by {worst_move:.3g} relative"
         )
     return GridTail(tuple(ts), tuple(F), T)
+
+
+def tail_for(model: RateModel, step: float = 1e-3, solve=None) -> InverseTail:
+    """F of ``model``: exact wherever death does not depend on age.
+
+    Constant rates get ``ClosedFormTail``, piecewise-constant lambda(t) and
+    mu(t) get ``PiecewiseTail``, and age-dependent death gets the Volterra
+    grid ``solve(model, step)`` (``solve_F`` by default; callers pass their
+    own binding to cache the solve or to observe it).
+    """
+    if model.kind == "constant":
+        return ClosedFormTail(model.lambda_constant, model.mu_constant, model.T)
+    if isinstance(model.mu, PiecewiseConstant):
+        return PiecewiseTail.from_model(model)
+    return (solve or solve_F)(model, step)
 
 
 def node_depth_density_f(F: InverseTail, t):
@@ -253,11 +410,15 @@ def survival_a(F: InverseTail) -> float:
 
 
 def invert_tail(F: InverseTail, targets, tol: float = 1e-12):
-    """Solve F(t) = target for each target in [1, F(T)], by bisection.
+    """Solve F(t) = target for each target in [1, F(T)].
 
-    Vectorized; ~50 halvings bring the bracket below ``tol`` in t.
+    Uses the tail's exact ``inverse`` when it has one; otherwise (grid tails)
+    vectorized bisection, ~40 halvings bringing the bracket below ``tol`` in t.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    inverse = getattr(F, "inverse", None)
+    if inverse is not None:
+        return inverse(targets)
     lo = np.zeros(targets.shape)
     hi = np.full(targets.shape, float(F.T))
     n_iter = max(1, math.ceil(math.log2(max(F.T / tol, 2.0))))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "bernoulli_loglikelihood",
     "bernoulli_likelihood",
     "ksample_loglikelihood",
+    "ksample_loglikelihoods",
     "ksample_likelihood",
     "joint_df",
     "joint_df_bruteforce",
@@ -206,6 +208,69 @@ def bernoulli_likelihood(tree, F, y, oriented: bool = True, conditional: bool = 
     return math.exp(bernoulli_loglikelihood(tree, F, y, oriented, conditional))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes on (0, 1) and their log weights, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    v = 0.5 * (nodes + 1.0)
+    log_w = np.log(0.5 * weights)
+    v.setflags(write=False)
+    log_w.setflags(write=False)
+    return v, log_w
+
+
+def ksample_loglikelihoods(
+    depths,
+    F: InverseTail,
+    k: int,
+    quad_nodes: int = 64,
+    max_nodes: int = 4096,
+    rtol: float = 1e-6,
+) -> np.ndarray:
+    """Oriented k-sample log-likelihoods of R trees, from their (R, k-1) depths.
+
+    The mixture integral over y is mapped through y = v(1-a)/(1-av) (the
+    k=1 mixing CDF transform), under which the k-sample likelihood becomes
+
+        C(tau) * k / a^{k-1} * int_0^1 prod_i f_{y(v)}(x_i) dv,
+
+    with an O(1) integrand at both endpoints.  Gauss-Legendre nodes are
+    doubled, for each tree separately, until its log-integral moves by at
+    most ``rtol``; a tree still moving at ``max_nodes`` raises
+    :class:`QuadratureError`.  Depths are not range-checked here.
+    """
+    a = survival_a(F)
+    d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
+    base = math.log(k) - (k - 1) * math.log(a)
+    if k == 1:
+        return np.full(len(d), base)
+    Fv = np.asarray(F.value(d))
+    log_dF = np.log(F.deriv(d))
+
+    def log_integrals(n: int, rows: np.ndarray) -> np.ndarray:
+        v, log_w = _gauss_legendre(n)
+        y = (v * (1.0 - a) / (1.0 - a * v))[:, None, None]
+        FY = 1.0 - y + y * Fv[rows][None]
+        logf = np.log(y) + log_dF[rows][None] - 2.0 * np.log(FY)
+        return logsumexp(logf.sum(axis=2) + log_w[:, None], axis=0)
+
+    out = np.empty(len(d))
+    rows = np.arange(len(d))
+    n = quad_nodes
+    prev = log_integrals(n, rows)
+    while rows.size:
+        if n >= max_nodes:
+            raise QuadratureError(
+                f"k-sample quadrature not stable to {rtol} relative at {max_nodes} nodes"
+            )
+        n *= 2
+        cur = log_integrals(n, rows)
+        done = np.abs(cur - prev) <= rtol
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+    return base + out
+
+
 def ksample_loglikelihood(
     tree: OrientedUltrametricTree,
     F: InverseTail,
@@ -215,47 +280,13 @@ def ksample_loglikelihood(
     max_nodes: int = 4096,
     rtol: float = 1e-6,
 ) -> float:
-    """Log-likelihood of a k-tip tree under the uniform k-sampling scheme.
-
-    The mixture integral over y is mapped through y = v(1-a)/(1-av) (the
-    k=1 mixing CDF transform), under which the k-sample likelihood becomes
-
-        C(tau) * k / a^{k-1} * int_0^1 prod_i f_{y(v)}(x_i) dv,
-
-    with an O(1) integrand at both endpoints; Gauss-Legendre nodes are
-    doubled until the value is stable to ``rtol`` relative.
-    """
+    """Log-likelihood of a k-tip tree under the uniform k-sampling scheme;
+    the batch-of-one case of :func:`ksample_loglikelihoods`."""
     if tree.n_tips != k:
         raise DomainError(f"tree has {tree.n_tips} tips, expected k={k}")
     d = _check_depths(tree, F)
-    a = survival_a(F)
-    base = _log_orientation_factor(tree, oriented) + math.log(k) - (k - 1) * math.log(a)
-    if k == 1:
-        return base
-    Fv = np.asarray(F.value(d))
-    dFv = np.asarray(F.deriv(d))
-    log_dF = np.log(dFv)
-
-    def integral(n: int) -> float:
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        v = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        y = v * (1.0 - a) / (1.0 - a * v)
-        FY = 1.0 - y[:, None] + y[:, None] * Fv[None, :]
-        logf = np.log(y)[:, None] + log_dF[None, :] - 2.0 * np.log(FY)
-        return float(logsumexp(logf.sum(axis=1) + np.log(w)))
-
-    prev = integral(quad_nodes)
-    n = quad_nodes
-    while n < max_nodes:
-        n *= 2
-        cur = integral(n)
-        if abs(cur - prev) <= rtol:
-            return base + cur
-        prev = cur
-    raise QuadratureError(
-        f"k-sample quadrature not stable to {rtol} relative at {max_nodes} nodes"
-    )
+    out = ksample_loglikelihoods(d[None], F, k, quad_nodes, max_nodes, rtol)[0]
+    return _log_orientation_factor(tree, oriented) + float(out)
 
 
 def ksample_likelihood(tree, F, k, oriented: bool = True, quad_nodes: int = 64, **kw):

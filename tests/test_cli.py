@@ -7,10 +7,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cppgen import cli
 from cppgen.cli import main
-from cppgen.kernel import ClosedFormTail, closed_form_F
+from cppgen.kernel import ClosedFormTail, closed_form_F, step_grid, tail_for
 from cppgen.ksample import full_loglikelihood, ksample_loglikelihood
-from cppgen.model import newick_to_tree
+from cppgen.model import newick_to_tree, rate_model_from_json
+
+TV_JSON = {
+    "kind": "time_varying",
+    "lambda": {"breaks": [0.0, 1.3], "values": [1.0, 1.5]},
+    "mu": 0.5,
+    "T": 2.0,
+}
+AD_JSON = {
+    "kind": "age_dependent",
+    "lambda": 1.0,
+    "mu": {"t_breaks": [0.0], "x_breaks": [0.0, 0.5], "values": [[0.2, 0.7]]},
+    "T": 2.0,
+}
 
 
 @pytest.fixture
@@ -18,6 +32,33 @@ def model_path(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": 2.0}))
     return str(path)
+
+
+@pytest.fixture
+def tv_path(tmp_path):
+    path = tmp_path / "tv.json"
+    path.write_text(json.dumps(TV_JSON))
+    return str(path)
+
+
+@pytest.fixture
+def ad_path(tmp_path):
+    path = tmp_path / "ad.json"
+    path.write_text(json.dumps(AD_JSON))
+    return str(path)
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    calls = []
+    solve = cli.solve_F
+
+    def counting(model, step):
+        calls.append(step)
+        return solve(model, step)
+
+    monkeypatch.setattr(cli, "solve_F", counting)
+    return calls
 
 
 def _run(capsys, *argv):
@@ -78,6 +119,36 @@ class TestSimulate:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+
+    def test_age_dependent_solves_once(self, capsys, ad_path, solve_calls):
+        code, out, _ = _run(
+            capsys, "simulate", "--model", ad_path, "--scheme", "k:3",
+            "--reps", "4", "--seed", "2", "--workers", "1",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+        assert solve_calls == [1e-3]
+
+    def test_time_varying_never_solves(self, capsys, tv_path, solve_calls):
+        code, _, _ = _run(
+            capsys, "simulate", "--model", tv_path, "--scheme", "bernoulli:0.5",
+            "--reps", "4", "--seed", "2", "--workers", "1",
+        )
+        assert code == 0
+        assert solve_calls == []
+
+    def test_age_dependent_worker_count_invariance(self, capsys, ad_path):
+        # the pool initializer ships the solved GridTail to each worker
+        outs = []
+        for workers in ("1", "2"):
+            code, out, _ = _run(
+                capsys, "simulate", "--model", ad_path, "--scheme", "full",
+                "--reps", "6", "--seed", "9", "--workers", workers,
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestLikelihood:
@@ -142,6 +213,22 @@ class TestDumpF:
         assert lines[0] == "t,F"
         data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert_allclose(data[:, 1], closed_form_F(1.0, 0.5, data[:, 0]), rtol=1e-4)
+
+
+    def test_time_varying_is_exact(self, capsys, tv_path, solve_calls):
+        code, out, _ = _run(capsys, "dump-f", "--model", tv_path, "--step", "1e-2")
+        assert code == 0
+        assert solve_calls == []
+        # every printed digit (12 significant) is the exact tail's
+        F = tail_for(rate_model_from_json(TV_JSON))
+        ts = step_grid(2.0, 1e-2)
+        expect = ["t,F"] + [f"{t:.12g},{v:.12g}" for t, v in zip(ts, F.value(ts))]
+        assert out.strip().splitlines() == expect
+
+    def test_step_must_divide_horizon(self, capsys, tv_path):
+        code, _, err = _run(capsys, "dump-f", "--model", tv_path, "--step", "3e-3")
+        assert code == 2
+        assert "step must divide T" in err
 
 
 class TestExitCodes:

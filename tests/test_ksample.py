@@ -9,7 +9,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from cppgen.cpp import RandomStream
-from cppgen.errors import DomainError, SizeGuardError, TieError
+from cppgen.errors import DomainError, QuadratureError, SizeGuardError, TieError
 from cppgen.kernel import ClosedFormTail, node_depth_density_f, survival_a
 from cppgen.ksample import (
     MixtureParams,
@@ -22,6 +22,7 @@ from cppgen.ksample import (
     joint_df_bruteforce,
     ksample_likelihood,
     ksample_loglikelihood,
+    ksample_loglikelihoods,
     likelihood_with_missing,
     mixing_cdf,
     mixing_density,
@@ -197,6 +198,38 @@ class TestKSampleLikelihood:
         emp = np.searchsorted(np.sort(xs), grid).astype(float) / len(xs)
         # coarse agreement between empirical CDF increments and quadrature
         assert np.abs((emp - emp[0]) - cdf_grid).max() < 0.03
+
+
+    def test_batch_matches_per_tree(self):
+        _, trees = definetti_sample_many(F_STD, 4, 25, RandomStream(5))
+        batch = ksample_loglikelihoods([t.depths for t in trees], F_STD, 4)
+        one = [ksample_loglikelihood(t, F_STD, 4) for t in trees]
+        assert_allclose(batch, one, rtol=1e-13)
+
+    def test_batch_raises_past_node_cap(self):
+        depths = [(0.3, 0.6), (1.9999, 1e-4)]
+        with pytest.raises(QuadratureError):
+            ksample_loglikelihoods(depths, F_STD, 3, max_nodes=128, rtol=1e-300)
+
+    def test_nodes_computed_once_per_size(self, monkeypatch):
+        import numpy.polynomial.legendre as legendre
+
+        from cppgen import ksample
+
+        calls = []
+        leggauss = legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(legendre, "leggauss", counting)
+        ksample._gauss_legendre.cache_clear()
+        tree = OrientedUltrametricTree(2.0, (0.3, 0.6))
+        for _ in range(3):
+            ksample_loglikelihood(tree, F_STD, 3)
+        assert calls and sorted(calls) == sorted(set(calls))
+        ksample._gauss_legendre.cache_clear()
 
 
 class TestJointDistribution:
