@@ -42,6 +42,7 @@ from .ksample import (
     ksample_loglikelihood,
     ksample_loglikelihoods,
     likelihood_with_missing,
+    loglik,
     mixing_density,
     power_sum_identity,
     sample_mixing,
@@ -50,6 +51,7 @@ from .model import (
     OrientedUltrametricTree,
     RateModel,
     SamplingScheme,
+    TreeBatch,
     count_cherries,
     newick_to_tree,
     parse_scheme,

@@ -25,12 +25,9 @@ from .cpp import RandomStream, simulate_cpp, simulate_forward, thinned_inverse_t
 from .errors import CppgenError
 from .inference import fit_mle, neg_log_likelihood
 from .kernel import solve_F, step_grid, tail_for
-from .ksample import (
-    bernoulli_loglikelihood,
-    definetti_sample,
-    full_loglikelihood,
-    ksample_loglikelihood,
-)
+from .ksample import definetti_sample, loglik
+# Not called here; kept importable because perfbench/tracer.py patches them by module.
+from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
 from .model import (
     RateModel,
     SamplingScheme,
@@ -92,6 +89,8 @@ def cmd_simulate(args) -> int:
     if scheme.variant == "bernoulli" and scheme.y is None:
         raise CppgenError("simulation needs a concrete Bernoulli y")
     if args.forward:
+        if scheme.variant != "full":
+            raise CppgenError(f"--forward simulates the full scheme only, not {scheme.describe()}")
         job = (None, None, model)
     else:
         F = tail_for(model, args.step, solve=solve_F)
@@ -138,19 +137,9 @@ def cmd_likelihood(args) -> int:
     scheme = parse_scheme(args.scheme)
     trees = read_newick_file(args.tree)
     F = tail_for(model, args.step, solve=solve_F)
-    oriented = not args.unoriented
-    total = 0.0
-    for tree in trees:
-        if scheme.variant == "full":
-            total += full_loglikelihood(tree, F, oriented)
-        elif scheme.variant == "bernoulli":
-            total += bernoulli_loglikelihood(tree, F, scheme.y, oriented)
-        else:
-            total += ksample_loglikelihood(
-                tree, F, scheme.k, oriented, quad_nodes=args.quad_nodes
-            )
+    logl = loglik(trees, F, scheme, not args.unoriented, quad_nodes=args.quad_nodes)
     payload = {
-        "logL": total,
+        "logL": float(logl.sum()),
         "scheme": scheme.describe(),
         "quad_nodes": args.quad_nodes if scheme.variant == "uniform_k" else None,
         "n_trees": len(trees),

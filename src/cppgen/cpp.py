@@ -121,9 +121,7 @@ def simulate_cpp_batch(
     keep = np.ones(len(us), dtype=bool)
     keep[stop_idx] = False
     depths = invert_tail(F, 1.0 / us[keep])
-    bounds = np.concatenate([[0], stop_idx - np.arange(reps)])
     tip_counts = np.diff(np.concatenate([[0], stop_idx - np.arange(reps)])) + 1
-    del bounds
     return tip_counts.astype(int), depths
 
 

@@ -6,20 +6,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DomainError, FitError, QuadratureError
-from .kernel import ClosedFormTail, InverseTail, solve_F, tail_for
-from .ksample import (
-    bernoulli_loglikelihood,
-    full_loglikelihood,
-    ksample_loglikelihood,
-    ksample_loglikelihoods,
-)
-from .model import OrientedUltrametricTree, RateModel, SamplingScheme
+from .kernel import ClosedFormTail, solve_F, tail_for
+from .ksample import loglik
+# Not called here; kept importable because perfbench/tracer.py patches them by module.
+from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
+from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch
 
 __all__ = ["FitResult", "neg_log_likelihood", "fit_mle"]
 
@@ -40,7 +37,7 @@ def _cached_solve_F(model: RateModel, step: float):
 
 
 def neg_log_likelihood(
-    trees: Sequence[OrientedUltrametricTree],
+    trees: Union[TreeBatch, Sequence[OrientedUltrametricTree]],
     lam: float,
     mu: float,
     scheme: SamplingScheme,
@@ -49,61 +46,25 @@ def neg_log_likelihood(
     oriented: bool = True,
     model: Optional[RateModel] = None,
 ) -> float:
-    """Sum of per-tree negative log-likelihoods under the given scheme.
+    """Negative log-likelihood of a list or :class:`TreeBatch` of trees.
 
     Constant-rate evaluation by default (closed-form F); pass ``model`` to
     evaluate a non-constant rate model instead (exact F where death does not
-    depend on age, else a Volterra grid solved once and cached).
+    depend on age, else a Volterra grid solved once and cached).  A free
+    Bernoulli ``y`` (``scheme.y is None``) is taken from ``y``.
     """
     if model is None:
         if lam < 0 or mu < 0:
             raise DomainError("rates must be >= 0")
-        F = ClosedFormTail(lam, max(mu, 0.0), T)
-        return _nll_vectorized(trees, F, scheme, y, oriented)
-    F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=_cached_solve_F)
-    total = 0.0
-    if scheme.variant == "full":
-        for tree in trees:
-            total -= full_loglikelihood(tree, F, oriented)
-    elif scheme.variant == "bernoulli":
-        y_eff = scheme.y if scheme.y is not None else y
-        if y_eff is None:
-            raise DomainError("Bernoulli scheme needs y (fixed or free)")
-        for tree in trees:
-            total -= bernoulli_loglikelihood(tree, F, y_eff, oriented)
+        F = ClosedFormTail(lam, mu, T)
     else:
-        for tree in trees:
-            total -= ksample_loglikelihood(tree, F, scheme.k, oriented)
-    return total
-
-
-def _nll_vectorized(trees, F: InverseTail, scheme, y, oriented) -> float:
-    """Evaluation batched across trees (the optimizer's hot path)."""
-    from .model import count_cherries
-
-    T = F.T
-    orient = 0.0
-    if not oriented:
-        orient = sum(
-            (t.n_tips - 1 - count_cherries(t)) * math.log(2.0) for t in trees
-        )
-
-    if scheme.variant in ("full", "bernoulli"):
-        if scheme.variant == "bernoulli":
-            y_eff = scheme.y if scheme.y is not None else y
-            if y_eff is None:
-                raise DomainError("Bernoulli scheme needs y (fixed or free)")
-            F = F.thinned(y_eff)
-        depths = np.concatenate([t.depths for t in trees]) if trees else np.empty(0)
-        logf = np.log(F.deriv(depths)) - 2.0 * np.log(F.value(depths))
-        return len(trees) * math.log(F.value(T)) - float(logf.sum()) - orient
-
-    k = scheme.k
-    for t in trees:
-        if t.n_tips != k:
-            raise DomainError(f"tree has {t.n_tips} tips, expected k={k}")
-    d = [t.depths for t in trees]
-    return -float(np.sum(ksample_loglikelihoods(d, F, k))) - orient
+        F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=_cached_solve_F)
+    if scheme.variant == "bernoulli" and scheme.y is None:
+        if y is None:
+            raise DomainError("Bernoulli scheme needs y (fixed or free)")
+        scheme = SamplingScheme.bernoulli(y)
+    batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
+    return -float(loglik(batch, F, scheme, oriented).sum())
 
 
 @dataclass
@@ -132,7 +93,7 @@ _DEFAULT_BOUNDS = {"lam": (1e-6, 1e3), "mu": (0.0, 1e3), "y": (1e-6, 1.0)}
 
 
 def fit_mle(
-    trees: Sequence[OrientedUltrametricTree],
+    trees: Union[TreeBatch, Sequence[OrientedUltrametricTree]],
     scheme: SamplingScheme,
     bounds: Optional[dict] = None,
     init: Optional[dict] = None,
@@ -142,14 +103,16 @@ def fit_mle(
 
     Nelder-Mead over log-rates (and logit-y when y is free), multi-started
     from a 3-point lattice around the init (scales 1/2, 1, 2); the best
-    converged start wins.
+    converged start wins.  The trees are packed into one batch before the
+    first start, so an objective evaluation is array work only.
     """
-    if not trees:
+    batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
+    if not len(batch):
         raise DomainError("need at least one tree")
     bounds = {**_DEFAULT_BOUNDS, **(bounds or {})}
     init = {**{"lam": 1.0, "mu": 0.1, "y": 0.5}, **(init or {})}
-    T = trees[0].height
-    if any(abs(t.height - T) > 1e-9 * T for t in trees):
+    T = float(batch.heights[0])
+    if np.any(np.abs(batch.heights - T) > 1e-9 * T):
         raise DomainError("all trees must share the same height T")
     free_y = scheme.variant == "bernoulli" and scheme.y is None
 
@@ -164,7 +127,7 @@ def fit_mle(
         lam = min(max(lam, bounds["lam"][0]), bounds["lam"][1])
         mu = min(max(mu, MU_FLOOR), bounds["mu"][1]) if bounds["mu"][1] > 0 else MU_FLOOR
         try:
-            return neg_log_likelihood(trees, lam, mu, scheme, T, y=y, oriented=oriented)
+            return neg_log_likelihood(batch, lam, mu, scheme, T, y=y, oriented=oriented)
         except (ValueError, FloatingPointError, OverflowError, QuadratureError):
             return math.inf
 

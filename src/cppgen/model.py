@@ -3,15 +3,17 @@
 Trees are stored in their coalescent-point-process-native form, i.e. as the
 ordered sequence of node depths between consecutive tips.  The topology is
 never stored; it is reconstructed on demand by the running-max rule: the
-coalescence time of tips ``i < j`` is ``max(depths[i:j])``.
+coalescence time of tips ``i < j`` is ``max(depths[i:j])``.  Many trees (a
+Newick file) form one :class:`TreeBatch`, a ragged array of depths.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "AgeDependentRate",
     "RateModel",
     "OrientedUltrametricTree",
+    "TreeBatch",
     "SamplingScheme",
     "parse_scheme",
     "tree_to_newick",
@@ -39,7 +42,6 @@ __all__ = [
     "read_newick_file",
     "write_newick_file",
     "write_depths_csv",
-    "read_depths_csv",
 ]
 
 
@@ -300,32 +302,95 @@ class OrientedUltrametricTree:
         return max(self.depths[i:j])
 
 
-def _split_segment(depths: Sequence[float], lo: int, hi: int) -> int:
-    """Index of the (first) deepest node among tips lo..hi; the running-max
-    rule makes it the root of that segment's subtree."""
-    seg = depths[lo:hi]
-    return lo + int(np.argmax(seg))
+@dataclass(frozen=True, eq=False)
+class TreeBatch:
+    """Trees of a file as one ragged array of node depths.
+
+    Tree ``r`` has height ``heights[r]`` and depths
+    ``depths[offsets[r]:offsets[r + 1]]``; a single-tip tree has an empty
+    segment.  The arrays are read-only copies.  Iterating yields the trees
+    as :class:`OrientedUltrametricTree`.
+    """
+
+    heights: np.ndarray
+    offsets: np.ndarray
+    depths: np.ndarray
+
+    def __post_init__(self):
+        heights = np.array(self.heights, dtype=float)
+        offsets = np.array(self.offsets, dtype=np.int64)
+        depths = np.array(self.depths, dtype=float)
+        if (
+            heights.ndim != 1
+            or depths.ndim != 1
+            or offsets.shape != (len(heights) + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != len(depths)
+            or np.any(np.diff(offsets) < 0)
+        ):
+            raise DomainError(
+                "offsets must rise from 0 to len(depths), one more than the heights"
+            )
+        if not np.all(heights > 0):
+            raise DomainError("height must be > 0")
+        if depths.size and not np.all(
+            (depths > 0.0) & (depths < np.repeat(heights, np.diff(offsets)))
+        ):
+            raise DomainError("all node depths must lie strictly in (0, height)")
+        for name, arr in (("heights", heights), ("offsets", offsets), ("depths", depths)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_trees(cls, trees: Iterable[OrientedUltrametricTree]) -> "TreeBatch":
+        trees = list(trees)
+        offsets = np.zeros(len(trees) + 1, dtype=np.int64)
+        np.cumsum([len(t.depths) for t in trees], out=offsets[1:])
+        depths = [d for t in trees for d in t.depths]
+        return cls([t.height for t in trees], offsets, depths)
+
+    def __len__(self) -> int:
+        return len(self.heights)
+
+    def __iter__(self) -> Iterator[OrientedUltrametricTree]:
+        depths = self.depths.tolist()
+        bounds = self.offsets.tolist()
+        for r, height in enumerate(self.heights.tolist()):
+            yield OrientedUltrametricTree(height, tuple(depths[bounds[r] : bounds[r + 1]]))
+
+    @property
+    def n_tips(self) -> np.ndarray:
+        return np.diff(self.offsets) + 1
+
+    def tree_sums(self, values) -> np.ndarray:
+        """Sum of ``values`` (one per depth) over each tree; 0 for single tips."""
+        index = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        return np.bincount(index, weights=values, minlength=len(self))
+
+    @property
+    def cherries(self) -> np.ndarray:
+        """Cherry count of each tree.
+
+        Node ``i`` joins tips ``i`` and ``i+1`` directly exactly when no node
+        hangs below it on either side: its left neighbour (if any) is at
+        least as deep and its right neighbour (if any) strictly deeper, by
+        the running-max rule with the first deepest node as the root.
+        """
+        d = self.depths
+        lo, hi = self.offsets[:-1], self.offsets[1:]
+        full = hi > lo
+        left = np.ones(len(d), dtype=bool)
+        left[1:] = d[:-1] >= d[1:]
+        left[lo[full]] = True
+        right = np.ones(len(d), dtype=bool)
+        right[:-1] = d[1:] > d[:-1]
+        right[hi[full] - 1] = True
+        return self.tree_sums(left & right).astype(np.int64)
 
 
 def count_cherries(tree: OrientedUltrametricTree) -> int:
     """Number of tip pairs whose MRCA has exactly those two descendants."""
-    n = tree.n_tips
-    if n < 2:
-        return 0
-    d = tree.depths
-    cherries = 0
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo == hi:
-            continue
-        j = _split_segment(d, lo, hi)
-        if lo == j and j + 1 == hi:
-            cherries += 1
-            continue
-        stack.append((lo, j))
-        stack.append((j + 1, hi))
-    return cherries
+    return int(TreeBatch.from_trees([tree]).cherries[0])
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +400,29 @@ def count_cherries(tree: OrientedUltrametricTree) -> int:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _children(depths: Sequence[float]):
+    """The tree coded by ``depths`` as ``(left, right, root)`` over its nodes.
+
+    Node ``i`` sits between tips ``i`` and ``i+1``; by the running-max rule
+    the first deepest node of a segment is the segment's root.  A child of
+    -1 is a tip: tip ``i`` on the left, tip ``i+1`` on the right.  Built in
+    one pass with a stack of the rightmost path, so a caterpillar costs no
+    more than a balanced tree.
+    """
+    left = [-1] * len(depths)
+    right = [-1] * len(depths)
+    path: List[int] = []
+    for i, d in enumerate(depths):
+        below = -1
+        while path and depths[path[-1]] < d:
+            below = path.pop()
+        left[i] = below
+        if path:
+            right[path[-1]] = i
+        path.append(i)
+    return left, right, path[0]
 
 
 def tree_to_newick(tree: OrientedUltrametricTree, stem: bool = False) -> str:
@@ -347,76 +435,154 @@ def tree_to_newick(tree: OrientedUltrametricTree, stem: bool = False) -> str:
     d = tree.depths
     if not d:
         return f"0:{_fmt(tree.height)};"
+    left, right, root = _children(d)
+    out = []
+    # A stack of node indices still to render and literal text to emit.
+    todo: list = [f"):{_fmt(tree.height - d[root])};" if stem else ");", root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        h = d[item]
+        out.append("(")
+        child = right[item]
+        if child < 0:
+            todo.append(f"{item + 1}:{_fmt(h)}")
+        else:
+            todo += (f"):{_fmt(h - d[child])}", child)
+        todo.append(",")
+        child = left[item]
+        if child < 0:
+            todo.append(f"{item}:{_fmt(h)}")
+        else:
+            todo += (f"):{_fmt(h - d[child])}", child)
+    return "".join(out)
 
-    def render(lo: int, hi: int, top: float) -> str:
-        if lo == hi:
-            return f"{lo}:{_fmt(top)}"
-        j = _split_segment(d, lo, hi)
-        h = d[j]
-        return f"({render(lo, j, h)},{render(j + 1, hi, h)}):{_fmt(top - h)}"
 
-    root_h = max(d)
-    j = _split_segment(d, 0, len(d))
-    left = render(0, j, root_h)
-    right = render(j + 1, len(d), root_h)
-    if stem:
-        return f"({left},{right}):{_fmt(tree.height - root_h)};"
-    return f"({left},{right});"
+# Structural characters, or the label-and-length text between them.
+_NEWICK_TOKENS = re.compile(r"[(),;]|[^(),;]+")
 
 
-class _NewickParser:
-    def __init__(self, text: str):
-        self.text = text.strip()
-        self.pos = 0
+def _scan_newick(text: str, rtol: float, height: Optional[float]):
+    """``(height, depths)`` of one rooted binary ultrametric Newick tree.
 
-    def error(self, msg: str):
-        raise NewickError(f"Newick parse error at position {self.pos}: {msg}")
+    One pass over the tokens, without recursion: nodes are numbered in
+    preorder as they open, with their parent and edge length, and tips and
+    binary nodes (at their comma) are listed left to right.  Root-to-node
+    distances are summed top-down afterwards, once every length is known.
+    Syntax errors raise at once; a tip without a length or a non-binary
+    node raises after the scan, the first such node in preorder first.
+    """
+    tokens = _NEWICK_TOKENS.findall(text.strip())
+    parent: List[int] = []
+    length: List[float] = []
+    tips: List[int] = []
+    splits: List[int] = []
+    stack: List[int] = []  # open internal nodes
+    commas: List[int] = []  # commas seen so far in each open node
+    faults: list = []  # (node, error)
+    at = 0
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def token():
+        return tokens[at] if at < len(tokens) else ""
 
-    def parse(self):
-        node = self.parse_node()
-        if self.peek() != ";":
-            self.error("expected ';'")
-        self.pos += 1
-        if self.text[self.pos :].strip():
-            self.error("trailing characters after ';'")
-        return node
+    def fail(msg: str):
+        pos = sum(len(t) for t in tokens[:at])
+        raise NewickError(f"Newick parse error at position {pos}: {msg}")
 
-    def parse_node(self):
-        children = []
-        if self.peek() == "(":
-            self.pos += 1
-            children.append(self.parse_node())
-            while self.peek() == ",":
-                self.pos += 1
-                children.append(self.parse_node())
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-        label = self.parse_label()
-        length = None
-        if self.peek() == ":":
-            self.pos += 1
-            length = self.parse_number()
-        return (children, label, length)
+    def read_length(node: int, tok: str) -> bool:
+        """Store the edge length in a label run; False if it has none."""
+        _label, colon, num = tok.partition(":")
+        if colon:
+            try:
+                length[node] = float(num)
+            except ValueError:
+                fail(f"bad edge length {num!r}")
+        return bool(colon)
 
-    def parse_label(self):
-        start = self.pos
-        while self.peek() and self.peek() not in ":,();":
-            self.pos += 1
-        return self.text[start : self.pos]
+    done = False
+    while not done:
+        # A node starts here: an internal node's '(' or a tip's label.
+        tok = token()
+        node = len(parent)
+        parent.append(stack[-1] if stack else -1)
+        length.append(0.0)
+        if tok == "(":
+            stack.append(node)
+            commas.append(0)
+            at += 1
+            continue
+        tips.append(node)
+        if tok in "(),;":  # also the end of the text
+            has_length = False
+        else:
+            has_length = read_length(node, tok)
+            at += 1
+        if not has_length:
+            faults.append((node, NewickError("tip without edge length")))
+        # After a node: close parents, until a comma starts a sibling.
+        while True:
+            tok = token()
+            if tok in (",", ")") and not stack:
+                fail("expected ';'")
+            if tok == ",":
+                commas[-1] += 1
+                if commas[-1] == 1:
+                    splits.append(stack[-1])
+                at += 1
+                break
+            if tok == ")":
+                closed = stack.pop()
+                n_children = commas.pop() + 1
+                if n_children != 2:
+                    faults.append((closed, NonBinaryError(
+                        f"node has {n_children} children; only binary trees supported"
+                    )))
+                at += 1
+                tok = token()
+                if tok not in "(),;":
+                    read_length(closed, tok)
+                    at += 1
+                continue
+            if stack:
+                fail("expected ')'")
+            if tok != ";":
+                fail("expected ';'")
+            at += 1
+            if "".join(tokens[at:]).strip():
+                fail("trailing characters after ';'")
+            done = True
+            break
 
-    def parse_number(self):
-        start = self.pos
-        while self.peek() and self.peek() not in ",();":
-            self.pos += 1
-        token = self.text[start : self.pos]
-        try:
-            return float(token)
-        except ValueError:
-            self.error(f"bad edge length {token!r}")
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    dist = [length[0]] + [0.0] * (len(parent) - 1)
+    for v in range(1, len(parent)):
+        dist[v] = dist[parent[v]] + length[v]
+    tip_dist = [dist[v] for v in tips]
+    span = max(tip_dist)
+    dev = (span - min(tip_dist)) / span if span > 0 else 0.0
+    if dev > rtol:
+        raise NonUltrametricError(dev)
+    if height is None:
+        height = span
+    elif height < span * (1.0 - rtol):
+        raise NewickError(f"explicit height {height} below tip-to-root span {span}")
+    # node depths are measured back from the tips, not from the origin
+    return height, [span - dist[v] for v in splits]
+
+
+def _newick_batch(texts: Iterable[str], rtol: float = 1e-9, height: Optional[float] = None):
+    heights: List[float] = []
+    offsets = [0]
+    depths: List[float] = []
+    for text in texts:
+        h, d = _scan_newick(text, rtol, height)
+        heights.append(h)
+        depths += d
+        offsets.append(len(depths))
+    return TreeBatch(heights, offsets, depths)
 
 
 def newick_to_tree(
@@ -431,38 +597,7 @@ def newick_to_tree(
     (e.g. when reading stemless trees whose observation time is known).
     Non-binary or non-ultrametric input raises.
     """
-    root = _NewickParser(text).parse()
-    tip_depths = []
-    boundaries = []
-
-    def walk(node, dist):
-        children, _label, length = node
-        d = dist + (length if length is not None else 0.0)
-        if not children:
-            if length is None:
-                raise NewickError("tip without edge length")
-            tip_depths.append(d)
-            return
-        if len(children) != 2:
-            raise NonBinaryError(
-                f"node has {len(children)} children; only binary trees supported"
-            )
-        walk(children[0], d)
-        boundaries.append(d)
-        walk(children[1], d)
-
-    walk(root, 0.0)
-    span = max(tip_depths)
-    dev = (span - min(tip_depths)) / span if span > 0 else 0.0
-    if dev > rtol:
-        raise NonUltrametricError(dev)
-    if height is None:
-        height = span
-    elif height < span * (1.0 - rtol):
-        raise NewickError(f"explicit height {height} below tip-to-root span {span}")
-    # node depths are measured back from the tips, not from the origin
-    depths = tuple(span - b for b in boundaries)
-    return OrientedUltrametricTree(height=height, depths=depths)
+    return next(iter(_newick_batch([text], rtol, height)))
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +740,10 @@ def rate_model_to_json(model: RateModel) -> dict:
     return {"kind": model.kind, "lambda": rate(model.lam), "mu": rate(model.mu), "T": model.T}
 
 
-def read_newick_file(path) -> list:
+def read_newick_file(path) -> TreeBatch:
     """One tree per line, UTF-8; blank lines ignored."""
-    trees = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                trees.append(newick_to_tree(line))
-    return trees
+        return _newick_batch(line for line in fh if line.strip())
 
 
 def write_newick_file(path, trees, stem: bool = True):
@@ -629,21 +759,3 @@ def write_depths_csv(path, trees):
         for rep, tree in enumerate(trees):
             for i, d in enumerate(tree.depths):
                 fh.write(f"{rep},{i},{_fmt(d)}\n")
-
-
-def read_depths_csv(path, height: float) -> list:
-    trees = []
-    rows: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "rep,index,depth":
-            raise ModelError(f"bad depths CSV header {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            rep, idx, depth = line.split(",")
-            rows.setdefault(int(rep), []).append((int(idx), float(depth)))
-    for rep in sorted(rows):
-        depths = tuple(d for _, d in sorted(rows[rep]))
-        trees.append(OrientedUltrametricTree(height=height, depths=depths))
-    return trees

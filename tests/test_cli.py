@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from cppgen import cli
 from cppgen.cli import main
 from cppgen.kernel import ClosedFormTail, closed_form_F, step_grid, tail_for
-from cppgen.ksample import full_loglikelihood, ksample_loglikelihood
+from cppgen.ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood
 from cppgen.model import newick_to_tree, rate_model_from_json
 
 TV_JSON = {
@@ -120,6 +120,15 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("scheme", ["k:3", "bernoulli:0.5"])
+    def test_forward_rejects_sampled_schemes(self, capsys, model_path, scheme):
+        code, out, err = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", scheme,
+            "--reps", "3", "--seed", "5", "--forward", "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "full scheme only" in err
 
     def test_age_dependent_solves_once(self, capsys, ad_path, solve_calls):
         code, out, _ = _run(
@@ -169,6 +178,32 @@ class TestLikelihood:
         assert_allclose(payload["logL"], expect, rtol=1e-9)
         assert payload["n_trees"] == 2
         assert payload["scheme"] == "full"
+
+    def test_bernoulli_unoriented(self, capsys, model_path, tmp_path):
+        lines = ["((0:0.3,1:0.3):0.3,(2:0.2,3:0.2):0.4):1.4;", "0:2;", "(0:0.5,1:0.5):1.5;"]
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("\n".join(lines) + "\n")
+        code, out, _ = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", model_path,
+            "--scheme", "bernoulli:0.4", "--unoriented",
+        )
+        assert code == 0
+        F = ClosedFormTail(1.0, 0.5, 2.0)
+        expect = sum(
+            bernoulli_loglikelihood(newick_to_tree(line), F, 0.4, oriented=False)
+            for line in lines
+        )
+        assert_allclose(json.loads(out)["logL"], expect, rtol=1e-12)
+
+    def test_mixed_heights_rejected(self, capsys, model_path, tmp_path):
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("(0:0.5,1:0.5):1.5;\n(0:0.5,1:0.5):1.0;\n")
+        code, _, err = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", model_path,
+            "--scheme", "full",
+        )
+        assert code == 2
+        assert "height" in err
 
     def test_ksample_scheme(self, capsys, model_path, tmp_path):
         trees = tmp_path / "trees.nwk"

@@ -16,7 +16,7 @@ from cppgen.ksample import (
     full_loglikelihood,
     ksample_loglikelihood,
 )
-from cppgen.model import OrientedUltrametricTree, SamplingScheme
+from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 
@@ -30,6 +30,9 @@ class TestNegLogLikelihood:
         trees = _trees(20, 1)
         expect = -sum(full_loglikelihood(t, F_STD) for t in trees)
         got = neg_log_likelihood(trees, 1.0, 0.5, SamplingScheme.full(), 2.0)
+        assert_allclose(got, expect, rtol=1e-12)
+        batch = TreeBatch.from_trees(trees)
+        got = neg_log_likelihood(batch, 1.0, 0.5, SamplingScheme.full(), 2.0)
         assert_allclose(got, expect, rtol=1e-12)
 
     def test_bernoulli_matches_per_tree_sum(self):
@@ -90,6 +93,25 @@ class TestFitMle:
         res = fit_mle(trees, SamplingScheme.uniform_k(3), init={"lam": 0.9, "mu": 0.45})
         assert res.converged
         assert np.isfinite(res.loglik)
+
+    def test_batch_built_once(self, monkeypatch):
+        from cppgen import inference
+
+        calls = []
+        from_trees = TreeBatch.from_trees.__func__
+
+        def counting(cls, trees):
+            calls.append(1)
+            return from_trees(cls, trees)
+
+        monkeypatch.setattr(inference.TreeBatch, "from_trees", classmethod(counting))
+        trees = _trees(50, 11)
+        res = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
+        assert calls == [1]
+        again = fit_mle(
+            TreeBatch.from_trees(trees), SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4}
+        )
+        assert again == res
 
     def test_result_serialization(self):
         res = FitResult(1.0, 0.5, None, -10.0, 42, True, {"lam_lower": False})

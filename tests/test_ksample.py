@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import quad
@@ -24,12 +26,13 @@ from cppgen.ksample import (
     ksample_loglikelihood,
     ksample_loglikelihoods,
     likelihood_with_missing,
+    loglik,
     mixing_cdf,
     mixing_density,
     power_sum_identity,
     sample_mixing,
 )
-from cppgen.model import OrientedUltrametricTree
+from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 A_STD = survival_a(F_STD)
@@ -230,6 +233,67 @@ class TestKSampleLikelihood:
             ksample_loglikelihood(tree, F_STD, 3)
         assert calls and sorted(calls) == sorted(set(calls))
         ksample._gauss_legendre.cache_clear()
+
+
+def _ragged_trees(draw, tips):
+    """Draw a list of trees on T=2 with tip counts from ``tips`` (a strategy)."""
+    n_trees = draw(st.integers(0, 6))
+    trees = []
+    for _ in range(n_trees):
+        n = draw(tips) - 1
+        depths = draw(st.lists(st.floats(1e-3, 1.999), min_size=n, max_size=n))
+        trees.append(OrientedUltrametricTree(2.0, tuple(depths)))
+    return trees
+
+
+class TestBatchLikelihood:
+    """``loglik`` over a ragged batch against the per-tree wrappers."""
+
+    @given(st.data(), st.floats(0.05, 1.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_full_and_bernoulli(self, data, y, oriented):
+        trees = _ragged_trees(data.draw, st.integers(1, 7))
+        batch = TreeBatch.from_trees(trees)
+        got = loglik(batch, F_STD, SamplingScheme.full(), oriented)
+        expect = [full_loglikelihood(t, F_STD, oriented) for t in trees]
+        assert_allclose(got, expect, rtol=1e-12)
+        got = loglik(batch, F_STD, SamplingScheme.bernoulli(y), oriented)
+        expect = [bernoulli_loglikelihood(t, F_STD, y, oriented) for t in trees]
+        assert_allclose(got, expect, rtol=1e-12)
+
+    @given(st.data(), st.integers(1, 5), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_ksample(self, data, k, oriented):
+        trees = _ragged_trees(data.draw, st.just(k))
+        got = loglik(TreeBatch.from_trees(trees), F_STD, SamplingScheme.uniform_k(k), oriented)
+        expect = [ksample_loglikelihood(t, F_STD, k, oriented) for t in trees]
+        assert_allclose(got, expect, rtol=1e-12)
+
+    def test_matches_density_formula(self):
+        # the pre-batch per-tree formula: log C(tau) - log F(T) + sum log f
+        trees = [
+            OrientedUltrametricTree(2.0, (0.3, 0.6, 0.2)),
+            OrientedUltrametricTree(2.0),
+            OrientedUltrametricTree(2.0, (1.5,)),
+        ]
+        got = loglik(TreeBatch.from_trees(trees), F_STD, SamplingScheme.full(), False)
+        expect = [
+            (t.n_tips - 1 - (2, 0, 1)[i]) * math.log(2.0)
+            - math.log(_F(2.0))
+            + float(np.sum(np.log(_f(np.asarray(t.depths)))))
+            for i, t in enumerate(trees)
+        ]
+        assert_allclose(got, expect, rtol=1e-12)
+
+    def test_mixed_heights_rejected(self):
+        batch = TreeBatch([2.0, 1.5], [0, 1, 2], [0.5, 0.5])
+        with pytest.raises(DomainError):
+            loglik(batch, F_STD, SamplingScheme.full())
+
+    def test_tip_count_must_match_k(self):
+        batch = TreeBatch([2.0, 2.0], [0, 2, 3], [0.5, 0.7, 0.2])
+        with pytest.raises(DomainError, match="tree has 2 tips, expected k=3"):
+            loglik(batch, F_STD, SamplingScheme.uniform_k(3))
 
 
 class TestJointDistribution:

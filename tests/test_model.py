@@ -1,9 +1,11 @@
 """Tree data model, Newick round trips, cherry counts, model JSON."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +21,15 @@ from cppgen.model import (
     PiecewiseConstant,
     RateModel,
     SamplingScheme,
+    TreeBatch,
     count_cherries,
     newick_to_tree,
     parse_scheme,
     rate_model_from_json,
     rate_model_to_json,
+    read_newick_file,
     tree_to_newick,
+    write_newick_file,
 )
 
 depth_lists = st.lists(
@@ -109,6 +114,63 @@ class TestNewick:
         back = newick_to_tree(tree_to_newick(t, stem=False), height=1.0)
         assert np.allclose(back.depths, t.depths, rtol=1e-9, atol=1e-10)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+    def test_caterpillar_round_trip(self, tmp_path, order):
+        # 3000 tips nest 2999 deep, past Python's default recursion limit
+        depths = np.linspace(1e-3, 1.999, 2999)[::order]
+        tree = OrientedUltrametricTree(2.0, tuple(depths))
+        path = tmp_path / "caterpillar.nwk"
+        write_newick_file(path, [tree, tree])
+        batch = read_newick_file(path)
+        assert len(batch) == 2
+        # heights and depths sum about 3000 edge lengths written to 12 digits
+        assert_allclose(batch.heights, 2.0, rtol=0, atol=1e-11 * 2.0)
+        assert_allclose(batch.depths[:2999], depths, rtol=0, atol=1e-11 * 2.0)
+
+    def test_read_file_into_batch(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        path.write_text("(0:0.5,1:0.5):1.5;\n\n0:2;\n((0:0.3,1:0.3):0.3,2:0.6):0.4;\n")
+        batch = read_newick_file(path)
+        assert isinstance(batch, TreeBatch)
+        assert batch.offsets.tolist() == [0, 1, 1, 3]
+        assert batch.n_tips.tolist() == [2, 1, 3]
+        assert_allclose(batch.depths, [0.5, 0.3, 0.6], rtol=1e-12)
+        assert_allclose(batch.heights, [2.0, 2.0, 1.0], rtol=1e-12)
+
+
+class TestTreeBatch:
+    @given(st.lists(depth_lists, max_size=8), st.lists(st.floats(1.0, 3.0), min_size=8, max_size=8))
+    @settings(max_examples=100)
+    def test_from_trees_round_trip(self, depth_sets, heights):
+        trees = [
+            OrientedUltrametricTree(h, tuple(d)) for d, h in zip(depth_sets, heights)
+        ]
+        batch = TreeBatch.from_trees(trees)
+        assert len(batch) == len(trees)
+        assert list(batch) == trees
+        again = TreeBatch.from_trees(list(batch))
+        for name in ("heights", "offsets", "depths"):
+            assert np.array_equal(getattr(again, name), getattr(batch, name))
+
+    def test_arrays_are_read_only(self):
+        batch = TreeBatch([1.0], [0, 1], [0.5])
+        with pytest.raises(ValueError):
+            batch.depths[0] = 0.7
+
+    @pytest.mark.parametrize(
+        "heights, offsets, depths",
+        [
+            ([1.0], [0, 2], [0.5]),  # offsets past the depths
+            ([1.0, 1.0], [0, 1], [0.5]),  # one offset short
+            ([1.0, 1.0], [0, 2, 1], [0.5]),  # offsets fall
+            ([1.0], [0, 1], [1.0]),  # depth at the height
+            ([0.0], [0], []),  # zero height
+        ],
+    )
+    def test_invalid_rejected(self, heights, offsets, depths):
+        with pytest.raises(DomainError):
+            TreeBatch(heights, offsets, depths)
+
 
 class TestCherries:
     def test_single_cherry(self):
@@ -129,6 +191,8 @@ class TestCherries:
         t = OrientedUltrametricTree(height=1.0, depths=tuple(depths))
         alpha = count_cherries(t)
         assert 1 <= alpha <= t.n_tips // 2
+        # a cherry is a parenthesised pair of tips in the Newick rendering
+        assert alpha == len(re.findall(r"\(\d+:[^(),]*,\d+:[^(),]*\)", tree_to_newick(t)))
 
 
 class TestRates:
