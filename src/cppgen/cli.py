@@ -21,7 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from . import __version__
-from .cpp import RandomStream, simulate_cpp, simulate_forward, thinned_inverse_tail
+from .cpp import (
+    RandomStream,
+    check_expected_tips,
+    simulate_cpp,
+    simulate_forward,
+    thinned_inverse_tail,
+)
 from .errors import CppgenError
 from .inference import fit_mle, neg_log_likelihood
 from .kernel import solve_F, step_grid, tail_for
@@ -96,6 +102,8 @@ def cmd_simulate(args) -> int:
         F = tail_for(model, args.step, solve=solve_F)
         if scheme.variant == "bernoulli":
             F = thinned_inverse_tail(F, scheme.y)
+        if scheme.variant != "uniform_k":
+            check_expected_tips(F, args.reps)
         job = (F, scheme.k if scheme.variant == "uniform_k" else None, None)
     seqs = [s._seq for s in RandomStream(args.seed).split(args.reps)]
     workers = _workers(args)

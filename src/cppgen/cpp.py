@@ -9,6 +9,7 @@ distributional check exercised by the validation suite.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -16,10 +17,11 @@ import numpy as np
 
 from .errors import DomainError, InsufficientTipsError, PopulationCapError
 from .kernel import InverseTail, invert_tail, survival_a
-from .model import OrientedUltrametricTree, RateModel
+from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel
 
 __all__ = [
     "RandomStream",
+    "check_expected_tips",
     "sample_H",
     "simulate_cpp",
     "simulate_cpp_batch",
@@ -34,6 +36,10 @@ __all__ = [
 # Forward simulation aborts once this many particles have been created in a
 # single attempt; supercritical blowups should fail loudly, not hang.
 POPULATION_CAP = 10**6
+
+# CPP simulation refuses to start when its trees would hold more than this
+# many tips on average (tens of bytes each while they are drawn).
+MAX_EXPECTED_TIPS = 10**7
 
 
 class RandomStream:
@@ -77,9 +83,26 @@ def sample_H(F: InverseTail, rng: RandomStream) -> float:
     return float(invert_tail(F, target)[0])
 
 
+def check_expected_tips(F: InverseTail, reps: int) -> float:
+    """F(T), after checking that ``reps`` CPP trees from F fit in memory.
+
+    A tree has F(T) tips on average; raises ``DomainError`` when F(T) is not
+    finite or ``reps`` trees would hold more than ``MAX_EXPECTED_TIPS`` tips.
+    """
+    with np.errstate(over="ignore"):
+        FT = float(F.value(F.T))
+    expected = reps * FT
+    if not (math.isfinite(expected) and expected <= MAX_EXPECTED_TIPS):
+        raise DomainError(
+            f"expected {expected:.4g} tips in {reps} tree(s) (F(T) = {FT:.4g} per tree); "
+            f"more than {MAX_EXPECTED_TIPS:.0e} do not fit in memory"
+        )
+    return FT
+
+
 def simulate_cpp(F: InverseTail, rng: RandomStream) -> OrientedUltrametricTree:
     """Draw iid copies of H, keep those < T, stop at the first >= T."""
-    FT = float(F.value(F.T))
+    FT = check_expected_tips(F, 1)
     u_kept = []
     while True:
         u = rng.uniform()
@@ -102,7 +125,7 @@ def simulate_cpp_batch(
     stopping semantics as the scalar path: uniforms are consumed in sequence
     and each u with 1/u > F(T) terminates a replicate.
     """
-    FT = float(F.value(F.T))
+    FT = check_expected_tips(F, reps)
     thresh = 1.0 / FT
     blocks = []
     n_stops = 0
@@ -154,27 +177,42 @@ class ForwardResult:
         return 1.0 / self.attempts
 
 
-def _sample_death(model: RateModel, birth: float, rng: RandomStream) -> float:
+def _rate_at(rate: PiecewiseConstant):
+    """Scalar t -> rate(t) for t >= 0: the piece lookup of ``rate(t)``
+    without the array round trip."""
+    breaks, values = rate.breaks, rate.values
+    return lambda t: values[bisect_right(breaks, t) - 1]
+
+
+def _death_rate_at(model: RateModel):
+    """Scalar (t, x) -> model.death_rate(t, x) for t, x >= 0."""
+    mu = model.mu
+    if isinstance(mu, PiecewiseConstant):
+        at = _rate_at(mu)
+        return lambda t, x: at(t)
+    t_breaks, x_breaks, values = mu.t_breaks, mu.x_breaks, mu.values
+    return lambda t, x: values[bisect_right(t_breaks, t) - 1][bisect_right(x_breaks, x) - 1]
+
+
+def _sample_death(death_at, mu_max: float, T: float, birth: float, rng: RandomStream) -> float:
     """Death time of a particle born at ``birth``, by hazard thinning.
 
     Returns +inf when the particle outlives the horizon T; proposals beyond
     T are never needed.
     """
-    mu_max = model.death_rate_max
     if mu_max == 0.0:
         return math.inf
     u = birth
     while True:
         u += rng.exponential(mu_max)
-        if u >= model.T:
+        if u >= T:
             return math.inf
-        if rng.uniform() * mu_max <= model.death_rate(u, u - birth):
+        if rng.uniform() * mu_max <= death_at(u, u - birth):
             return u
 
 
-def _birth_times(model: RateModel, birth: float, until: float, rng: RandomStream):
+def _birth_times(birth_at, lam_max: float, birth: float, until: float, rng: RandomStream):
     """Birth events of one particle on (birth, until), by Poisson thinning."""
-    lam_max = model.birth_rate_max
     out = []
     if lam_max == 0.0:
         return out
@@ -183,7 +221,7 @@ def _birth_times(model: RateModel, birth: float, until: float, rng: RandomStream
         u += rng.exponential(lam_max)
         if u >= until:
             return out
-        if rng.uniform() * lam_max <= model.birth_rate(u):
+        if rng.uniform() * lam_max <= birth_at(u):
             out.append(u)
 
 
@@ -192,34 +230,45 @@ def _simulate_attempt(model: RateModel, rng: RandomStream) -> Tuple[list, int]:
 
     Planar convention: a particle's own tip comes first (leftmost), then its
     daughters' subtrees in order of decreasing birth time; the separation
-    depth in front of a daughter's block is T minus her birth time.
+    depth in front of a daughter's block is T minus her birth time.  The
+    particles are visited depth first on an explicit stack, a daughter's
+    whole subtree before her next older sister, so the random stream is
+    consumed in that order.
     """
     T = model.T
+    death_at, mu_max = _death_rate_at(model), model.death_rate_max
+    birth_at, lam_max = _rate_at(model.lam), model.birth_rate_max
     created = 0
 
-    def recurse(birth: float) -> Tuple[list, int]:
+    def born(birth: float) -> list:
+        # [birth, daughters' births not yet visited (oldest first), depths, tips]
         nonlocal created
         created += 1
         if created > POPULATION_CAP:
             raise PopulationCapError(
                 f"more than {POPULATION_CAP} particles in one forward attempt"
             )
-        death = _sample_death(model, birth, rng)
-        alive = math.isinf(death)
-        births = _birth_times(model, birth, min(death, T), rng)
-        depths: list = []
-        tips = 1 if alive else 0
-        for u in reversed(births):  # descending birth time
-            sub_depths, sub_tips = recurse(u)
-            if sub_tips == 0:
-                continue
-            if tips > 0:
-                depths.append(T - u)
-            depths.extend(sub_depths)
-            tips += sub_tips
-        return depths, tips
+        death = _sample_death(death_at, mu_max, T, birth, rng)
+        births = _birth_times(birth_at, lam_max, birth, min(death, T), rng)
+        return [birth, births, [], 1 if math.isinf(death) else 0]
 
-    return recurse(0.0)
+    stack = [born(0.0)]
+    while True:
+        top = stack[-1]
+        if top[1]:
+            stack.append(born(top[1].pop()))  # the youngest daughter first
+            continue
+        stack.pop()
+        birth, _, depths, tips = top
+        if not stack:
+            return depths, tips
+        mother = stack[-1]
+        if tips == 0:
+            continue
+        if mother[3] > 0:
+            mother[2].append(T - birth)
+        mother[2].extend(depths)
+        mother[3] += tips
 
 
 def simulate_forward(model: RateModel, rng: RandomStream) -> OrientedUltrametricTree:

@@ -13,6 +13,18 @@ lambda(t), mu(t) give a sum of exponentials (``PiecewiseTail``).  Both have an
 exact inverse.  Only age-dependent death needs the Volterra solver
 (``solve_F``), whose ``GridTail`` is inverted by bisection.  ``tail_for`` picks
 the right one for a model.
+
+The death rate is piecewise constant on time cells, and on each time cell q
+a piecewise-constant function h_q of age with exact integral H_q
+(``RateModel.death_cells``).  So the kernel factorizes: a particle born at b
+that dies at s in cell q, at age a = s - b, has
+
+    g(b, s) = h_q(a) e^{-H_q(a)} * e^{-C_q(b)},
+
+where C_q(b), the hazard the life line collects before it enters cell q
+minus H_q(max(start_q - b, 0)), does not depend on s.  On the solver grid the
+age factor is one vector per time cell and the birth factor one table, so
+``solve_F`` evaluates no kernel inside its step loop.
 """
 
 from __future__ import annotations
@@ -79,15 +91,15 @@ def closed_form_F(lam: float, mu: float, t):
     scale = max(lam, mu, 1.0)
     if abs(r) < _R_SWITCH * scale:
         out = 1.0 + lam * t
-    else:
-        rt = r * t
-        small = np.abs(rt) < _SERIES_SWITCH
-        out = np.where(
-            small,
-            1.0 + lam * t + lam * r * t * t / 2.0,
-            1.0 + (lam / r) * np.expm1(rt),
-        )
-    return out if out.ndim else float(out)
+        return out if out.ndim else float(out)
+    tt = np.atleast_1d(t)
+    rt = r * tt
+    out = 1.0 + (lam / r) * np.expm1(rt)
+    small = np.abs(rt) < _SERIES_SWITCH
+    if small.any():
+        ts = tt[small]
+        out[small] = 1.0 + lam * ts + lam * r * ts * ts / 2.0
+    return out if t.ndim else float(out[0])
 
 
 def closed_form_dF(lam: float, mu: float, t):
@@ -294,18 +306,50 @@ class GridTail(InverseTail):
         return GridTail(self.ts, tuple(vals), self.T)
 
 
+def _entry_hazard(cells, births) -> np.ndarray:
+    """C[..., q] for life lines born at ``births``: the hazard a line collects
+    before it enters time cell q, minus H_q(max(start_q - birth, 0)).
+
+    A line born at b and dying at s in cell q, at age a = s - b, has then
+    collected H_q(a) + C_q(b): the cell's age hazard integrates from the age
+    at which the line enters the cell.
+    """
+    births = np.asarray(births, dtype=float)
+    C = np.empty(births.shape + (len(cells),))
+    collected = np.zeros(births.shape)
+    for q, cell in enumerate(cells):
+        entered = cell.by_age.integral(0.0, np.maximum(cell.start - births, 0.0))
+        C[..., q] = collected - entered
+        left = cell.by_age.integral(0.0, np.maximum(cell.end - births, 0.0))
+        collected = collected + (left - entered)
+    return C
+
+
+def _cell_of(cells, s) -> np.ndarray:
+    """Index of the time cell holding each time s (cells are right-open)."""
+    starts = [cell.start for cell in cells]
+    return np.clip(np.searchsorted(starts, s, side="right") - 1, 0, None)
+
+
 def death_density_g(model: RateModel, t: float, s):
     """Density at s of the death time of a particle born at time t.
 
-    g(t, s) = mu(s, s - t) * exp(-int_t^s mu(u, u - t) du); the inner
-    integral is exact over the piecewise-constant pieces.
+    g(t, s) = mu(s, s - t) exp(-int_t^s mu(u, u - t) du).  With s in time
+    cell q and age a = s - t, this is h_q(a) e^{-H_q(a)} e^{-C_q(t)}, exact
+    over the piecewise-constant pieces (see ``model.RateModel.death_cells``).
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < t):
         raise DomainError("death time must be >= birth time")
-    haz = model.death_rate(s_arr, s_arr - t)
-    cum = model.death_cumhazard(t, s_arr)
-    out = np.asarray(haz * np.exp(-cum))
+    cells = model.death_cells()
+    C = _entry_hazard(cells, t)
+    q = _cell_of(cells, s_arr)
+    age = s_arr - t
+    out = np.empty(s_arr.shape)
+    for k, cell in enumerate(cells):
+        here = q == k
+        a = age[here]
+        out[here] = cell.by_age(a) * np.exp(-(cell.by_age.integral(0.0, a) + C[k]))
     return out if out.ndim else float(out)
 
 
@@ -319,13 +363,29 @@ def step_grid(T: float, step: float) -> np.ndarray:
     return np.linspace(0.0, T, n + 1)
 
 
+# e^{+-H} of a cell's age hazard must stay inside the float range.
+_MAX_CELL_HAZARD = 700.0
+
+
 def solve_F(model: RateModel, step: float) -> GridTail:
     """Solve the Volterra equation for F on [0, T] with grid spacing ``step``.
 
-    Product-integration scheme: trapezoidal quadrature for the memory
-    integral, explicit predictor plus one trapezoidal corrector pass per
-    step (second order).  A corrector move larger than 1e-3 relative is
-    diagnosed as the step being too large.
+    Product-integration scheme: midpoint quadrature for the memory integral,
+    explicit predictor plus one trapezoidal corrector pass per step (second
+    order).  A corrector move larger than 1e-3 relative is diagnosed as the
+    step being too large.
+
+    The memory kernel factorizes.  A birth at b = T - t_i and a death at
+    s = T - mid_j in time cell q of mu have the age a = (i - j - 1/2) step,
+    and g(b, s) = h_q(a) e^{-H_q(a)} e^{-C_q(b)}, where h_q, H_q are the
+    cell's age hazard and its integral and C_q(b) depends on b alone
+    (``_entry_hazard``).  So each time cell has one vector
+    K_q[m] = h_q((m + 1/2) step) e^{-H_q((m + 1/2) step)} of length n, and
+    there is one (n + 1) x P table e^{-C}; the cell's deaths are one
+    contiguous range of j.  A step is then one dot per time cell against a
+    reversed slice of K_q: memory O(n P), no kernel evaluated in the loop.
+    Raises ``SolverError`` when a cell's age hazard over [0, T] exceeds
+    ``_MAX_CELL_HAZARD``, where e^{-H} and e^{-C} leave the float range.
     """
     T = model.T
     ts = step_grid(T, step)
@@ -340,38 +400,52 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     # break whenever T - t_i misses the break by a rounding error, and one
     # wrong cell per break drops the scheme to first order; a break strictly
     # inside a cell costs only O(step^2) locally.
-    lam_cell = np.asarray(model.lam(T - mids))
-    F = np.empty(n + 1)
-    F[0] = 1.0
+    lam_cell = np.asarray(model.lam(T - mids), dtype=float).tolist()
 
-    def g_row(i: int) -> np.ndarray:
-        # g(T - t_i, T - mid_j) for j = 0..i-1; birth at T - t_i.
-        birth = T - ts[i]
-        s_phys = T - mids[:i]
-        haz = np.asarray(model.death_rate(s_phys, s_phys - birth))
-        cum = np.asarray(model.death_cumhazard(birth, s_phys))
-        return haz * np.exp(-cum)
+    cells = model.death_cells()
+    for cell in cells:
+        total = cell.by_age.integral(0.0, T)
+        if total > _MAX_CELL_HAZARD:
+            raise SolverError(
+                f"death hazard {total:.4g} over ages [0, T] in the time cell at "
+                f"{cell.start:g} is past the solver's range ({_MAX_CELL_HAZARD:g})"
+            )
+    ages = (np.arange(n) + 0.5) * step
+    cell_of_mid = _cell_of(cells, T - mids)  # nonincreasing in j
+    exp_C = np.exp(-_entry_hazard(cells, T - ts))
+    # (first j, last j + 1, K_q reversed, e^{-C_q} per node) for each cell
+    # holding a midpoint; K_q[m] sits at K_rev[n - 1 - m].
+    pieces = []
+    newest = np.empty(n)  # g(T - t_{i+1}, T - mid_i) = K_q[0] e^{-C_q(T - t_{i+1})}
+    for q, cell in enumerate(cells):
+        js = np.flatnonzero(cell_of_mid == q)
+        if js.size:
+            lo, hi = int(js[0]), int(js[-1]) + 1
+            K = cell.by_age(ages) * np.exp(-cell.by_age.integral(0.0, ages))
+            newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
+            pieces.append((lo, hi, K[::-1].copy(), exp_C[:, q].tolist()))
+    newest = newest.tolist()
 
-    def memory(i: int, row: np.ndarray, Fvals: np.ndarray) -> float:
-        # Midpoint rule for int_0^{t_i} F(s) g(T - t_i, T - s) ds, with F at
-        # midpoints taken as the average of the bracketing node values.
-        if i == 0:
-            return 0.0
-        f_mid = 0.5 * (Fvals[:i] + Fvals[1 : i + 1])
-        return step * float(f_mid @ row)
-
-    row_i = g_row(0)
+    F = [1.0] * (n + 1)
+    f_mid = np.zeros(n)  # F at the midpoints, the average of its two nodes
+    memory = 0.0  # int_0^{t_i} F(s) g(T - t_i, T - s) ds by the midpoint rule
     worst_move = 0.0
     for i in range(n):
-        rhs_i = lam_cell[i] * (F[i] - memory(i, row_i, F))
+        rhs_i = lam_cell[i] * (F[i] - memory)
         pred = F[i] + step * rhs_i
-        row_next = g_row(i + 1)
-        F[i + 1] = pred
-        rhs_next = lam_cell[i] * (pred - memory(i + 1, row_next, F))
+        # The memory at t_{i+1} without its newest term, which needs F[i+1].
+        older = 0.0
+        for lo, hi, K_rev, eC in pieces:
+            top = min(hi, i)
+            if top > lo:
+                shift = n - 1 - i
+                older += eC[i + 1] * float(f_mid[lo:top] @ K_rev[shift + lo : shift + top])
+        rhs_next = lam_cell[i] * (pred - step * (older + 0.5 * (F[i] + pred) * newest[i]))
         F[i + 1] = F[i] + 0.5 * step * (rhs_i + rhs_next)
+        f_mid[i] = mid = 0.5 * (F[i] + F[i + 1])
+        memory = step * (older + mid * newest[i])
         move = abs(F[i + 1] - pred) / max(abs(pred), 1.0)
         worst_move = max(worst_move, move)
-        row_i = row_next
     if worst_move > 1e-3:
         raise SolverError(
             f"step {step} too large: corrector moved values by {worst_move:.3g} relative"

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
 __all__ = [
     "PiecewiseConstant",
     "AgeDependentRate",
+    "DeathCell",
     "RateModel",
     "OrientedUltrametricTree",
     "TreeBatch",
@@ -156,15 +157,20 @@ class AgeDependentRate:
         out = np.asarray(self.values)[ti, xi]
         return out if out.ndim else float(out)
 
-    def line_knots(self, birth: float, upto: float):
-        """Breakpoints of u -> rate(u, u - birth) on [birth, upto]."""
-        knots = {birth, upto}
-        knots.update(b for b in self.t_breaks if birth < b < upto)
-        knots.update(birth + b for b in self.x_breaks if birth < birth + b < upto)
-        return sorted(knots)
-
 
 DeathRate = Union[PiecewiseConstant, AgeDependentRate]
+
+
+class DeathCell(NamedTuple):
+    """The death rate on one time cell [start, end) as a function of age.
+
+    ``by_age`` is the age hazard h(x) of the cell; its ``integral(0, x)`` is
+    the exact cumulative hazard H(x).
+    """
+
+    start: float
+    end: float
+    by_age: PiecewiseConstant
 
 
 @dataclass(frozen=True)
@@ -246,24 +252,18 @@ class RateModel:
     def death_rate_max(self) -> float:
         return self.mu.max
 
-    def death_cumhazard(self, birth: float, s):
-        """Integral of u -> mu(u, u - birth) over [birth, s], vectorized in s."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s < birth):
-            raise DomainError("death time before birth time")
-        if isinstance(self.mu, PiecewiseConstant):
-            out = self.mu.integral(birth, s)
-            return out
-        upto = float(np.max(s)) if s.size else birth
-        knots = self.mu.line_knots(birth, max(upto, birth))
-        knots_arr = np.asarray(knots)
-        if len(knots) == 1:
-            return np.zeros_like(s) if s.ndim else 0.0
-        mids = 0.5 * (knots_arr[:-1] + knots_arr[1:])
-        slopes = np.asarray(self.mu(mids, mids - birth))
-        cum = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots_arr))])
-        out = np.interp(s, knots_arr, cum)
-        return out if out.ndim else float(out)
+    def death_cells(self) -> Tuple[DeathCell, ...]:
+        """The death rate as one age hazard per time cell; the last cell ends
+        at T.  Age-independent death has one age piece per cell."""
+        mu = self.mu
+        if isinstance(mu, PiecewiseConstant):
+            starts = mu.breaks
+            by_age = [PiecewiseConstant.constant(v) for v in mu.values]
+        else:
+            starts = mu.t_breaks
+            by_age = [PiecewiseConstant(mu.x_breaks, row) for row in mu.values]
+        ends = starts[1:] + (self.T,)
+        return tuple(DeathCell(*cell) for cell in zip(starts, ends, by_age))
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,34 @@ class TestSimulate:
         assert out == ""
         assert "full scheme only" in err
 
+    @pytest.mark.parametrize(
+        "rates, expected",
+        [((1.0, 0.5, 800.0), "expected 1.044e+174 tips"), ((50.0, 0.0, 20.0), "expected inf tips")],
+    )
+    @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.5"])
+    def test_huge_expected_tip_count_rejected(self, capsys, tmp_path, rates, expected, scheme):
+        # F(T) = 1e174 used to loop until memory ran out; F(T) = inf as well
+        lam, mu, T = rates
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "constant", "lambda": lam, "mu": mu, "T": T}))
+        code, out, err = _run(
+            capsys, "simulate", "--model", str(path), "--scheme", scheme,
+            "--reps", "1", "--seed", "1", "--workers", "1",
+        )
+        assert code == 2
+        assert out == ""
+        if scheme == "full":
+            assert expected in err
+
+    def test_expected_tips_counts_replicates(self, capsys, model_path):
+        # F(T) = 4.44: 3e6 replicates would hold about 1.3e7 tips
+        code, out, err = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "full",
+            "--reps", "3000000", "--seed", "1", "--workers", "1",
+        )
+        assert code == 2
+        assert "expected 1.331e+07 tips in 3000000 tree(s)" in err
+
     def test_age_dependent_solves_once(self, capsys, ad_path, solve_calls):
         code, out, _ = _run(
             capsys, "simulate", "--model", ad_path, "--scheme", "k:3",

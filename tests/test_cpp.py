@@ -8,9 +8,11 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from cppgen.cpp import (
+    MAX_EXPECTED_TIPS,
     POPULATION_CAP,
     RandomStream,
     bernoulli_thin,
+    check_expected_tips,
     sample_H,
     simulate_cpp,
     simulate_cpp_batch,
@@ -21,9 +23,9 @@ from cppgen.cpp import (
     thinned_inverse_tail,
     uniform_k_sample,
 )
-from cppgen.errors import InsufficientTipsError, PopulationCapError
+from cppgen.errors import DomainError, InsufficientTipsError, PopulationCapError
 from cppgen.kernel import ClosedFormTail, survival_a
-from cppgen.model import OrientedUltrametricTree, RateModel
+from cppgen.model import AgeDependentRate, OrientedUltrametricTree, PiecewiseConstant, RateModel
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 
@@ -145,7 +147,100 @@ class TestSubsampling:
         )
 
 
+def _forward_recursive(model, rng):
+    """The forward simulator as it was, recursing once per generation."""
+
+    def sample_death(birth):
+        mu_max = model.death_rate_max
+        if mu_max == 0.0:
+            return math.inf
+        u = birth
+        while True:
+            u += rng.exponential(mu_max)
+            if u >= model.T:
+                return math.inf
+            if rng.uniform() * mu_max <= model.death_rate(u, u - birth):
+                return u
+
+    def birth_times(birth, until):
+        lam_max = model.birth_rate_max
+        out = []
+        if lam_max == 0.0:
+            return out
+        u = birth
+        while True:
+            u += rng.exponential(lam_max)
+            if u >= until:
+                return out
+            if rng.uniform() * lam_max <= model.birth_rate(u):
+                out.append(u)
+
+    def recurse(birth):
+        death = sample_death(birth)
+        births = birth_times(birth, min(death, model.T))
+        depths, tips = [], 1 if math.isinf(death) else 0
+        for u in reversed(births):
+            sub_depths, sub_tips = recurse(u)
+            if sub_tips == 0:
+                continue
+            if tips > 0:
+                depths.append(model.T - u)
+            depths.extend(sub_depths)
+            tips += sub_tips
+        return depths, tips
+
+    attempts = 0
+    while True:
+        attempts += 1
+        depths, tips = recurse(0.0)
+        if tips >= 1:
+            return OrientedUltrametricTree(model.T, tuple(depths)), attempts
+
+
+class TestExpectedTips:
+    @pytest.mark.parametrize("F", [ClosedFormTail(1.0, 0.5, 800.0), ClosedFormTail(50.0, 0.0, 20.0)])
+    def test_huge_F_rejected(self, F):
+        # F(T) = 1e174 and F(T) = inf: typed errors, not a hang or a numpy error
+        with pytest.raises(DomainError, match="expected"):
+            simulate_cpp(F, RandomStream(1))
+        with pytest.raises(DomainError, match="expected"):
+            simulate_cpp_batch(F, 1, RandomStream(1))
+
+    def test_cap_counts_replicates(self):
+        reps = int(MAX_EXPECTED_TIPS / F_STD.value(2.0))
+        assert check_expected_tips(F_STD, reps) == F_STD.value(2.0)
+        with pytest.raises(DomainError, match="expected"):
+            check_expected_tips(F_STD, reps + 1)
+
+
 class TestForwardSimulation:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RateModel.constant(1.2, 0.5, 2.0),
+            RateModel.age_dependent(
+                lam=PiecewiseConstant((0.0, 0.9), (1.0, 1.6)),
+                mu=AgeDependentRate((0.0, 1.1), (0.0, 0.4), ((0.2, 0.9), (0.6, 0.3))),
+                T=2.0,
+            ),
+        ],
+    )
+    def test_same_trees_as_recursive_version(self, model):
+        for seed in range(200):
+            res = simulate_forward_detailed(model, RandomStream(seed))
+            tree, attempts = _forward_recursive(model, RandomStream(seed))
+            assert res.tree.depths == tree.depths
+            assert (res.tree.n_tips, res.attempts) == (tree.n_tips, attempts)
+
+    def test_deep_genealogy_has_no_recursion_limit(self):
+        # critical with lam = 400: lines of descent run thousands of
+        # generations deep, past the interpreter's recursion limit
+        try:
+            tree = simulate_forward(RateModel.constant(400.0, 400.0, 3.0), RandomStream(3))
+        except PopulationCapError:
+            return
+        assert tree.n_tips >= 1 and all(0.0 < d < 3.0 for d in tree.depths)
+
     def test_tree_shape(self):
         model = RateModel.constant(1.0, 0.5, 1.0)
         rng = RandomStream(5)

@@ -2,9 +2,13 @@
 
 import math
 import pickle
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cppgen.errors import DomainError, SolverError
@@ -13,6 +17,7 @@ from cppgen.kernel import (
     GridTail,
     PiecewiseTail,
     closed_form_F,
+    death_density_g,
     invert_tail,
     node_depth_density_f,
     solve_F,
@@ -54,6 +59,72 @@ def _tv_exact(t):
     return 1.0 + val
 
 
+def _line_cumhazard(model, birth, s):
+    """int_birth^s mu(u, u - birth) du, summed over the pieces between the
+    knots of the life line (the time breaks and birth + the age breaks)."""
+    mu = model.mu
+    s = np.asarray(s, dtype=float)
+    if isinstance(mu, PiecewiseConstant):
+        return mu.integral(birth, s)
+    upto = max(float(np.max(s)) if s.size else birth, birth)
+    knots = {birth, upto}
+    knots.update(b for b in mu.t_breaks if birth < b < upto)
+    knots.update(birth + b for b in mu.x_breaks if birth < birth + b < upto)
+    knots = np.asarray(sorted(knots))
+    if len(knots) == 1:
+        return np.zeros_like(s)
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    cum = np.concatenate([[0.0], np.cumsum(mu(mids, mids - birth) * np.diff(knots))])
+    return np.interp(s, knots, cum)
+
+
+def _g_rowwise(model, birth, s):
+    s = np.asarray(s, dtype=float)
+    return np.asarray(model.death_rate(s, s - birth)) * np.exp(-_line_cumhazard(model, birth, s))
+
+
+def _solve_F_rowwise(model, step):
+    """The solver before the kernel factorization: the same scheme with one
+    kernel row g(T - t_i, T - mid_j), j < i, evaluated per step."""
+    T = model.T
+    ts = np.linspace(0.0, T, round(T / step) + 1)
+    n = len(ts) - 1
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    lam_cell = np.asarray(model.lam(T - mids))
+    F = np.empty(n + 1)
+    F[0] = 1.0
+
+    def memory(i, row):
+        if i == 0:
+            return 0.0
+        return step * float(0.5 * (F[:i] + F[1 : i + 1]) @ row)
+
+    row_i = _g_rowwise(model, T, mids[:0])
+    worst_move = 0.0
+    for i in range(n):
+        rhs_i = lam_cell[i] * (F[i] - memory(i, row_i))
+        pred = F[i] + step * rhs_i
+        row_next = _g_rowwise(model, T - ts[i + 1], T - mids[: i + 1])
+        F[i + 1] = pred
+        rhs_next = lam_cell[i] * (pred - memory(i + 1, row_next))
+        F[i + 1] = F[i] + 0.5 * step * (rhs_i + rhs_next)
+        worst_move = max(worst_move, abs(F[i + 1] - pred) / max(abs(pred), 1.0))
+        row_i = row_next
+    if worst_move > 1e-3:
+        raise SolverError(f"corrector moved values by {worst_move:.3g} relative")
+    return F
+
+
+def _closed_form_both_branches(lam, mu, t):
+    """closed_form_F as it was: both branches at every point, one picked."""
+    t = np.asarray(t, dtype=float)
+    r = lam - mu
+    rt = r * t
+    return np.where(
+        np.abs(rt) < 1e-8, 1.0 + lam * t + lam * r * t * t / 2.0, 1.0 + (lam / r) * np.expm1(rt)
+    )
+
+
 class TestClosedForm:
     def test_supercritical_values(self):
         # F(t) = 1 + (lam/r)(e^{rt} - 1) with lam=1, mu=0.5, r=0.5
@@ -83,6 +154,21 @@ class TestClosedForm:
         # mu = 0: F(t) = e^{lam t}
         t = np.linspace(0.0, 2.0, 9)
         assert_allclose(closed_form_F(1.0, 0.0, t), np.exp(t), rtol=1e-14)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0 - 1e-9), (3.0, 0.0)])
+    def test_one_branch_per_point_is_bit_identical(self, lam, mu):
+        # points on both sides of the series switch |rt| = 1e-8
+        switch = 1e-8 / abs(lam - mu)
+        t = np.concatenate(
+            [switch * np.array([0.5, 0.999999, 1.0, 1.000001, 2.0]), [0.0, 0.3, 2.0]]
+        )
+        assert np.array_equal(closed_form_F(lam, mu, t), _closed_form_both_branches(lam, mu, t))
+        for x in t:
+            value = closed_form_F(lam, mu, x)
+            assert isinstance(value, float)
+            assert value == _closed_form_both_branches(lam, mu, x)
+        grid = t.reshape(2, 4)
+        assert np.array_equal(closed_form_F(lam, mu, grid), _closed_form_both_branches(lam, mu, grid))
 
 
 class TestTailObjects:
@@ -162,10 +248,20 @@ class TestThinning:
 class TestDeathDensity:
     def test_constant_rate_is_exponential(self):
         # constant mu: g(t, s) = mu e^{-mu (s - t)}
-        from cppgen.kernel import death_density_g
-
         model = RateModel.constant(1.0, 0.5, 3.0)
         assert_allclose(death_density_g(model, 1.0, 2.0), 0.5 * math.exp(-0.5), rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["age_dependent", "three_cells", "zero_cells", "time_varying"])
+    @pytest.mark.parametrize("birth", [0.0, 0.3, 0.95, 1.5])
+    def test_matches_line_integral(self, name, birth):
+        model = SOLVER_MODELS[name]
+        s = np.linspace(birth, model.T, 97)
+        assert_allclose(death_density_g(model, birth, s), _g_rowwise(model, birth, s), rtol=1e-13)
+        assert death_density_g(model, birth, s[5]) == death_density_g(model, birth, s)[5]
+
+    def test_death_before_birth_rejected(self):
+        with pytest.raises(DomainError):
+            death_density_g(AD_MODEL, 1.0, [1.2, 0.9])
 
 
 class TestVolterraSolver:
@@ -236,6 +332,99 @@ class TestVolterraSolver:
         assert_allclose(
             F.thinned(0.3).value(t), 1.0 - 0.3 + 0.3 * F.value(t), rtol=1e-9
         )
+
+
+SOLVER_MODELS = {
+    "age_dependent": AD_MODEL,
+    # three time cells with off-grid time and age breaks, a lambda break
+    "three_cells": RateModel.age_dependent(
+        lam=PiecewiseConstant((0.0, 0.7), (1.0, 1.6)),
+        mu=AgeDependentRate(
+            (0.0, 0.4, 1.234567),
+            (0.0, 0.3, 0.8123),
+            ((0.2, 0.7, 0.0), (0.9, 0.1, 0.4), (0.5, 1.3, 0.1)),
+        ),
+        T=2.0,
+    ),
+    # zero-rate cells, in age and in time, and a lambda break
+    "zero_cells": RateModel.age_dependent(
+        lam=PiecewiseConstant((0.0, 1.3), (1.0, 1.5)),
+        mu=AgeDependentRate((0.0, 0.55, 1.1), (0.0, 0.25), ((0.0, 0.6), (0.0, 0.0), (0.8, 0.0))),
+        T=2.0,
+    ),
+    "time_varying": TV_MODEL,
+    "constant": RateModel.constant(1.0, 0.5, 2.0),
+    "critical": RateModel.constant(1.0, 1.0, 2.0),
+}
+
+
+@st.composite
+def _age_models(draw):
+    """A random small (time x age) death grid, with zero rates, and a lambda break."""
+    T = draw(st.sampled_from([1.0, 1.5]))
+    inner = st.floats(0.01, T - 0.01, allow_nan=False)
+    t_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(inner, max_size=3)))))
+    x_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(inner, max_size=3)))))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    values = tuple(
+        tuple(draw(rate) for _ in x_breaks) for _ in t_breaks
+    )
+    lam = PiecewiseConstant((0.0, draw(inner)), (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))))
+    return RateModel.age_dependent(lam, AgeDependentRate(t_breaks, x_breaks, values), T)
+
+
+class TestFactorizedSolver:
+    """solve_F against the row-by-row oracle; the arithmetic order differs."""
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_MODELS))
+    @pytest.mark.parametrize("step", [1e-3, 5e-4])
+    def test_matches_rowwise_oracle(self, name, step):
+        model = SOLVER_MODELS[name]
+        F = solve_F(model, step)
+        assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, step), rtol=1e-13, atol=0)
+
+    @given(_age_models())
+    @settings(max_examples=40, deadline=None)
+    def test_random_grids_match_oracle(self, model):
+        try:
+            expect = _solve_F_rowwise(model, 1e-2)
+        except SolverError:
+            with pytest.raises(SolverError):
+                solve_F(model, 1e-2)
+            return
+        assert_allclose(np.asarray(solve_F(model, 1e-2).values), expect, rtol=1e-13, atol=0)
+
+    def test_hazard_past_float_range_rejected(self):
+        # a hazard of 1000 in the later time cell: e^{-H} underflows
+        model = RateModel.age_dependent(
+            lam=PiecewiseConstant.constant(1.0),
+            mu=AgeDependentRate((0.0, 1.0), (0.0,), ((0.5,), (1000.0,))),
+            T=2.0,
+        )
+        with pytest.raises(SolverError, match="range"):
+            solve_F(model, 1e-3)
+
+    def test_large_hazard_inside_range(self):
+        model = RateModel.age_dependent(
+            lam=PiecewiseConstant.constant(1.0),
+            mu=AgeDependentRate((0.0, 1.0), (0.0, 0.5), ((0.5, 0.2), (1.0, 340.0))),
+            T=2.0,
+        )
+        F = solve_F(model, 1e-3)
+        assert np.all(np.isfinite(F.values))
+        assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, 1e-3), rtol=1e-13, atol=0)
+
+    def test_fine_step_time_and_memory(self):
+        start = time.perf_counter()
+        solve_F(AD_MODEL, 1e-4)
+        assert time.perf_counter() - start < 1.0
+        tracemalloc.start()
+        try:
+            solve_F(AD_MODEL, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # an n x n kernel at n = 20000 would be 3.2 GB
 
 
 class TestClosedFormInverse:
