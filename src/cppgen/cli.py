@@ -1,47 +1,56 @@
 """Command-line surface: simulate, likelihood, fit, validate, dump-f.
 
 Stochastic subcommands require ``--seed`` and are bit-reproducible from
-(seed, config): replicates are generated from per-replicate split streams,
-so worker count never changes the output.  ``CPPGEN_THREADS`` (or
-``--workers``) sizes the simulation worker pool.
+(seed, config).  ``simulate`` draws its replicates in blocks of
+``SIM_BLOCK``: the seed is split into one stream per block, each block is
+one batched draw into a :class:`~cppgen.model.TreeBatch`, and its lines are
+written before the next block is drawn, so memory holds about one block
+at a time (one more per pool worker).  The blocks depend on ``--reps``
+only, so the worker count never changes the output.  With two blocks or
+more, ``--workers`` (or ``CPPGEN_THREADS``) above 1 draws the blocks in a
+process pool.
 
 Each command builds the model's inverse tail F once (``kernel.tail_for``);
 ``simulate`` hands it to its pool workers once each, through the pool
 initializer.  ``solve_F`` is passed to ``tail_for`` under this module's
-name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve.
+name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve;
+likewise Newick lines are written through this module's ``tree_to_newick``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import __version__
 from .cpp import (
     RandomStream,
     check_expected_tips,
-    simulate_cpp,
+    simulate_cpp_many,
     simulate_forward,
     thinned_inverse_tail,
 )
 from .errors import CppgenError
 from .inference import fit_mle, neg_log_likelihood
 from .kernel import solve_F, step_grid, tail_for
-from .ksample import definetti_sample, loglik
+from .ksample import MixtureParams, definetti_sample_many, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
-from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
+from .cpp import simulate_cpp  # noqa: F401
+from .ksample import bernoulli_loglikelihood, definetti_sample, full_loglikelihood  # noqa: F401
+from .ksample import ksample_loglikelihood  # noqa: F401
 from .model import (
     RateModel,
-    SamplingScheme,
+    TreeBatch,
     parse_scheme,
     rate_model_from_json,
     read_newick_file,
     tree_to_newick,
-    write_depths_csv,
 )
 from .validate import run_validation
 
@@ -62,6 +71,10 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
+# Replicates per simulation block.  A fixed size, so that the block layout,
+# and with it the output, depends on (seed, --reps) and not on the workers.
+SIM_BLOCK = 4096
+
 # The per-command simulation job (F, k, forward model) in a pool worker.
 _JOB = None
 
@@ -71,22 +84,59 @@ def _init_worker(job):
     _JOB = job
 
 
-def _simulate_pooled(seq):
-    return _simulate_one(seq, *_JOB)
+def _simulate_pooled(block):
+    return _simulate_block(_JOB, *block)
 
 
-def _simulate_one(seq, F, k, forward_model):
-    """One replicate from split stream ``seq``: a CPP tree from ``F`` (a
-    de Finetti k-sample when ``k`` is set), or a forward run of
-    ``forward_model`` when that is set."""
+def _simulate_block(job, seq, reps: int) -> TreeBatch:
+    """``reps`` replicates from split stream ``seq``: one batched draw of CPP
+    trees from ``F`` (de Finetti k-samples when ``k`` is set), or forward
+    runs of ``forward_model`` one after another when that is set."""
+    F, k, forward_model = job
     rng = RandomStream(seq)
     if forward_model is not None:
-        tree = simulate_forward(forward_model, rng)
-    elif k is None:
-        tree = simulate_cpp(F, rng)
+        return TreeBatch.from_trees(simulate_forward(forward_model, rng) for _ in range(reps))
+    if k is None:
+        return simulate_cpp_many(F, reps, rng)
+    return definetti_sample_many(F, k, reps, rng)[1]
+
+
+def _simulated_blocks(job, reps: int, seed: int, workers: int) -> Iterator[TreeBatch]:
+    """The blocks of ``reps`` replicates, in order.  With two blocks or more
+    and ``workers`` > 1 they are drawn in a pool, at most ``workers`` ahead of
+    the block being consumed."""
+    n_blocks = -(-reps // SIM_BLOCK)
+    streams = RandomStream(seed).split(n_blocks)
+    blocks = [(s._seq, min(SIM_BLOCK, reps - b * SIM_BLOCK)) for b, s in enumerate(streams)]
+    if workers < 2 or n_blocks < 2:
+        for block in blocks:
+            yield _simulate_block(job, *block)
+        return
+    workers = min(workers, n_blocks)
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(job,)
+    ) as pool:
+        pending = deque()
+        for block in blocks:
+            pending.append(pool.submit(_simulate_pooled, block))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _block_text(batch: TreeBatch, fmt: str, first_rep: int) -> str:
+    """The output lines of one block, ``first_rep`` the index of its first
+    replicate: Newick with a stem, or CSV rows "rep,index,depth"."""
+    if fmt == "newick":
+        lines = [tree_to_newick(tree, stem=True) for tree in batch]
     else:
-        _, tree = definetti_sample(F, k, rng)
-    return tree.height, tree.depths
+        lines = [
+            f"{first_rep + r},{i},{format(d, '.12g')}"
+            for r, tree in enumerate(batch)
+            for i, d in enumerate(tree.depths)
+        ]
+    return "".join(line + "\n" for line in lines)
 
 
 def cmd_simulate(args) -> int:
@@ -102,42 +152,32 @@ def cmd_simulate(args) -> int:
         F = tail_for(model, args.step, solve=solve_F)
         if scheme.variant == "bernoulli":
             F = thinned_inverse_tail(F, scheme.y)
-        if scheme.variant != "uniform_k":
-            check_expected_tips(F, args.reps)
-        job = (F, scheme.k if scheme.variant == "uniform_k" else None, None)
-    seqs = [s._seq for s in RandomStream(args.seed).split(args.reps)]
-    workers = _workers(args)
-    if workers > 1 and args.reps > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(job,)
-        ) as pool:
-            results = list(pool.map(_simulate_pooled, seqs, chunksize=32))
-    else:
-        results = [_simulate_one(seq, *job) for seq in seqs]
-    from .model import OrientedUltrametricTree
-
-    trees = [OrientedUltrametricTree(height=h, depths=d) for h, d in results]
-    if args.format == "newick":
-        lines = [tree_to_newick(t, stem=True) for t in trees]
-        _write_lines(args.out, lines)
-    else:
-        if args.out is None:
-            sys.stdout.write("rep,index,depth\n")
-            for rep, t in enumerate(trees):
-                for i, d in enumerate(t.depths):
-                    sys.stdout.write(f"{rep},{i},{format(d, '.12g')}\n")
+        if scheme.variant == "uniform_k":
+            MixtureParams.from_tail(F, scheme.k)  # DomainError for a degenerate F(T)
+            job = (F, scheme.k, None)
         else:
-            write_depths_csv(args.out, trees)
+            check_expected_tips(F, args.reps)
+            job = (F, None, None)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            fh.write("rep,index,depth\n")
+        first_rep = 0
+        for batch in _simulated_blocks(job, args.reps, args.seed, _workers(args)):
+            fh.write(_block_text(batch, args.format, first_rep))
+            first_rep += len(batch)
     return 0
 
 
-def _write_lines(out: Optional[str], lines: List[str]):
+def _output(out: Optional[str]):
+    """The file ``out`` opened for writing, or stdout (left open)."""
     if out is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
+
+
+def _write_lines(out: Optional[str], lines: List[str]):
+    with _output(out) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def cmd_likelihood(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientTipsError, PopulationCapError
 from .kernel import InverseTail, invert_tail, survival_a
-from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel
+from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel, TreeBatch
 
 __all__ = [
     "RandomStream",
@@ -101,38 +101,30 @@ def check_expected_tips(F: InverseTail, reps: int) -> float:
 
 
 def simulate_cpp(F: InverseTail, rng: RandomStream) -> OrientedUltrametricTree:
-    """Draw iid copies of H, keep those < T, stop at the first >= T."""
-    FT = check_expected_tips(F, 1)
-    u_kept = []
-    while True:
-        u = rng.uniform()
-        if 1.0 / u > FT:  # H >= T: stop
-            break
-        u_kept.append(u)
-    if not u_kept:
-        return OrientedUltrametricTree(height=F.T)
-    depths = invert_tail(F, 1.0 / np.asarray(u_kept))
-    return OrientedUltrametricTree(height=F.T, depths=tuple(depths))
+    """One CPP tree from F: the batch of one of :func:`simulate_cpp_many`."""
+    return next(iter(simulate_cpp_many(F, 1, rng)))
 
 
 def simulate_cpp_batch(
     F: InverseTail, reps: int, rng: RandomStream
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized replication of :func:`simulate_cpp`.
+    """``reps`` CPP trees from F as ``(tip_counts, depths)``.
 
-    Returns ``(tip_counts, depths)`` where ``depths`` is the concatenation of
-    the per-replicate depth sequences (lengths ``tip_counts - 1``).  Same
-    stopping semantics as the scalar path: uniforms are consumed in sequence
-    and each u with 1/u > F(T) terminates a replicate.
+    Draw iid copies of H, keep those < T, and end a tree at each H >= T:
+    uniforms are consumed in sequence and each u with 1/u > F(T) ends a
+    replicate.  ``depths`` is the concatenation of the per-replicate depth
+    sequences (lengths ``tip_counts - 1``).
     """
     FT = check_expected_tips(F, reps)
     thresh = 1.0 / FT
     blocks = []
     n_stops = 0
     need = reps
-    # Expected draws per replicate is F(T); over-draw mildly and top up.
+    # A replicate takes F(T) draws on average, with standard deviation below
+    # F(T): draw the mean plus four deviations and top up.  The draws are
+    # consumed in sequence, so the trees do not depend on this estimate.
     while n_stops < reps:
-        est = int((need + 10) * FT * 1.3) + 64
+        est = int(FT * (need + 4.0 * math.sqrt(need))) + 64
         u = rng.rng.random(est)
         u = u[u > 0.0]
         blocks.append(u)
@@ -148,18 +140,12 @@ def simulate_cpp_batch(
     return tip_counts.astype(int), depths
 
 
-def simulate_cpp_many(
-    F: InverseTail, reps: int, rng: RandomStream
-) -> List[OrientedUltrametricTree]:
+def simulate_cpp_many(F: InverseTail, reps: int, rng: RandomStream) -> TreeBatch:
+    """:func:`simulate_cpp_batch` as a :class:`TreeBatch` of height F.T."""
     tip_counts, depths = simulate_cpp_batch(F, reps, rng)
-    trees = []
-    offset = 0
-    for n in tip_counts:
-        trees.append(
-            OrientedUltrametricTree(height=F.T, depths=tuple(depths[offset : offset + n - 1]))
-        )
-        offset += n - 1
-    return trees
+    offsets = np.zeros(reps + 1, dtype=np.int64)
+    np.cumsum(tip_counts - 1, out=offsets[1:])
+    return TreeBatch(np.full(reps, float(F.T)), offsets, depths)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,22 @@ class MixtureParams:
 
     @classmethod
     def from_tail(cls, F: InverseTail, k: int) -> "MixtureParams":
-        return cls(k=k, a=survival_a(F))
+        """The mixture of the k-sample tree from F; a = 1 - 1/F(T).
+
+        Raises ``DomainError`` when F(T) is not finite, or so large that a
+        rounds to 1, and for k > 1 when F(T) = 1 (a = 0: every tree has one
+        tip).
+        """
+        with np.errstate(over="ignore"):
+            FT = float(F.value(F.T))
+        if not math.isfinite(FT):
+            raise DomainError(f"F(T) is not finite ({FT}); the k-sample mixture needs a < 1")
+        a = 1.0 - 1.0 / FT
+        if a >= 1.0:
+            raise DomainError(f"F(T) = {FT:.4g} is too large: the k-sample mixture's a rounds to 1")
+        if k > 1 and a <= 0.0:
+            raise DomainError(f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}")
+        return cls(k=k, a=a)
 
     def c(self, y: float) -> float:
         """Normalizing constant of the conditional depth density: a y / (1 - a(1-y))."""
@@ -116,49 +131,36 @@ def sample_mixing(params: MixtureParams, rng: RandomStream) -> float:
 def definetti_sample(
     F: InverseTail, k: int, rng: RandomStream
 ) -> Tuple[float, OrientedUltrametricTree]:
-    """Two-stage k-sample tree draw: y from the mixture, then k-1 iid depths.
-
-    Depths are distributed as H_y conditioned on H_y < T, drawn by exact
-    inverse CDF on the thinned tail.
-    """
-    params = MixtureParams.from_tail(F, k)
-    y = sample_mixing(params, rng)
-    if k == 1:
-        return y, OrientedUltrametricTree(height=F.T)
-    Fy = thinned_inverse_tail(F, y)
-    c = 1.0 - 1.0 / float(Fy.value(Fy.T))
-    u = rng.rng.random(k - 1)
-    targets = 1.0 / (1.0 - c * u)
-    depths = invert_tail(Fy, targets)
-    return y, OrientedUltrametricTree(height=F.T, depths=tuple(depths))
+    """One two-stage k-sample tree draw: the batch of one of
+    :func:`definetti_sample_many`."""
+    ys, batch = definetti_sample_many(F, k, 1, rng)
+    return float(ys[0]), next(iter(batch))
 
 
 def definetti_sample_many(
     F: InverseTail, k: int, reps: int, rng: RandomStream
-) -> Tuple[np.ndarray, list]:
-    """Vectorized replication of :func:`definetti_sample`.
+) -> Tuple[np.ndarray, TreeBatch]:
+    """Two-stage k-sample tree draws: y from the mixture, then k-1 iid depths.
 
-    Returns (y values, trees).  The conditional depth inversions for all
-    replicates run through a single vectorized bisection, with the thinning
-    applied per replicate inside the bracketing loop.
+    Returns (y values, trees).  Depths are distributed as H_y conditioned on
+    H_y < T, drawn by exact inverse CDF on the thinned tail
+    F_y = 1 - y + y F; the inversions of all replicates are one call of
+    :func:`invert_tail` on F.
     """
     params = MixtureParams.from_tail(F, k)
     ys = np.asarray(_mixing_inverse_cdf(params, rng.rng.random(reps)))
     ys = np.minimum(np.maximum(ys, np.finfo(float).tiny), 1.0)
+    heights = np.full(reps, float(F.T))
+    offsets = np.arange(reps + 1, dtype=np.int64) * (k - 1)
     if k == 1:
-        return ys, [OrientedUltrametricTree(height=F.T) for _ in range(reps)]
+        return ys, TreeBatch(heights, offsets, np.empty(0))
     a = params.a
     c = a * ys / (1.0 - a * (1.0 - ys))  # P(H_y < T) per replicate
     u = rng.rng.random((reps, k - 1))
     targets = 1.0 / (1.0 - c[:, None] * u)  # F_y(t) targets
     # Solve F_y(t) = target with F_y = 1 - y + y F, per-element y.
-    yy = np.broadcast_to(ys[:, None], targets.shape)
-    base_targets = (targets - (1.0 - yy)) / yy  # F(t) targets
-    depths = invert_tail(F, base_targets.ravel()).reshape(targets.shape)
-    trees = [
-        OrientedUltrametricTree(height=F.T, depths=tuple(row)) for row in depths
-    ]
-    return ys, trees
+    base_targets = (targets - (1.0 - ys[:, None])) / ys[:, None]  # F(t) targets
+    return ys, TreeBatch(heights, offsets, invert_tail(F, base_targets.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +279,11 @@ def ksample_loglikelihoods(
     :class:`QuadratureError`.  Trees are integrated in blocks of
     ``QUAD_BLOCK`` depths.  Depths are not range-checked here.
     """
-    a = survival_a(F)
+    a = MixtureParams.from_tail(F, k).a
     d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
-    base = math.log(k) - (k - 1) * math.log(a)
     if k == 1:
-        return np.full(len(d), base)
+        return np.zeros(len(d))
+    base = math.log(k) - (k - 1) * math.log(a)
     Fv = np.asarray(F.value(d))
     log_dF = np.log(F.deriv(d))
 

@@ -42,7 +42,6 @@ __all__ = [
     "rate_model_to_json",
     "read_newick_file",
     "write_newick_file",
-    "write_depths_csv",
 ]
 
 
@@ -304,7 +303,8 @@ class OrientedUltrametricTree:
 
 @dataclass(frozen=True, eq=False)
 class TreeBatch:
-    """Trees of a file as one ragged array of node depths.
+    """Trees as one ragged array of node depths: a Newick file, or a
+    simulated block of replicates.
 
     Tree ``r`` has height ``heights[r]`` and depths
     ``depths[offsets[r]:offsets[r + 1]]``; a single-tip tree has an empty
@@ -351,6 +351,14 @@ class TreeBatch:
 
     def __len__(self) -> int:
         return len(self.heights)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TreeBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("heights", "offsets", "depths")
+        )
 
     def __iter__(self) -> Iterator[OrientedUltrametricTree]:
         depths = self.depths.tolist()
@@ -750,12 +758,3 @@ def write_newick_file(path, trees, stem: bool = True):
     with open(path, "w", encoding="utf-8") as fh:
         for tree in trees:
             fh.write(tree_to_newick(tree, stem=stem) + "\n")
-
-
-def write_depths_csv(path, trees):
-    """Rows "rep,index,depth"; single-tip replicates contribute no rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rep,index,depth\n")
-        for rep, tree in enumerate(trees):
-            for i, d in enumerate(tree.depths):
-                fh.write(f"{rep},{i},{_fmt(d)}\n")

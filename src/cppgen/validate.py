@@ -145,8 +145,7 @@ def check_forward_vs_cpp(seed: int = 7, n_depths: int = 10_000) -> Check:
 
 def check_definetti(seed: int = 8, reps: int = 10_000, k: int = 5) -> Check:
     F = ClosedFormTail(1.0, 0.5, 2.0)
-    _, trees = definetti_sample_many(F, k, reps, RandomStream(seed))
-    direct = np.concatenate([t.depths for t in trees])
+    direct = definetti_sample_many(F, k, reps, RandomStream(seed))[1].depths
     rng = RandomStream(seed + 1)
     naive = []
     count = 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,84 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
 
+class TestSimulationBlocks:
+    """``simulate`` draws fixed-size blocks; SIM_BLOCK = 5 makes 12
+    replicates three blocks, drawn in a pool when there are workers."""
+
+    @pytest.mark.parametrize(
+        "model, scheme, extra",
+        [
+            ("const", "full", []),
+            ("const", "bernoulli:0.5", []),
+            ("const", "k:4", []),
+            ("ad", "full", []),
+            ("const", "full", ["--forward"]),
+        ],
+    )
+    def test_multi_block_worker_count_invariance(
+        self, capsys, monkeypatch, model_path, ad_path, model, scheme, extra
+    ):
+        monkeypatch.setattr(cli, "SIM_BLOCK", 5)
+        path = model_path if model == "const" else ad_path
+        outs = []
+        for workers in ("1", "3", "1"):
+            code, out, err = _run(
+                capsys, "simulate", "--model", path, "--scheme", scheme, "--reps", "12",
+                "--seed", "13", "--workers", workers, *extra,
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 12
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_pool_only_for_two_blocks_or_more(self, capsys, monkeypatch, model_path):
+        pools = []
+
+        class Recording(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(cli, "SIM_BLOCK", 5)
+        argv = ["simulate", "--model", model_path, "--scheme", "full", "--seed", "1"]
+        assert _run(capsys, *argv, "--reps", "5", "--workers", "3")[0] == 0
+        assert _run(capsys, *argv, "--reps", "12", "--workers", "1")[0] == 0
+        assert pools == []
+        assert _run(capsys, *argv, "--reps", "6", "--workers", "3")[0] == 0
+        assert pools == [2]  # no more workers than blocks
+
+    def test_csv_replicate_index_runs_across_blocks(self, capsys, monkeypatch, model_path):
+        monkeypatch.setattr(cli, "SIM_BLOCK", 2)
+        code, out, _ = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "k:3", "--reps", "5",
+            "--seed", "4", "--format", "csv", "--workers", "1",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(int(r), int(i)) for r, i, _ in rows] == [(r, i) for r in range(5) for i in range(2)]
+
+    def test_memory_is_bounded_by_one_block(self, capsys, model_path, tmp_path):
+        # F(T) = 4.44: 40000 replicates are about ten blocks of 4096
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                code, _, _ = _run(
+                    capsys, "simulate", "--model", model_path, "--scheme", "full",
+                    "--reps", str(reps), "--seed", "3", "--workers", "1",
+                    "--out", str(tmp_path / f"sim{reps}.nwk"),
+                )
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        code_one, one_block = peak(cli.SIM_BLOCK)
+        code_many, many_blocks = peak(40_000)
+        assert code_one == code_many == 0
+        assert len((tmp_path / "sim40000.nwk").read_text().splitlines()) == 40_000
+        assert many_blocks <= 2 * one_block
+
+
 class TestLikelihood:
     def test_matches_library(self, capsys, model_path, tmp_path):
         trees = tmp_path / "trees.nwk"
@@ -246,6 +325,26 @@ class TestLikelihood:
         tree = newick_to_tree("(0:0.5,1:0.5):1.5;")
         assert_allclose(payload["logL"], ksample_loglikelihood(tree, F, 2), rtol=1e-9)
         assert payload["quad_nodes"] == 64
+
+
+class TestKSampleOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "likelihood"])
+    def test_infinite_F_is_a_domain_error(self, capsys, tmp_path, command):
+        # F(T) = e^1000 overflows: exit 2 naming F(T), and no numpy warning
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "constant", "lambda": 50.0, "mu": 0.0, "T": 20.0}))
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((0:0.3,1:0.3):0.3,2:0.6):19.4;\n")
+        if command == "simulate":
+            argv = ["simulate", "--reps", "2", "--seed", "1", "--workers", "1"]
+        else:
+            argv = ["likelihood", "--tree", str(trees)]
+        code, out, err = _run(capsys, *argv, "--model", str(path), "--scheme", "k:3")
+        assert code == 2
+        assert out == ""
+        assert "F(T) is not finite" in err
+        assert "Warning" not in err
 
 
 class TestFit:

@@ -1,6 +1,7 @@
 """Simulation layer: node-depth draws, batch simulation, thinning, forward model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from cppgen.cpp import (
 )
 from cppgen.errors import DomainError, InsufficientTipsError, PopulationCapError
 from cppgen.kernel import ClosedFormTail, survival_a
-from cppgen.model import AgeDependentRate, OrientedUltrametricTree, PiecewiseConstant, RateModel
+from cppgen.model import (
+    AgeDependentRate,
+    OrientedUltrametricTree,
+    PiecewiseConstant,
+    RateModel,
+    TreeBatch,
+)
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 
@@ -89,6 +96,30 @@ class TestCppSimulation:
         trees = simulate_cpp_many(F_STD, 500, RandomStream(9))
         assert list(tips) == [t.n_tips for t in trees]
         assert_allclose(depths, np.concatenate([t.depths for t in trees] or [[]]))
+
+    def test_many_is_a_tree_batch(self):
+        batch = simulate_cpp_many(F_STD, 50, RandomStream(9))
+        tips, depths = simulate_cpp_batch(F_STD, 50, RandomStream(9))
+        assert isinstance(batch, TreeBatch)
+        assert np.all(batch.heights == 2.0)
+        assert np.array_equal(batch.n_tips, tips)
+        assert np.array_equal(batch.depths, depths)
+
+    def test_scalar_is_batch_of_one(self):
+        tree = simulate_cpp(F_STD, RandomStream(17))
+        assert [tree] == list(simulate_cpp_many(F_STD, 1, RandomStream(17)))
+
+    def test_one_large_tree_draws_little_more_than_it_keeps(self):
+        # F(T) = e^12: the uniforms drawn for one tree are about F(T) plus
+        # four standard deviations, not 14 F(T)
+        F = ClosedFormTail(1.0, 0.0, 12.0)
+        tracemalloc.start()
+        try:
+            simulate_cpp(F, RandomStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 8 * F.value(12.0)
 
     def test_mean_tip_count(self):
         # E[N] = 1/(1-a) = F(T)

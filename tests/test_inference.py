@@ -105,7 +105,7 @@ class TestFitMle:
             return from_trees(cls, trees)
 
         monkeypatch.setattr(inference.TreeBatch, "from_trees", classmethod(counting))
-        trees = _trees(50, 11)
+        trees = list(_trees(50, 11))  # tree objects, which fit_mle packs once
         res = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
         assert calls == [1]
         again = fit_mle(

@@ -118,6 +118,30 @@ class TestMixing:
         params = MixtureParams(3, 0.0)
         assert_allclose(mixing_cdf(params, np.array([0.5, 1.0])), [0.125, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "F, message",
+        [(ClosedFormTail(50.0, 0.0, 20.0), "F\\(T\\) is not finite"),
+         (ClosedFormTail(1.0, 0.5, 800.0), "F\\(T\\) = 1.044e\\+174 is too large"),
+         (ClosedFormTail(0.0, 0.5, 2.0), "F\\(T\\) = 1: every tree has one tip")],
+    )
+    def test_from_tail_rejects_degenerate_F(self, F, message):
+        # F(T) = inf overflows in expm1, F(T) = 1e174 rounds a to 1, and at
+        # lambda = 0 no tree has 3 tips: typed errors naming F(T), without a
+        # numpy warning
+        with pytest.raises(DomainError, match=message):
+            MixtureParams.from_tail(F, 3)
+        with pytest.raises(DomainError, match=message):
+            definetti_sample_many(F, 3, 2, RandomStream(1))
+        with pytest.raises(DomainError, match=message):
+            ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+
+    def test_single_tip_sample_without_coalescence(self):
+        # lambda = 0: a = 0, and a 1-sample is still certain
+        F = ClosedFormTail(0.0, 0.5, 2.0)
+        assert MixtureParams.from_tail(F, 1).a == 0.0
+        assert_allclose(ksample_loglikelihoods(np.empty((2, 0)), F, 1), [0.0, 0.0])
+
 
 class TestDeFinettiSampler:
     def test_tip_count_is_k(self):
@@ -140,6 +164,21 @@ class TestDeFinettiSampler:
         assert_allclose(ys1, ys2, rtol=0)
         assert trees1 == trees2
         assert all(t.n_tips == 3 for t in trees1)
+
+    def test_many_is_a_tree_batch(self):
+        ys, batch = definetti_sample_many(F_STD, 4, 6, RandomStream(3))
+        assert isinstance(batch, TreeBatch)
+        assert ys.shape == (6,)
+        assert list(batch.n_tips) == [4] * 6
+        assert np.all(batch.heights == 2.0)
+        _, single = definetti_sample_many(F_STD, 1, 3, RandomStream(3))
+        assert list(single.n_tips) == [1, 1, 1]
+
+    def test_scalar_is_batch_of_one(self):
+        y, tree = definetti_sample(F_STD, 4, RandomStream(41))
+        ys, batch = definetti_sample_many(F_STD, 4, 1, RandomStream(41))
+        assert y == ys[0]
+        assert [tree] == list(batch)
 
     def test_many_distribution_matches_scalar(self):
         _, trees = definetti_sample_many(F_STD, 4, 3000, RandomStream(31))

@@ -152,6 +152,13 @@ class TestTreeBatch:
         for name in ("heights", "offsets", "depths"):
             assert np.array_equal(getattr(again, name), getattr(batch, name))
 
+    def test_equality_compares_arrays(self):
+        batch = TreeBatch([1.0, 1.0], [0, 1, 1], [0.5])
+        assert batch == TreeBatch([1.0, 1.0], [0, 1, 1], [0.5])
+        assert batch != TreeBatch([1.0, 1.0], [0, 0, 1], [0.5])
+        assert batch != TreeBatch([1.0, 1.0], [0, 1, 1], [0.25])
+        assert batch != list(batch)
+
     def test_arrays_are_read_only(self):
         batch = TreeBatch([1.0], [0, 1], [0.5])
         with pytest.raises(ValueError):
