@@ -5,7 +5,8 @@ Stochastic subcommands require ``--seed`` and are bit-reproducible from
 ``SIM_BLOCK``: the seed is split into one stream per block, each block is
 one batched draw into a :class:`~cppgen.model.TreeBatch`, and its lines are
 written before the next block is drawn, so memory holds about one block
-at a time (one more per pool worker).  The blocks depend on ``--reps``
+at a time (one more per pool worker).  ``--forward`` runs are not batched
+and come in blocks of ``FORWARD_BLOCK``.  The blocks depend on ``--reps``
 only, so the worker count never changes the output.  With two blocks or
 more, ``--workers`` (or ``CPPGEN_THREADS``) above 1 draws the blocks in a
 process pool.
@@ -74,6 +75,10 @@ def _workers(args) -> int:
 # Replicates per simulation block.  A fixed size, so that the block layout,
 # and with it the output, depends on (seed, --reps) and not on the workers.
 SIM_BLOCK = 4096
+# Replicates per block of --forward runs.  A forward run is not batched and
+# costs from 0.2 ms (F(T) = 4.4) to seconds, so its blocks are small enough
+# to spread a few hundred replicates over the pool.
+FORWARD_BLOCK = 32
 
 # The per-command simulation job (F, k, forward model) in a pool worker.
 _JOB = None
@@ -102,12 +107,14 @@ def _simulate_block(job, seq, reps: int) -> TreeBatch:
 
 
 def _simulated_blocks(job, reps: int, seed: int, workers: int) -> Iterator[TreeBatch]:
-    """The blocks of ``reps`` replicates, in order.  With two blocks or more
-    and ``workers`` > 1 they are drawn in a pool, at most ``workers`` ahead of
-    the block being consumed."""
-    n_blocks = -(-reps // SIM_BLOCK)
+    """The blocks of ``reps`` replicates, in order: ``FORWARD_BLOCK``
+    replicates each for forward runs, else ``SIM_BLOCK``.  With two blocks or
+    more and ``workers`` > 1 they are drawn in a pool, at most ``workers``
+    ahead of the block being consumed."""
+    size = FORWARD_BLOCK if job[2] is not None else SIM_BLOCK
+    n_blocks = -(-reps // size)
     streams = RandomStream(seed).split(n_blocks)
-    blocks = [(s._seq, min(SIM_BLOCK, reps - b * SIM_BLOCK)) for b, s in enumerate(streams)]
+    blocks = [(s._seq, min(size, reps - b * size)) for b, s in enumerate(streams)]
     if workers < 2 or n_blocks < 2:
         for block in blocks:
             yield _simulate_block(job, *block)

@@ -36,6 +36,12 @@ class DomainError(CppgenError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class DegenerateMixtureError(DomainError):
+    """F(T) leaves the k-sample mixture degenerate: not finite, so large that
+    a = 1 - 1/F(T) rounds to 1, or 1 (a = 0).  A fit treats such rates as
+    having zero likelihood."""
+
+
 class PopulationCapError(CppgenError):
     """Forward simulation exceeded the particle cap (supercritical blowup)."""
 

@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DomainError, FitError, QuadratureError
+from .errors import DegenerateMixtureError, DomainError, FitError, QuadratureError
 from .kernel import ClosedFormTail, solve_F, tail_for
 from .ksample import loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
@@ -128,7 +128,9 @@ def fit_mle(
         mu = min(max(mu, MU_FLOOR), bounds["mu"][1]) if bounds["mu"][1] > 0 else MU_FLOOR
         try:
             return neg_log_likelihood(batch, lam, mu, scheme, T, y=y, oriented=oriented)
-        except (ValueError, FloatingPointError, OverflowError, QuadratureError):
+        except (
+            ValueError, FloatingPointError, OverflowError, QuadratureError, DegenerateMixtureError
+        ):
             return math.inf
 
     starts = []
@@ -146,12 +148,15 @@ def fit_mle(
     total_iter = 0
     any_converged = False
     for theta0 in starts:
-        res = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-        )
+        # A start whose whole simplex scores +inf makes Nelder-Mead's stop
+        # test compute inf - inf; that start is then dropped below.
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                objective,
+                theta0,
+                method="Nelder-Mead",
+                options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
+            )
         total_iter += res.nit
         if res.success:
             any_converged = True

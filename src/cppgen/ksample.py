@@ -25,7 +25,13 @@ import numpy as np
 from scipy.special import comb, logsumexp
 
 from .cpp import RandomStream, thinned_inverse_tail
-from .errors import DomainError, QuadratureError, SizeGuardError, TieError
+from .errors import (
+    DegenerateMixtureError,
+    DomainError,
+    QuadratureError,
+    SizeGuardError,
+    TieError,
+)
 from .kernel import InverseTail, invert_tail, survival_a
 from .model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
@@ -79,19 +85,25 @@ class MixtureParams:
     def from_tail(cls, F: InverseTail, k: int) -> "MixtureParams":
         """The mixture of the k-sample tree from F; a = 1 - 1/F(T).
 
-        Raises ``DomainError`` when F(T) is not finite, or so large that a
-        rounds to 1, and for k > 1 when F(T) = 1 (a = 0: every tree has one
-        tip).
+        For k > 1, raises ``DegenerateMixtureError`` when F(T) is not finite,
+        so large that a rounds to 1, or 1 (a = 0: every tree has one tip).
         """
         with np.errstate(over="ignore"):
             FT = float(F.value(F.T))
-        if not math.isfinite(FT):
-            raise DomainError(f"F(T) is not finite ({FT}); the k-sample mixture needs a < 1")
         a = 1.0 - 1.0 / FT
-        if a >= 1.0:
-            raise DomainError(f"F(T) = {FT:.4g} is too large: the k-sample mixture's a rounds to 1")
-        if k > 1 and a <= 0.0:
-            raise DomainError(f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}")
+        if k > 1:
+            if not math.isfinite(FT):
+                raise DegenerateMixtureError(
+                    f"F(T) is not finite ({FT}); the k-sample mixture needs a < 1"
+                )
+            if a >= 1.0:
+                raise DegenerateMixtureError(
+                    f"F(T) = {FT:.4g} is too large: the k-sample mixture's a rounds to 1"
+                )
+            if a <= 0.0:
+                raise DegenerateMixtureError(
+                    f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}"
+                )
         return cls(k=k, a=a)
 
     def c(self, y: float) -> float:
@@ -279,10 +291,10 @@ def ksample_loglikelihoods(
     :class:`QuadratureError`.  Trees are integrated in blocks of
     ``QUAD_BLOCK`` depths.  Depths are not range-checked here.
     """
+    if k == 1:
+        return np.zeros(len(depths))
     a = MixtureParams.from_tail(F, k).a
     d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
-    if k == 1:
-        return np.zeros(len(d))
     base = math.log(k) - (k - 1) * math.log(a)
     Fv = np.asarray(F.value(d))
     log_dF = np.log(F.deriv(d))

@@ -190,7 +190,7 @@ class TestSimulate:
 
 
 class TestSimulationBlocks:
-    """``simulate`` draws fixed-size blocks; SIM_BLOCK = 5 makes 12
+    """``simulate`` draws fixed-size blocks; a block size of 5 makes 12
     replicates three blocks, drawn in a pool when there are workers."""
 
     @pytest.mark.parametrize(
@@ -207,6 +207,7 @@ class TestSimulationBlocks:
         self, capsys, monkeypatch, model_path, ad_path, model, scheme, extra
     ):
         monkeypatch.setattr(cli, "SIM_BLOCK", 5)
+        monkeypatch.setattr(cli, "FORWARD_BLOCK", 5)
         path = model_path if model == "const" else ad_path
         outs = []
         for workers in ("1", "3", "1"):
@@ -235,6 +236,12 @@ class TestSimulationBlocks:
         assert pools == []
         assert _run(capsys, *argv, "--reps", "6", "--workers", "3")[0] == 0
         assert pools == [2]  # no more workers than blocks
+        # forward runs come in blocks of FORWARD_BLOCK = 32, not SIM_BLOCK
+        monkeypatch.setattr(cli, "SIM_BLOCK", 4096)
+        assert _run(capsys, *argv, "--forward", "--reps", "32", "--workers", "2")[0] == 0
+        assert pools == [2]
+        assert _run(capsys, *argv, "--forward", "--reps", "33", "--workers", "2")[0] == 0
+        assert pools == [2, 2]
 
     def test_csv_replicate_index_runs_across_blocks(self, capsys, monkeypatch, model_path):
         monkeypatch.setattr(cli, "SIM_BLOCK", 2)
@@ -345,6 +352,18 @@ class TestKSampleOverflow:
         assert out == ""
         assert "F(T) is not finite" in err
         assert "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_tip_likelihood_needs_no_finite_F(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "constant", "lambda": 50.0, "mu": 0.0, "T": 20.0}))
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("0:20;\n0:20;\n")
+        code, out, err = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", str(path), "--scheme", "k:1"
+        )
+        assert code == 0, err
+        assert json.loads(out)["logL"] == 0.0
 
 
 class TestFit:

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cppgen.cpp import RandomStream, simulate_cpp_many, thinned_inverse_tail
-from cppgen.errors import DomainError
+from cppgen.errors import DegenerateMixtureError, DomainError
 from cppgen.inference import FitResult, fit_mle, neg_log_likelihood
 from cppgen.kernel import ClosedFormTail
 from cppgen.ksample import (
@@ -93,6 +93,22 @@ class TestFitMle:
         res = fit_mle(trees, SamplingScheme.uniform_k(3), init={"lam": 0.9, "mu": 0.45})
         assert res.converged
         assert np.isfinite(res.loglik)
+
+    @pytest.mark.filterwarnings("error")
+    def test_ksample_fit_moves_off_degenerate_rates(self):
+        # At T = 40 the lattice's scale-2 start (lam 2, mu 1) has r T = 40:
+        # F(T) > 2^53 rounds a to 1 and the k-sample likelihood is undefined
+        # there.  The fit scores it +inf, and the other starts still converge.
+        _, trees = definetti_sample_many(
+            ClosedFormTail(1.0, 0.5, 40.0), 3, 80, RandomStream(10)
+        )
+        scheme = SamplingScheme.uniform_k(3)
+        with pytest.raises(DegenerateMixtureError):
+            neg_log_likelihood(trees, 2.0, 1.0, scheme, 40.0)
+        res = fit_mle(trees, scheme, init={"lam": 1.0, "mu": 0.5})
+        assert res.converged
+        assert np.isfinite(res.loglik)
+        assert abs(res.lam - 1.0) < 0.1
 
     def test_batch_built_once(self, monkeypatch):
         from cppgen import inference

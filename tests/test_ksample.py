@@ -11,7 +11,13 @@ from scipy import stats
 from scipy.integrate import quad
 
 from cppgen.cpp import RandomStream
-from cppgen.errors import DomainError, QuadratureError, SizeGuardError, TieError
+from cppgen.errors import (
+    DegenerateMixtureError,
+    DomainError,
+    QuadratureError,
+    SizeGuardError,
+    TieError,
+)
 from cppgen.kernel import ClosedFormTail, node_depth_density_f, survival_a
 from cppgen.ksample import (
     MixtureParams,
@@ -129,12 +135,14 @@ class TestMixing:
         # F(T) = inf overflows in expm1, F(T) = 1e174 rounds a to 1, and at
         # lambda = 0 no tree has 3 tips: typed errors naming F(T), without a
         # numpy warning
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DegenerateMixtureError, match=message):
             MixtureParams.from_tail(F, 3)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DegenerateMixtureError, match=message):
             definetti_sample_many(F, 3, 2, RandomStream(1))
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(DegenerateMixtureError, match=message):
             ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+        # a one-tip tree is certain whatever F(T): its likelihood needs no a
+        assert_allclose(ksample_loglikelihoods(np.empty((2, 0)), F, 1), [0.0, 0.0])
 
     def test_single_tip_sample_without_coalescence(self):
         # lambda = 0: a = 0, and a 1-sample is still certain
