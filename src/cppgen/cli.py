@@ -16,6 +16,13 @@ Each command builds the model's inverse tail F once (``kernel.tail_for``);
 initializer.  ``solve_F`` is passed to ``tail_for`` under this module's
 name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve;
 likewise Newick lines are written through this module's ``tree_to_newick``.
+
+Importing this module loads no scipy, so a command pays only for what it
+uses.  scipy is imported on first use, once per process: ``scipy.optimize``
+by ``fit``, ``scipy.stats`` and ``scipy.integrate`` by ``validate``, and
+``scipy.interpolate`` by age-dependent models (``kernel.GridTail``).
+``concurrent.futures.ProcessPoolExecutor`` is imported only when a
+``simulate`` runs its blocks in a pool.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, List, Optional
 
 from . import __version__
@@ -37,7 +43,7 @@ from .cpp import (
     simulate_forward,
     thinned_inverse_tail,
 )
-from .errors import CppgenError
+from .errors import CppgenError, DomainError
 from .inference import fit_mle, neg_log_likelihood
 from .kernel import solve_F, step_grid, tail_for
 from .ksample import MixtureParams, definetti_sample_many, loglik
@@ -53,14 +59,20 @@ from .model import (
     read_newick_file,
     tree_to_newick,
 )
-from .validate import run_validation
 
 _DEFAULT_STEP = 1e-3
 
 
-def _load_model(path: str) -> RateModel:
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return rate_model_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CppgenError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_model(path: str) -> RateModel:
+    return rate_model_from_json(_read_json(path))
 
 
 def _workers(args) -> int:
@@ -68,8 +80,25 @@ def _workers(args) -> int:
         return max(1, args.workers)
     env = os.environ.get("CPPGEN_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise CppgenError(f"CPPGEN_THREADS must be an integer, not {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _parse_init(spec: str) -> dict:
+    """``--init`` as a dict: "lam=1.0,mu=0.2" -> {"lam": 1.0, "mu": 0.2}."""
+    init = {}
+    for pair in spec.split(","):
+        key, _, val = pair.partition("=")
+        try:
+            init[key] = float(val)
+        except ValueError:
+            raise CppgenError(
+                f"--init takes name=number pairs such as lam=1.0,mu=0.2, not {pair!r}"
+            ) from None
+    return init
 
 
 # Replicates per simulation block.  A fixed size, so that the block layout,
@@ -119,6 +148,8 @@ def _simulated_blocks(job, reps: int, seed: int, workers: int) -> Iterator[TreeB
         for block in blocks:
             yield _simulate_block(job, *block)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(workers, n_blocks)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(job,)
@@ -147,6 +178,9 @@ def _block_text(batch: TreeBatch, fmt: str, first_rep: int) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 0:
+        raise DomainError(f"--reps must be >= 0, not {args.reps}")
+    workers = _workers(args)
     model = _load_model(args.model)
     scheme = parse_scheme(args.scheme)
     if scheme.variant == "bernoulli" and scheme.y is None:
@@ -169,7 +203,7 @@ def cmd_simulate(args) -> int:
         if args.format == "csv":
             fh.write("rep,index,depth\n")
         first_rep = 0
-        for batch in _simulated_blocks(job, args.reps, args.seed, _workers(args)):
+        for batch in _simulated_blocks(job, args.reps, args.seed, workers):
             fh.write(_block_text(batch, args.format, first_rep))
             first_rep += len(batch)
     return 0
@@ -206,21 +240,16 @@ def cmd_likelihood(args) -> int:
 def cmd_fit(args) -> int:
     scheme = parse_scheme(args.scheme)
     trees = read_newick_file(args.trees)
-    bounds = None
-    if args.bounds:
-        with open(args.bounds, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        bounds = {key: tuple(val) for key, val in raw.items()}
-    init = None
-    if args.init:
-        init = dict(pair.split("=") for pair in args.init.split(","))
-        init = {key: float(val) for key, val in init.items()}
+    bounds = _read_json(args.bounds) if args.bounds else None
+    init = _parse_init(args.init) if args.init else None
     result = fit_mle(trees, scheme, bounds=bounds, init=init)
     _write_lines(args.out, [json.dumps(result.to_json())])
     return 0
 
 
 def cmd_validate(args) -> int:
+    from .validate import run_validation
+
     ok = run_validation(quick=not args.full)
     return 0 if ok else 1
 

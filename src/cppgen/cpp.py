@@ -115,7 +115,11 @@ def simulate_cpp_batch(
     replicate.  ``depths`` is the concatenation of the per-replicate depth
     sequences (lengths ``tip_counts - 1``).
     """
+    if reps < 0:
+        raise DomainError(f"reps must be >= 0, not {reps}")
     FT = check_expected_tips(F, reps)
+    if reps == 0:
+        return np.zeros(0, dtype=int), np.empty(0)
     thresh = 1.0 / FT
     blocks = []
     n_stops = 0

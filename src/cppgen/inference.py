@@ -9,7 +9,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateMixtureError, DomainError, FitError, QuadratureError
 from .kernel import ClosedFormTail, solve_F, tail_for
@@ -90,6 +89,36 @@ class FitResult:
 
 
 _DEFAULT_BOUNDS = {"lam": (1e-6, 1e3), "mu": (0.0, 1e3), "y": (1e-6, 1.0)}
+_DEFAULT_INIT = {"lam": 1.0, "mu": 0.1, "y": 0.5}
+
+
+def _fit_options(bounds: Optional[dict], init: Optional[dict]):
+    """``bounds`` and ``init`` merged over the defaults, after checking them:
+    known keys only, each bound a pair (lower, upper) with lower <= upper,
+    lam > 0, mu >= 0 and y in (0, 1]."""
+    for what, given in (("bounds", bounds), ("init", init)):
+        if given is not None and not isinstance(given, dict):
+            raise DomainError(f"{what} must map lam, mu or y to values")
+        unknown = set(given or {}) - set(_DEFAULT_BOUNDS)
+        if unknown:
+            raise DomainError(f"unknown {what} keys {sorted(unknown)}; known: lam, mu, y")
+    bounds = {**_DEFAULT_BOUNDS, **(bounds or {})}
+    for key, pair in bounds.items():
+        try:
+            lo, hi = (float(v) for v in pair)
+        except (TypeError, ValueError):
+            raise DomainError(f"bound of {key} must be a pair (lower, upper), not {pair!r}") from None
+        if not lo <= hi:
+            raise DomainError(f"bound of {key}: lower end {lo} exceeds upper end {hi}")
+        bounds[key] = (lo, hi)
+    init = {**_DEFAULT_INIT, **(init or {})}
+    if not init["lam"] > 0:
+        raise DomainError(f"initial lam must be > 0, not {init['lam']}")
+    if not init["mu"] >= 0:
+        raise DomainError(f"initial mu must be >= 0, not {init['mu']}")
+    if not 0 < init["y"] <= 1:
+        raise DomainError(f"initial y must lie in (0, 1], not {init['y']}")
+    return bounds, init
 
 
 def fit_mle(
@@ -106,11 +135,12 @@ def fit_mle(
     converged start wins.  The trees are packed into one batch before the
     first start, so an objective evaluation is array work only.
     """
+    from scipy.optimize import minimize  # here, so that importing cppgen loads no scipy
+
     batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
     if not len(batch):
         raise DomainError("need at least one tree")
-    bounds = {**_DEFAULT_BOUNDS, **(bounds or {})}
-    init = {**{"lam": 1.0, "mu": 0.1, "y": 0.5}, **(init or {})}
+    bounds, init = _fit_options(bounds, init)
     T = float(batch.heights[0])
     if np.any(np.abs(batch.heights - T) > 1e-9 * T):
         raise DomainError("all trees must share the same height T")

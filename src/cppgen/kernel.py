@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, SolverError
 from .model import PiecewiseConstant, RateModel
@@ -268,6 +267,10 @@ class GridTail(InverseTail):
     T: float
 
     def __post_init__(self):
+        # scipy is imported here, not at module level, so that constant and
+        # piecewise-rate models never load it.
+        from scipy.interpolate import PchipInterpolator
+
         ts = np.asarray(self.ts, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         if ts[0] != 0.0 or abs(ts[-1] - self.T) > 1e-12 * max(self.T, 1.0):

@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import comb, logsumexp
 
 from .cpp import RandomStream, thinned_inverse_tail
 from .errors import (
@@ -159,6 +158,8 @@ def definetti_sample_many(
     F_y = 1 - y + y F; the inversions of all replicates are one call of
     :func:`invert_tail` on F.
     """
+    if reps < 0:
+        raise DomainError(f"reps must be >= 0, not {reps}")
     params = MixtureParams.from_tail(F, k)
     ys = np.asarray(_mixing_inverse_cdf(params, rng.rng.random(reps)))
     ys = np.minimum(np.maximum(ys, np.finfo(float).tiny), 1.0)
@@ -259,6 +260,23 @@ def bernoulli_likelihood(tree, F, y, oriented: bool = True, conditional: bool = 
     return math.exp(bernoulli_loglikelihood(tree, F, y, oriented, conditional))
 
 
+def _logsumexp0(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over axis 0, as ``scipy.special.logsumexp``: the
+    column maximum is taken out of the sum, which enters through ``log1p``.
+    A column of -inf gives -inf, without a numpy warning."""
+    top = x.max(axis=0)
+    at_top = x == top
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    # Columns whose maximum is not finite produce inf/nan here; they are
+    # replaced by that maximum below.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n_top = at_top.sum(axis=0)
+        rest = np.exp(np.where(at_top, -np.inf, x) - shift).sum(axis=0) / n_top
+        out = np.log1p(rest) + np.log(n_top) + shift
+    return np.where(finite, out, top)
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes on (0, 1) and their log weights, read-only."""
@@ -304,7 +322,7 @@ def ksample_loglikelihoods(
         y = (v * (1.0 - a) / (1.0 - a * v))[:, None, None]
         FY = 1.0 - y + y * Fv[rows][None]
         logf = np.log(y) + log_dF[rows][None] - 2.0 * np.log(FY)
-        return logsumexp(logf.sum(axis=2) + log_w[:, None], axis=0)
+        return _logsumexp0(logf.sum(axis=2) + log_w[:, None])
 
     out = np.empty(len(d))
     block = max(1, QUAD_BLOCK // (k - 1))
@@ -386,7 +404,7 @@ def joint_df(k: int, m: int, x: Sequence[float], F: InverseTail) -> float:
     denom = diffs.prod(axis=1)
     num = p ** (m + 2) - (m + 2) * p * p0 ** (m + 1) + (m + 1) * p0 ** (m + 2)
     total = np.sum(p ** (k - 2) / denom * num / (p - p0) ** 2)
-    out = (1.0 - p0) / np.longdouble(comb(m + k, k, exact=True)) * p.prod() * total
+    out = (1.0 - p0) / np.longdouble(math.comb(m + k, k)) * p.prod() * total
     return float(out)
 
 
@@ -427,7 +445,7 @@ def joint_df_bruteforce(k: int, m: int, x: Sequence[float], F: InverseTail) -> f
                 term *= p ** (mi + 1)
             inner += term
         total += (mk + 1) * p0**mk * inner
-    return float((1.0 - p0) / comb(m + k, k, exact=True) * total)
+    return float((1.0 - p0) / math.comb(m + k, k) * total)
 
 
 def likelihood_with_missing(
@@ -456,7 +474,7 @@ def likelihood_with_missing(
         for pi, mi in zip(p, cfg):
             term *= (mi + 1) * pi**mi
         total += term
-    return math.exp(log_l) * total / comb(m + k, k, exact=True)
+    return math.exp(log_l) * total / math.comb(m + k, k)
 
 
 def power_sum_identity(p: Sequence[float], m: int) -> Tuple[float, float]:

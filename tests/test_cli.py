@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -221,14 +222,16 @@ class TestSimulationBlocks:
         assert outs[0] == outs[1] == outs[2]
 
     def test_pool_only_for_two_blocks_or_more(self, capsys, monkeypatch, model_path):
+        # cli imports ProcessPoolExecutor from concurrent.futures when it
+        # starts a pool, so the pool is recorded where it is looked up
         pools = []
 
-        class Recording(cli.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(cli, "SIM_BLOCK", 5)
         argv = ["simulate", "--model", model_path, "--scheme", "full", "--seed", "1"]
         assert _run(capsys, *argv, "--reps", "5", "--workers", "3")[0] == 0
@@ -435,6 +438,65 @@ class TestExitCodes:
     def test_version(self, capsys):
         code, out, err = _run(capsys, "--version")
         assert code == 0
+
+    @pytest.fixture
+    def trees_path(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        path.write_text("((0:0.3,1:0.3):0.3,(2:0.2,3:0.2):0.4):1.4;\n(0:0.5,1:0.5):1.5;\n")
+        return str(path)
+
+    def test_malformed_model_json(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "constant", "lambda": 1.0,')
+        code, _, err = _run(
+            capsys, "simulate", "--model", str(path), "--scheme", "full", "--reps", "1",
+            "--seed", "0",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "not valid JSON" in err
+
+    def test_malformed_bounds_json(self, capsys, tmp_path, trees_path):
+        path = tmp_path / "bounds.json"
+        path.write_text('{"lam": [0.1, ')
+        code, _, err = _run(
+            capsys, "fit", "--trees", trees_path, "--scheme", "full", "--bounds", str(path)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "not valid JSON" in err
+
+    @pytest.mark.parametrize("init", ["lam", "lam=abc", "lam=1,mu"])
+    def test_malformed_init(self, capsys, trees_path, init):
+        code, _, err = _run(capsys, "fit", "--trees", trees_path, "--scheme", "full", "--init", init)
+        assert code == 2
+        assert err.startswith("error: --init takes name=number pairs")
+
+    @pytest.mark.parametrize(
+        "init, message", [("foo=1", "unknown init keys"), ("lam=-1", "initial lam")]
+    )
+    def test_invalid_init(self, capsys, trees_path, init, message):
+        code, _, err = _run(capsys, "fit", "--trees", trees_path, "--scheme", "full", "--init", init)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    def test_non_integer_thread_count(self, capsys, monkeypatch, model_path):
+        monkeypatch.setenv("CPPGEN_THREADS", "x")
+        code, out, err = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",
+            "--seed", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: CPPGEN_THREADS must be an integer")
+
+    def test_negative_reps(self, capsys, model_path):
+        argv = ["simulate", "--model", model_path, "--scheme", "full", "--seed", "0"]
+        code, out, err = _run(capsys, *argv, "--reps", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --reps must be >= 0")
+        code, out, err = _run(capsys, *argv, "--reps", "0", "--format", "csv")
+        assert code == 0, err
+        assert out == "rep,index,depth\n"
 
 
 class TestValidate:

@@ -105,6 +105,12 @@ class TestCppSimulation:
         assert np.array_equal(batch.n_tips, tips)
         assert np.array_equal(batch.depths, depths)
 
+    def test_replicate_count(self):
+        with pytest.raises(DomainError, match="reps must be >= 0"):
+            simulate_cpp_many(F_STD, -1, RandomStream(9))
+        batch = simulate_cpp_many(F_STD, 0, RandomStream(9))
+        assert len(batch) == 0 and batch.depths.size == 0
+
     def test_scalar_is_batch_of_one(self):
         tree = simulate_cpp(F_STD, RandomStream(17))
         assert [tree] == list(simulate_cpp_many(F_STD, 1, RandomStream(17)))

@@ -147,3 +147,29 @@ class TestFitMle:
         ]
         with pytest.raises(DomainError):
             fit_mle(trees, SamplingScheme.full())
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"init": {"foo": 1.0}}, "unknown init keys"),
+            ({"bounds": {"sigma": (0.0, 1.0)}}, "unknown bounds keys"),
+            ({"init": {"lam": -1.0}}, "initial lam"),
+            ({"init": {"lam": 0.0}}, "initial lam"),
+            ({"init": {"mu": -0.1}}, "initial mu"),
+            ({"init": {"y": 0.0}}, "initial y"),
+            ({"bounds": {"lam": (2.0, 1.0)}}, "exceeds upper end"),
+            ({"bounds": {"mu": (0.5,)}}, "must be a pair"),
+            ({"bounds": [("lam", (0.1, 1.0))]}, "bounds must map"),
+        ],
+    )
+    def test_rejects_bad_init_and_bounds(self, options, message):
+        with pytest.raises(DomainError, match=message):
+            fit_mle(_trees(5, 3), SamplingScheme.full(), **options)
+
+    def test_accepts_yule_start_and_list_bounds(self):
+        # mu = 0 starts at the Yule boundary; bounds read from JSON are lists
+        res = fit_mle(
+            _trees(150, 7), SamplingScheme.full(), init={"lam": 0.8, "mu": 0.0},
+            bounds={"lam": [0.1, 10.0], "mu": [0.0, 5.0]},
+        )
+        assert 0.1 <= res.lam <= 10.0 and 0.0 <= res.mu <= 5.0

@@ -1,6 +1,7 @@
 """Likelihoods and the mixture representation of uniform k-samples."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ class TestDeFinettiSampler:
         _, single = definetti_sample_many(F_STD, 1, 3, RandomStream(3))
         assert list(single.n_tips) == [1, 1, 1]
 
+    def test_replicate_count(self):
+        with pytest.raises(DomainError, match="reps must be >= 0"):
+            definetti_sample_many(F_STD, 3, -2, RandomStream(3))
+        ys, batch = definetti_sample_many(F_STD, 3, 0, RandomStream(3))
+        assert ys.shape == (0,) and len(batch) == 0
+
     def test_scalar_is_batch_of_one(self):
         y, tree = definetti_sample(F_STD, 4, RandomStream(41))
         ys, batch = definetti_sample_many(F_STD, 4, 1, RandomStream(41))
@@ -255,6 +262,26 @@ class TestKSampleLikelihood:
         batch = ksample_loglikelihoods([t.depths for t in trees], F_STD, 4)
         one = [ksample_loglikelihood(t, F_STD, 4) for t in trees]
         assert_allclose(batch, one, rtol=1e-13)
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        from cppgen.ksample import _logsumexp0
+
+        rng = np.random.default_rng(8)
+        for scale in (1.0, 30.0, 300.0):
+            x = rng.normal(-40.0, scale, size=(128, 64))
+            x[:, 3] = -np.inf  # an all -inf column
+            x[:64, 5] = -np.inf
+            x[:, 7] = x[:, 7].max()  # a column of ties at its maximum
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp0(x)
+            expect = logsumexp(x, axis=0)
+            assert got[3] == -np.inf
+            finite = np.isfinite(expect)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert_allclose(got[finite], expect[finite], rtol=1e-15, atol=0)
 
     def test_batch_raises_past_node_cap(self):
         depths = [(0.3, 0.6), (1.9999, 1e-4)]
