@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .cpp import (
     RandomStream,
     bernoulli_thin,
-    sample_H,
     simulate_cpp,
     simulate_cpp_many,
     simulate_forward,

@@ -330,10 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CppgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CppgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

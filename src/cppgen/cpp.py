@@ -22,9 +22,7 @@ from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel, TreeBa
 __all__ = [
     "RandomStream",
     "check_expected_tips",
-    "sample_H",
     "simulate_cpp",
-    "simulate_cpp_batch",
     "simulate_cpp_many",
     "simulate_forward",
     "thinned_inverse_tail",
@@ -74,15 +72,6 @@ class RandomStream:
         return self.rng.exponential(1.0 / rate)
 
 
-def sample_H(F: InverseTail, rng: RandomStream) -> float:
-    """Draw H with P(H > t) = 1/F(t); returns +inf when H > T."""
-    u = rng.uniform()
-    target = 1.0 / u
-    if target > float(F.value(F.T)):
-        return math.inf
-    return float(invert_tail(F, target)[0])
-
-
 def check_expected_tips(F: InverseTail, reps: int) -> float:
     """F(T), after checking that ``reps`` CPP trees from F fit in memory.
 
@@ -105,21 +94,18 @@ def simulate_cpp(F: InverseTail, rng: RandomStream) -> OrientedUltrametricTree:
     return next(iter(simulate_cpp_many(F, 1, rng)))
 
 
-def simulate_cpp_batch(
-    F: InverseTail, reps: int, rng: RandomStream
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``reps`` CPP trees from F as ``(tip_counts, depths)``.
+def simulate_cpp_many(F: InverseTail, reps: int, rng: RandomStream) -> TreeBatch:
+    """``reps`` CPP trees from F as a :class:`TreeBatch` of height F.T.
 
-    Draw iid copies of H, keep those < T, and end a tree at each H >= T:
-    uniforms are consumed in sequence and each u with 1/u > F(T) ends a
-    replicate.  ``depths`` is the concatenation of the per-replicate depth
-    sequences (lengths ``tip_counts - 1``).
+    Draw iid copies of H, with P(H > t) = 1/F(t), keep those < T, and end a
+    tree at each H >= T: uniforms are consumed in sequence and each u with
+    1/u > F(T) ends a replicate.
     """
     if reps < 0:
         raise DomainError(f"reps must be >= 0, not {reps}")
     FT = check_expected_tips(F, reps)
     if reps == 0:
-        return np.zeros(0, dtype=int), np.empty(0)
+        return TreeBatch(np.empty(0), np.zeros(1, dtype=np.int64), np.empty(0))
     thresh = 1.0 / FT
     blocks = []
     n_stops = 0
@@ -139,17 +125,11 @@ def simulate_cpp_batch(
     us = us[: stop_idx[-1] + 1]
     keep = np.ones(len(us), dtype=bool)
     keep[stop_idx] = False
-    depths = invert_tail(F, 1.0 / us[keep])
-    tip_counts = np.diff(np.concatenate([[0], stop_idx - np.arange(reps)])) + 1
-    return tip_counts.astype(int), depths
-
-
-def simulate_cpp_many(F: InverseTail, reps: int, rng: RandomStream) -> TreeBatch:
-    """:func:`simulate_cpp_batch` as a :class:`TreeBatch` of height F.T."""
-    tip_counts, depths = simulate_cpp_batch(F, reps, rng)
+    # replicate r ends at the uniform stop_idx[r], so its depths end at
+    # stop_idx[r] - r among the kept ones
     offsets = np.zeros(reps + 1, dtype=np.int64)
-    np.cumsum(tip_counts - 1, out=offsets[1:])
-    return TreeBatch(np.full(reps, float(F.T)), offsets, depths)
+    offsets[1:] = stop_idx - np.arange(reps)
+    return TreeBatch(np.full(reps, float(F.T)), offsets, invert_tail(F, 1.0 / us[keep]))
 
 
 # ---------------------------------------------------------------------------

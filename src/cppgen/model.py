@@ -689,13 +689,20 @@ def parse_scheme(spec: str) -> SamplingScheme:
 _MODEL_KEYS = {"kind", "lambda", "mu", "T"}
 
 
+def _require_keys(obj: dict, keys: set, what: str):
+    extra = set(obj) - keys
+    if extra:
+        raise ModelError(f"unknown keys in {what}: {sorted(extra)}")
+    missing = keys - set(obj)
+    if missing:
+        raise ModelError(f"missing keys in {what}: {sorted(missing)}")
+
+
 def _rate_from_json(obj, what: str) -> PiecewiseConstant:
     if isinstance(obj, (int, float)):
         return PiecewiseConstant.constant(float(obj))
     if isinstance(obj, dict):
-        extra = set(obj) - {"breaks", "values"}
-        if extra:
-            raise ModelError(f"unknown keys in {what} table: {sorted(extra)}")
+        _require_keys(obj, {"breaks", "values"}, f"{what} table")
         return PiecewiseConstant(tuple(obj["breaks"]), tuple(obj["values"]))
     raise ModelError(f"{what} must be a number or a breaks/values table")
 
@@ -703,22 +710,18 @@ def _rate_from_json(obj, what: str) -> PiecewiseConstant:
 def rate_model_from_json(obj: dict) -> RateModel:
     if not isinstance(obj, dict):
         raise ModelError("model JSON must be an object")
-    extra = set(obj) - _MODEL_KEYS
-    if extra:
-        raise ModelError(f"unknown keys in model JSON: {sorted(extra)}")
-    missing = _MODEL_KEYS - set(obj)
-    if missing:
-        raise ModelError(f"missing keys in model JSON: {sorted(missing)}")
+    _require_keys(obj, _MODEL_KEYS, "model JSON")
     kind = obj["kind"]
-    T = float(obj["T"])
+    try:
+        T = float(obj["T"])
+    except (TypeError, ValueError):
+        raise ModelError(f"T must be a number, not {obj['T']!r}") from None
     lam = _rate_from_json(obj["lambda"], "lambda")
     mu_obj = obj["mu"]
     if kind == "age_dependent":
         if not isinstance(mu_obj, dict):
             raise ModelError("age-dependent mu must be a grid object")
-        extra = set(mu_obj) - {"t_breaks", "x_breaks", "values"}
-        if extra:
-            raise ModelError(f"unknown keys in mu grid: {sorted(extra)}")
+        _require_keys(mu_obj, {"t_breaks", "x_breaks", "values"}, "mu grid")
         mu: DeathRate = AgeDependentRate(
             tuple(mu_obj["t_breaks"]),
             tuple(mu_obj["x_breaks"]),

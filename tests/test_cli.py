@@ -455,6 +455,40 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": "abc"}, "T must be a number"),
+            (
+                dict(AD_JSON, mu={"x_breaks": [0.0, 0.5], "values": [[0.2, 0.7]]}),
+                "missing keys in mu grid: ['t_breaks']",
+            ),
+            (dict(TV_JSON, mu={"breaks": [0.0, 1.3]}), "missing keys in mu table"),
+        ],
+    )
+    def test_bad_model_fields(self, capsys, tmp_path, model, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        code, _, err = _run(capsys, "dump-f", "--model", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    def test_directory_as_tree_file(self, capsys, tmp_path, model_path):
+        code, _, err = _run(
+            capsys, "likelihood", "--tree", str(tmp_path), "--model", model_path,
+            "--scheme", "full",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_directory_as_output_file(self, capsys, tmp_path, model_path):
+        code, _, err = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",
+            "--seed", "0", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_malformed_bounds_json(self, capsys, tmp_path, trees_path):
         path = tmp_path / "bounds.json"
         path.write_text('{"lam": [0.1, ')
@@ -506,3 +540,21 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert lines[0].startswith("1..")
         assert all(line.startswith("ok") for line in lines[1:])
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        from cppgen import validate
+
+        def passing():
+            return ("stub that passes", True, "fine")
+
+        def failing():
+            return ("stub that fails", False, "measured 1 > bound 0")
+
+        monkeypatch.setattr(validate, "QUICK", (passing, failing))
+        code, out, _ = _run(capsys, "validate", "--quick")
+        assert code == 1
+        assert out.splitlines() == [
+            "1..2",
+            "ok 1 - stub that passes (fine)",
+            "not ok 2 - stub that fails (measured 1 > bound 0)",
+        ]

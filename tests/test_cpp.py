@@ -14,9 +14,7 @@ from cppgen.cpp import (
     RandomStream,
     bernoulli_thin,
     check_expected_tips,
-    sample_H,
     simulate_cpp,
-    simulate_cpp_batch,
     simulate_cpp_many,
     simulate_forward,
     simulate_forward_detailed,
@@ -37,16 +35,6 @@ from cppgen.model import (
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 
 
-class _FixedUniform:
-    """Stand-in stream returning a scripted sequence of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
-
-
 class TestRandomStream:
     def test_split_reproducible(self):
         a = [s.uniform() for s in RandomStream(42).split(4)]
@@ -60,26 +48,6 @@ class TestRandomStream:
         assert u.min() > 0.0 and u.max() < 1.0
 
 
-class TestSampleH:
-    def test_pure_birth_median(self):
-        # mu = 0: F(t) = e^t, so u = 1/2 maps to depth log 2
-        F = ClosedFormTail(1.0, 0.0, 2.0)
-        h = sample_H(F, _FixedUniform([0.5]))
-        assert_allclose(h, math.log(2.0), rtol=1e-10)
-
-    def test_stopping_value(self):
-        # u below 1/F(T) means H >= T: the draw signals the last tip
-        F = F_STD
-        u_stop = 0.99 / F.value(2.0)
-        assert sample_H(F, _FixedUniform([u_stop])) == math.inf
-
-    def test_quantile_formula(self):
-        # P(H > t) = 1/F(t), so u maps to F^{-1}(1/u)
-        F = F_STD
-        h = sample_H(F, _FixedUniform([0.4]))
-        assert_allclose(F.value(h), 2.5, rtol=1e-9)
-
-
 class TestCppSimulation:
     def test_reproducible(self):
         t1 = simulate_cpp(F_STD, RandomStream(3))
@@ -87,23 +55,11 @@ class TestCppSimulation:
         assert t1 == t2
 
     def test_tree_shape(self):
-        for tree in simulate_cpp_many(F_STD, 200, RandomStream(11)):
+        batch = simulate_cpp_many(F_STD, 200, RandomStream(11))
+        assert isinstance(batch, TreeBatch)
+        for tree in batch:
             assert tree.height == 2.0
             assert all(0.0 < d < 2.0 for d in tree.depths)
-
-    def test_batch_matches_sequential(self):
-        tips, depths = simulate_cpp_batch(F_STD, 500, RandomStream(9))
-        trees = simulate_cpp_many(F_STD, 500, RandomStream(9))
-        assert list(tips) == [t.n_tips for t in trees]
-        assert_allclose(depths, np.concatenate([t.depths for t in trees] or [[]]))
-
-    def test_many_is_a_tree_batch(self):
-        batch = simulate_cpp_many(F_STD, 50, RandomStream(9))
-        tips, depths = simulate_cpp_batch(F_STD, 50, RandomStream(9))
-        assert isinstance(batch, TreeBatch)
-        assert np.all(batch.heights == 2.0)
-        assert np.array_equal(batch.n_tips, tips)
-        assert np.array_equal(batch.depths, depths)
 
     def test_replicate_count(self):
         with pytest.raises(DomainError, match="reps must be >= 0"):
@@ -129,7 +85,7 @@ class TestCppSimulation:
 
     def test_mean_tip_count(self):
         # E[N] = 1/(1-a) = F(T)
-        tips, _ = simulate_cpp_batch(F_STD, 40_000, RandomStream(13))
+        tips = simulate_cpp_many(F_STD, 40_000, RandomStream(13)).n_tips
         se = tips.std() / math.sqrt(len(tips))
         assert abs(tips.mean() - F_STD.value(2.0)) < 4 * se
 
@@ -241,7 +197,7 @@ class TestExpectedTips:
         with pytest.raises(DomainError, match="expected"):
             simulate_cpp(F, RandomStream(1))
         with pytest.raises(DomainError, match="expected"):
-            simulate_cpp_batch(F, 1, RandomStream(1))
+            simulate_cpp_many(F, 1, RandomStream(1))
 
     def test_cap_counts_replicates(self):
         reps = int(MAX_EXPECTED_TIPS / F_STD.value(2.0))
