@@ -14,8 +14,10 @@ process pool.
 Each command builds the model's inverse tail F once (``kernel.tail_for``);
 ``simulate`` hands it to its pool workers once each, through the pool
 initializer.  ``solve_F`` is passed to ``tail_for`` under this module's
-name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve;
-likewise Newick lines are written through this module's ``tree_to_newick``.
+name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve.
+Output is written a block at a time by ``model.newick_chunks`` or
+``model.csv_chunks``, which format the whole block from its depth arrays;
+no per-replicate tree object is built.
 
 Importing this module loads no scipy, so a command pays only for what it
 uses.  scipy is imported on first use, once per process: ``scipy.optimize``
@@ -51,13 +53,15 @@ from .ksample import MixtureParams, definetti_sample_many, loglik
 from .cpp import simulate_cpp  # noqa: F401
 from .ksample import bernoulli_loglikelihood, definetti_sample, full_loglikelihood  # noqa: F401
 from .ksample import ksample_loglikelihood  # noqa: F401
+from .model import tree_to_newick  # noqa: F401
 from .model import (
     RateModel,
     TreeBatch,
+    csv_chunks,
+    newick_chunks,
     parse_scheme,
     rate_model_from_json,
     read_newick_file,
-    tree_to_newick,
 )
 
 _DEFAULT_STEP = 1e-3
@@ -163,18 +167,13 @@ def _simulated_blocks(job, reps: int, seed: int, workers: int) -> Iterator[TreeB
             yield pending.popleft().result()
 
 
-def _block_text(batch: TreeBatch, fmt: str, first_rep: int) -> str:
-    """The output lines of one block, ``first_rep`` the index of its first
+def _write_block(fh, batch: TreeBatch, fmt: str, first_rep: int):
+    """Write the lines of one block, ``first_rep`` the index of its first
     replicate: Newick with a stem, or CSV rows "rep,index,depth"."""
     if fmt == "newick":
-        lines = [tree_to_newick(tree, stem=True) for tree in batch]
+        fh.writelines(newick_chunks(batch, stem=True))
     else:
-        lines = [
-            f"{first_rep + r},{i},{format(d, '.12g')}"
-            for r, tree in enumerate(batch)
-            for i, d in enumerate(tree.depths)
-        ]
-    return "".join(line + "\n" for line in lines)
+        fh.writelines(csv_chunks(batch, first_rep))
 
 
 def cmd_simulate(args) -> int:
@@ -204,7 +203,7 @@ def cmd_simulate(args) -> int:
             fh.write("rep,index,depth\n")
         first_rep = 0
         for batch in _simulated_blocks(job, args.reps, args.seed, workers):
-            fh.write(_block_text(batch, args.format, first_rep))
+            _write_block(fh, batch, args.format, first_rep)
             first_rep += len(batch)
     return 0
 

@@ -9,11 +9,12 @@ Newick file) form one :class:`TreeBatch`, a ragged array of depths.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "TreeBatch",
     "SamplingScheme",
     "parse_scheme",
+    "newick_chunks",
+    "csv_chunks",
     "tree_to_newick",
     "newick_to_tree",
     "count_cherries",
@@ -50,6 +53,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _numbers(values, what: str) -> tuple:
+    """``values`` as a tuple of floats, or ``ModelError``."""
+    try:
+        if isinstance(values, (str, bytes)):
+            raise TypeError
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be a list of numbers, not {values!r}") from None
+
+
+def _check_breaks(breaks: tuple):
+    if not all(math.isfinite(b) for b in breaks) or any(
+        b1 <= b0 for b0, b1 in zip(breaks, breaks[1:])
+    ):
+        raise ModelError("breakpoints must be finite and strictly increasing")
+
+
+def _check_rates(values: Iterable[float]):
+    if not all(0.0 <= v < math.inf for v in values):
+        raise ModelError("rate values must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """A piecewise-constant rate on [0, T].
@@ -63,18 +88,16 @@ class PiecewiseConstant:
     values: tuple
 
     def __post_init__(self):
-        breaks = tuple(float(b) for b in self.breaks)
-        values = tuple(float(v) for v in self.values)
+        breaks = _numbers(self.breaks, "breakpoints")
+        values = _numbers(self.values, "rate values")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "values", values)
         if len(breaks) != len(values) or not breaks:
             raise ModelError("breaks and values must have equal, positive length")
         if breaks[0] != 0.0:
             raise ModelError("first breakpoint must be 0")
-        if any(b1 <= b0 for b0, b1 in zip(breaks, breaks[1:])):
-            raise ModelError("breakpoints must be strictly increasing")
-        if any(v < 0 for v in values):
-            raise ModelError("rate values must be >= 0")
+        _check_breaks(breaks)
+        _check_rates(values)
 
     @classmethod
     def constant(cls, value: float) -> "PiecewiseConstant":
@@ -127,22 +150,22 @@ class AgeDependentRate:
     values: tuple  # row i = time cell i, column j = age cell j
 
     def __post_init__(self):
-        tb = tuple(float(b) for b in self.t_breaks)
-        xb = tuple(float(b) for b in self.x_breaks)
-        vals = tuple(tuple(float(v) for v in row) for row in self.values)
+        tb = _numbers(self.t_breaks, "time breakpoints")
+        xb = _numbers(self.x_breaks, "age breakpoints")
+        try:
+            vals = tuple(_numbers(row, "rate values") for row in self.values)
+        except TypeError:
+            raise ModelError(f"rate values must be a list of rows, not {self.values!r}") from None
         object.__setattr__(self, "t_breaks", tb)
         object.__setattr__(self, "x_breaks", xb)
         object.__setattr__(self, "values", vals)
-        if tb[0] != 0.0 or xb[0] != 0.0:
+        if not tb or not xb or tb[0] != 0.0 or xb[0] != 0.0:
             raise ModelError("time and age grids must start at 0")
-        if any(b1 <= b0 for b0, b1 in zip(tb, tb[1:])) or any(
-            b1 <= b0 for b0, b1 in zip(xb, xb[1:])
-        ):
-            raise ModelError("breakpoints must be strictly increasing")
+        _check_breaks(tb)
+        _check_breaks(xb)
         if len(vals) != len(tb) or any(len(row) != len(xb) for row in vals):
             raise ModelError("values grid shape must match breakpoints")
-        if any(v < 0 for row in vals for v in row):
-            raise ModelError("rate values must be >= 0")
+        _check_rates(v for row in vals for v in row)
 
     @property
     def max(self) -> float:
@@ -189,8 +212,8 @@ class RateModel:
     def __post_init__(self):
         if self.kind not in ("constant", "time_varying", "age_dependent"):
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if not (self.T > 0):
-            raise ModelError("T must be > 0")
+        if not (0 < self.T < math.inf):
+            raise ModelError("T must be finite and > 0")
         for breaks in self._all_breaks():
             if breaks[-1] >= self.T:
                 raise ModelError("breakpoints must lie strictly inside [0, T)")
@@ -406,66 +429,150 @@ def count_cherries(tree: OrientedUltrametricTree) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+# A block is written in chunks of whole trees holding about this many tips,
+# so that the index arrays and the text of a chunk stay small however many
+# trees the block has.
+_CHUNK_TIPS = 2048
 
 
-def _children(depths: Sequence[float]):
-    """The tree coded by ``depths`` as ``(left, right, root)`` over its nodes.
+def _tree_chunks(batch: TreeBatch):
+    """The batch as ``(heights, offsets, depths)`` views of consecutive runs
+    of whole trees: those whose last tip falls in the same window of
+    ``_CHUNK_TIPS`` tips."""
+    if not len(batch):
+        return
+    offsets = batch.offsets
+    window = (offsets[1:] + np.arange(len(batch))) // _CHUNK_TIPS
+    cuts = (window[1:] != window[:-1]).nonzero()[0] + 1
+    bounds = [0, *cuts.tolist(), len(batch)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = offsets[lo], offsets[hi]
+        yield batch.heights[lo:hi], offsets[lo : hi + 1] - a, batch.depths[a:b]
 
-    Node ``i`` sits between tips ``i`` and ``i+1``; by the running-max rule
-    the first deepest node of a segment is the segment's root.  A child of
-    -1 is a tip: tip ``i`` on the left, tip ``i+1`` on the right.  Built in
-    one pass with a stack of the rightmost path, so a caterpillar costs no
-    more than a balanced tree.
+
+def _depth_bounds(pad: np.ndarray, pos: np.ndarray, longest: int):
+    """For each node ``pos`` of ``pad``, the nearest position on its left
+    with a depth at least its own and on its right with a depth above its
+    own.
+
+    ``pad`` holds the depths of trees, at most ``longest`` per tree, with a
+    +inf wall before, between and after them, so a bound is never sought
+    across a wall.  Binary lifting over a sparse table of running maxima:
+    ``table[k][q]`` is the maximum of ``pad[q : q + 2**k]``, and a search
+    skips the largest windows that lie below the node, largest first.
+    O(n log m) for n positions and m = ``longest``, caterpillars included.
     """
-    left = [-1] * len(depths)
-    right = [-1] * len(depths)
-    path: List[int] = []
-    for i, d in enumerate(depths):
-        below = -1
-        while path and depths[path[-1]] < d:
-            below = path.pop()
-        left[i] = below
-        if path:
-            right[path[-1]] = i
-        path.append(i)
-    return left, right, path[0]
+    value = pad[pos]
+    table = [pad]
+    while 1 << len(table) < longest:
+        prev, half = table[-1], 1 << (len(table) - 1)
+        level = np.full(len(pad), np.inf)
+        np.maximum(prev[:-half], prev[half:], out=level[:-half])
+        table.append(level)
+    left = pos - 1
+    right = pos + 1
+    for k in range(len(table) - 1, -1, -1):
+        step = 1 << k
+        # windows that would start before position 0 hold the first wall
+        below = table[k][np.maximum(left - (step - 1), 0)] < value
+        np.subtract(left, step, out=left, where=below)
+        np.add(right, step, out=right, where=table[k][right] <= value)
+    return left, right
+
+
+def _newick_template(heights, offsets, depths, stem: bool) -> Tuple[str, List[float]]:
+    """The Newick text of a chunk of trees as a ``%``-template and its
+    values."""
+    n_trees, lens = len(heights), offsets[1:] - offsets[:-1]
+    n_tips = len(depths) + n_trees
+    tree_of_node = np.repeat(np.arange(n_trees), lens)
+    # Tip t of the chunk sits between positions t and t + 1 of ``pad``:
+    # tree r's first tip is its wall's position, its nodes follow.
+    first_tip = offsets[:-1] + np.arange(n_trees)
+    pos = np.arange(len(depths)) + tree_of_node + 1
+    pad = np.full(n_tips + 1, np.inf)
+    pad[pos] = depths
+    left, right = _depth_bounds(pad, pos, int(lens.max()))
+    # By the running-max rule the first deepest node is the root, and a
+    # node's parent is the shallower of its two bounds.
+    parent = np.minimum(pad[left], pad[right])
+    root = np.isinf(parent)
+    parent[root] = heights[tree_of_node[root]]
+    edge = parent - depths
+    # A tip hangs from the shallower of its neighbouring nodes.
+    tip = np.minimum(pad[:-1], pad[1:])
+    single = lens == 0
+    tip[first_tip[single]] = heights[single]
+    # A node's subtree spans tips left .. right - 1: it opens before the
+    # first and closes after the last, innermost (rightmost node) first.
+    opens = np.bincount(left, minlength=n_tips)
+    closes = np.bincount(right - 1, minlength=n_tips)
+    order = np.argsort(right * len(pad) - pos)
+    if not stem:
+        order = order[~root[order]]
+    at = right[order] + np.arange(len(order))  # after tip right - 1
+    values = np.empty(n_tips + len(order))
+    is_tip = np.ones(len(values), dtype=bool)
+    is_tip[at] = False
+    values[at] = edge[order]
+    values[is_tip] = tip
+    # The template: per tip its opens, its label, the closes after it and
+    # a comma, or ';' and a newline after a tree's last tip.  A stemless
+    # root closes without a length.
+    last = first_tip + lens
+    ending = np.zeros(n_tips, dtype=np.int64)  # 0: ",", 1: ";\n", 2: ");\n"
+    ending[last] = 1 if stem else 1 + (lens > 0)
+    closes[last] -= ending[last] == 2
+    label = np.arange(n_tips) - np.repeat(first_tip, lens + 1)
+    parts = np.empty((n_tips, 3), dtype=object)
+    parts[:, 0] = _pieces(opens, lambda n: "(" * n)
+    parts[:, 1] = _pieces(label, lambda n: f"{n}:%.12g")
+    parts[:, 2] = _pieces(
+        closes * 3 + ending, lambda n: "):%.12g" * (n // 3) + (",", ";\n", ");\n")[n % 3]
+    )
+    return "".join(parts.ravel().tolist()), values.tolist()
+
+
+def _pieces(keys: np.ndarray, piece) -> np.ndarray:
+    """``piece(k)`` for each key, built once per distinct key, so that a
+    caterpillar's one long run of parentheses is built once."""
+    table = np.empty(int(keys.max()) + 1, dtype=object)
+    present = np.bincount(keys).nonzero()[0]
+    table[present] = [piece(k) for k in present.tolist()]
+    return table[keys]
+
+
+def newick_chunks(batch: TreeBatch, stem: bool = True) -> Iterator[str]:
+    """The trees of ``batch`` as Newick lines, a chunk of lines at a time.
+
+    Tips are labelled 0..N-1 left to right in each tree, and every length
+    is written with ``%.12g``.  With ``stem=True`` each tree gets a root
+    edge of length ``height - max(depths)``.  A single tip is always written
+    with its full pendant edge (the height would be lost otherwise).  The
+    topology comes from the running-max rule for all trees of a chunk at
+    once, in arrays, so a caterpillar costs no more than a balanced tree.
+    """
+    for chunk in _tree_chunks(batch):
+        template, values = _newick_template(*chunk, stem)
+        yield template % tuple(values)
+
+
+def csv_chunks(batch: TreeBatch, first_rep: int = 0) -> Iterator[str]:
+    """Rows "rep,index,depth" of every depth of ``batch``, a chunk of rows
+    at a time; tree ``r`` is replicate ``first_rep + r``."""
+    for heights, offsets, depths in _tree_chunks(batch):
+        lens = offsets[1:] - offsets[:-1]
+        rep = np.repeat(np.arange(len(heights)) + first_rep, lens)
+        index = np.arange(len(depths)) - np.repeat(offsets[:-1], lens)
+        rows = zip(rep.tolist(), index.tolist(), depths.tolist())
+        yield "%d,%d,%.12g\n" * len(depths) % tuple(itertools.chain.from_iterable(rows))
+        first_rep += len(heights)
 
 
 def tree_to_newick(tree: OrientedUltrametricTree, stem: bool = False) -> str:
-    """Render the tree reconstructed from its depths as a Newick string.
-
-    Tips are labelled 0..N-1 left to right.  With ``stem=True`` a root edge
-    of length ``height - max(depths)`` is prepended.  A single tip is always
-    rendered with its full pendant edge (the height would be lost otherwise).
-    """
-    d = tree.depths
-    if not d:
-        return f"0:{_fmt(tree.height)};"
-    left, right, root = _children(d)
-    out = []
-    # A stack of node indices still to render and literal text to emit.
-    todo: list = [f"):{_fmt(tree.height - d[root])};" if stem else ");", root]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        h = d[item]
-        out.append("(")
-        child = right[item]
-        if child < 0:
-            todo.append(f"{item + 1}:{_fmt(h)}")
-        else:
-            todo += (f"):{_fmt(h - d[child])}", child)
-        todo.append(",")
-        child = left[item]
-        if child < 0:
-            todo.append(f"{item}:{_fmt(h)}")
-        else:
-            todo += (f"):{_fmt(h - d[child])}", child)
-    return "".join(out)
+    """One tree as a Newick string, without a newline: the batch of one of
+    :func:`newick_chunks`."""
+    return "".join(newick_chunks(TreeBatch.from_trees([tree]), stem))[:-1]
 
 
 # Structural characters, or the label-and-length text between them.
@@ -703,7 +810,7 @@ def _rate_from_json(obj, what: str) -> PiecewiseConstant:
         return PiecewiseConstant.constant(float(obj))
     if isinstance(obj, dict):
         _require_keys(obj, {"breaks", "values"}, f"{what} table")
-        return PiecewiseConstant(tuple(obj["breaks"]), tuple(obj["values"]))
+        return PiecewiseConstant(obj["breaks"], obj["values"])
     raise ModelError(f"{what} must be a number or a breaks/values table")
 
 
@@ -723,9 +830,7 @@ def rate_model_from_json(obj: dict) -> RateModel:
             raise ModelError("age-dependent mu must be a grid object")
         _require_keys(mu_obj, {"t_breaks", "x_breaks", "values"}, "mu grid")
         mu: DeathRate = AgeDependentRate(
-            tuple(mu_obj["t_breaks"]),
-            tuple(mu_obj["x_breaks"]),
-            tuple(tuple(row) for row in mu_obj["values"]),
+            mu_obj["t_breaks"], mu_obj["x_breaks"], mu_obj["values"]
         )
     else:
         mu = _rate_from_json(mu_obj, "mu")
@@ -757,7 +862,7 @@ def read_newick_file(path) -> TreeBatch:
         return _newick_batch(line for line in fh if line.strip())
 
 
-def write_newick_file(path, trees, stem: bool = True):
+def write_newick_file(path, trees: Iterable[OrientedUltrametricTree], stem: bool = True):
+    """One tree per line, through :func:`newick_chunks`."""
     with open(path, "w", encoding="utf-8") as fh:
-        for tree in trees:
-            fh.write(tree_to_newick(tree, stem=stem) + "\n")
+        fh.writelines(newick_chunks(TreeBatch.from_trees(trees), stem))

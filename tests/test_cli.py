@@ -464,6 +464,18 @@ class TestExitCodes:
                 "missing keys in mu grid: ['t_breaks']",
             ),
             (dict(TV_JSON, mu={"breaks": [0.0, 1.3]}), "missing keys in mu table"),
+            (
+                dict(AD_JSON, mu=dict(AD_JSON["mu"], t_breaks=0)),
+                "time breakpoints must be a list of numbers, not 0",
+            ),
+            (
+                dict(TV_JSON, **{"lambda": {"breaks": [0.0, 1.3], "values": ["a", "b"]}}),
+                "rate values must be a list of numbers",
+            ),
+            (
+                dict(AD_JSON, mu=dict(AD_JSON["mu"], t_breaks=[])),
+                "time and age grids must start at 0",
+            ),
         ],
     )
     def test_bad_model_fields(self, capsys, tmp_path, model, message):
@@ -472,6 +484,26 @@ class TestExitCodes:
         code, _, err = _run(capsys, "dump-f", "--model", str(path))
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["dump-f", "simulate"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"kind": "constant", "lambda": math.nan, "mu": 0.5, "T": 2.0},
+            {"kind": "constant", "lambda": 1.0, "mu": math.inf, "T": 2.0},
+            dict(AD_JSON, mu=dict(AD_JSON["mu"], values=[[0.2, math.nan]])),
+        ],
+        ids=["nan-lambda", "infinite-mu", "nan-grid-entry"],
+    )
+    def test_non_finite_rates(self, capsys, tmp_path, command, model):
+        # json writes NaN and Infinity, and json.load reads them back
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(model))
+        argv = ["--scheme", "full", "--seed", "0"] if command == "simulate" else []
+        code, out, err = _run(capsys, command, "--model", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rate values must be finite and >= 0")
 
     def test_directory_as_tree_file(self, capsys, tmp_path, model_path):
         code, _, err = _run(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from cppgen.errors import (
     NonUltrametricError,
     SchemeError,
 )
+from cppgen import model
 from cppgen.model import (
+    AgeDependentRate,
     OrientedUltrametricTree,
     PiecewiseConstant,
     RateModel,
     SamplingScheme,
     TreeBatch,
     count_cherries,
+    csv_chunks,
+    newick_chunks,
     newick_to_tree,
     parse_scheme,
     rate_model_from_json,
@@ -179,6 +184,131 @@ class TestTreeBatch:
             TreeBatch(heights, offsets, depths)
 
 
+def _reference_newick(tree: OrientedUltrametricTree, stem: bool) -> str:
+    """The per-tree renderer that the array writer replaced, kept as its
+    oracle: the running-max tree is built with a stack of the rightmost
+    path, then written from an explicit stack of nodes and text."""
+    d = tree.depths
+    if not d:
+        return f"0:{format(tree.height, '.12g')};"
+    left, right, path = [-1] * len(d), [-1] * len(d), []
+    for i, depth in enumerate(d):
+        below = -1
+        while path and d[path[-1]] < depth:
+            below = path.pop()
+        left[i] = below
+        if path:
+            right[path[-1]] = i
+        path.append(i)
+    root = path[0]
+    out = []
+    todo = [f"):{format(tree.height - d[root], '.12g')};" if stem else ");", root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        h = d[item]
+        out.append("(")
+        child = right[item]
+        if child < 0:
+            todo.append(f"{item + 1}:{format(h, '.12g')}")
+        else:
+            todo += (f"):{format(h - d[child], '.12g')}", child)
+        todo.append(",")
+        child = left[item]
+        if child < 0:
+            todo.append(f"{item}:{format(h, '.12g')}")
+        else:
+            todo += (f"):{format(h - d[child], '.12g')}", child)
+    return "".join(out)
+
+
+def _reference_lines(batch: TreeBatch, stem: bool) -> str:
+    return "".join(_reference_newick(tree, stem) + "\n" for tree in batch)
+
+
+def _reference_csv(batch: TreeBatch, first_rep: int) -> str:
+    return "".join(
+        f"{first_rep + r},{i},{format(d, '.12g')}\n"
+        for r, tree in enumerate(batch)
+        for i, d in enumerate(tree.depths)
+    )
+
+
+@st.composite
+def tree_batches(draw):
+    """Up to 8 trees of mixed heights, single tips included; a tree's depths
+    come from a small grid (ties) or from the open interval (0, height)."""
+    trees = []
+    for _ in range(draw(st.integers(1, 8))):
+        height = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+        if draw(st.booleans()):
+            depth = st.integers(1, 4).map(lambda i, h=height: h * i / 5)
+        else:
+            depth = st.floats(0.0, height, exclude_min=True, exclude_max=True)
+        trees.append(OrientedUltrametricTree(height, draw(st.lists(depth, max_size=12))))
+    return TreeBatch.from_trees(trees)
+
+
+def _random_batch(n_trees, seed):
+    rng = np.random.default_rng(seed)
+    lens = rng.integers(0, 10, n_trees)
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    heights = rng.choice([1.0, 2.0], n_trees)
+    depths = rng.uniform(0.001, 0.999, offsets[-1]) * np.repeat(heights, lens)
+    return TreeBatch(heights, offsets, depths)
+
+
+class TestArrayWriter:
+    @given(tree_batches(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_renderer(self, batch, stem):
+        assert "".join(newick_chunks(batch, stem)) == _reference_lines(batch, stem)
+
+    @given(tree_batches(), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_per_depth_rows(self, batch, first_rep):
+        assert "".join(csv_chunks(batch, first_rep)) == _reference_csv(batch, first_rep)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        batch = _random_batch(300, seed=1)
+        monkeypatch.setattr(model, "_CHUNK_TIPS", 7)
+        assert len(list(newick_chunks(batch))) > 100
+        for stem in (True, False):
+            assert "".join(newick_chunks(batch, stem)) == _reference_lines(batch, stem)
+        assert "".join(csv_chunks(batch, 11)) == _reference_csv(batch, 11)
+
+    def test_empty_batch(self):
+        batch = TreeBatch([], [0], [])
+        assert list(newick_chunks(batch)) == [] and list(csv_chunks(batch)) == []
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+    def test_caterpillar_matches_reference(self, order):
+        tree = OrientedUltrametricTree(2.0, tuple(np.linspace(1e-3, 1.999, 2999)[::order]))
+        batch = TreeBatch.from_trees([tree, OrientedUltrametricTree(2.0), tree])
+        for stem in (True, False):
+            assert "".join(newick_chunks(batch, stem)) == _reference_lines(batch, stem)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+    def test_long_caterpillar_is_not_quadratic(self, order):
+        depths = np.linspace(1e-3, 1.999, 10**5 - 1)[::order]
+        batch = TreeBatch([2.0], [0, len(depths)], depths)
+        start = time.perf_counter()
+        text = "".join(newick_chunks(batch))
+        assert time.perf_counter() - start < 1.0
+        assert text == _reference_lines(batch, stem=True)
+
+    def test_file_round_trip(self, tmp_path):
+        batch = _random_batch(500, seed=2)
+        path = tmp_path / "trees.nwk"
+        write_newick_file(path, batch)
+        back = read_newick_file(path)
+        assert np.array_equal(back.offsets, batch.offsets)
+        assert_allclose(back.heights, batch.heights, rtol=1e-11)
+        assert_allclose(back.depths, batch.depths, rtol=0, atol=1e-11)
+
+
 class TestCherries:
     def test_single_cherry(self):
         assert count_cherries(OrientedUltrametricTree(1.0, (0.3,))) == 1
@@ -217,6 +347,32 @@ class TestRates:
             PiecewiseConstant((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ModelError):
             PiecewiseConstant((0.0,), (-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rates_finite_and_non_negative(self, bad):
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            PiecewiseConstant((0.0, 1.0), (1.0, bad))
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            AgeDependentRate((0.0,), (0.0, 0.5), ((0.2, bad),))
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            RateModel.constant(bad, 0.5, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_breaks_and_horizon_finite(self, bad):
+        with pytest.raises(ModelError, match="finite and strictly increasing"):
+            PiecewiseConstant((0.0, bad), (1.0, 2.0))
+        with pytest.raises(ModelError, match="finite and strictly increasing"):
+            AgeDependentRate((0.0,), (0.0, bad), ((0.2, 0.7),))
+        with pytest.raises(ModelError, match="T must be finite"):
+            RateModel.constant(1.0, 0.5, bad)
+
+    @pytest.mark.parametrize(
+        "t_breaks, values",
+        [(0, ((0.2,),)), ((), ((0.2,),)), ((0.0,), 5), ((0.0,), (5,)), ((0.0,), (("a",),))],
+    )
+    def test_malformed_grid(self, t_breaks, values):
+        with pytest.raises(ModelError):
+            AgeDependentRate(t_breaks, (0.0,), values)
 
     def test_constant_accessors(self):
         m = RateModel.constant(1.0, 0.4, 2.0)
