@@ -20,10 +20,10 @@ class NonBinaryError(NewickError):
 class NonUltrametricError(NewickError):
     """Tip-to-root distances differ beyond tolerance."""
 
-    def __init__(self, max_deviation):
+    def __init__(self, max_deviation, where: str = ""):
         self.max_deviation = max_deviation
         super().__init__(
-            f"tree is not ultrametric (max relative tip-depth deviation "
+            f"{where}tree is not ultrametric (max relative tip-depth deviation "
             f"{max_deviation:.3g})"
         )
 

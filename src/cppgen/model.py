@@ -575,129 +575,283 @@ def tree_to_newick(tree: OrientedUltrametricTree, stem: bool = False) -> str:
     return "".join(newick_chunks(TreeBatch.from_trees([tree]), stem))[:-1]
 
 
-# Structural characters, or the label-and-length text between them.
-_NEWICK_TOKENS = re.compile(r"[(),;]|[^(),;]+")
+# The one Newick reader: ``read_newick_file`` parses a file a chunk of whole
+# lines at a time, all lines of a chunk at once in arrays (``_read_trees``),
+# and ``newick_to_tree`` is its batch of one.
+#
+# The reader's character classes: the structural characters, the line break
+# between two trees, and the colon before an edge length.  Every other
+# character belongs to a label run.
+_LABEL, _OPEN, _CLOSE, _COMMA, _SEMI, _BREAK, _COLON = range(7)
+_KIND = np.zeros(256, dtype=np.int8)
+_KIND[[ord(c) for c in "(),;\n:"]] = np.arange(_OPEN, _COLON + 1)
+
+# A file is read in chunks of whole lines of about this many characters, so
+# that the arrays of a chunk stay small however long the file is.
+_CHUNK_CHARS = 1 << 16
+
+# Syntax errors by code; 4 and 5 are bad edge lengths.
+_SYNTAX = {1: "expected ')'", 2: "expected ';'", 3: "trailing characters after ';'"}
 
 
-def _scan_newick(text: str, rtol: float, height: Optional[float]):
-    """``(height, depths)`` of one rooted binary ultrametric Newick tree.
-
-    One pass over the tokens, without recursion: nodes are numbered in
-    preorder as they open, with their parent and edge length, and tips and
-    binary nodes (at their comma) are listed left to right.  Root-to-node
-    distances are summed top-down afterwards, once every length is known.
-    Syntax errors raise at once; a tip without a length or a non-binary
-    node raises after the scan, the first such node in preorder first.
-    """
-    tokens = _NEWICK_TOKENS.findall(text.strip())
-    parent: List[int] = []
-    length: List[float] = []
-    tips: List[int] = []
-    splits: List[int] = []
-    stack: List[int] = []  # open internal nodes
-    commas: List[int] = []  # commas seen so far in each open node
-    faults: list = []  # (node, error)
-    at = 0
-
-    def token():
-        return tokens[at] if at < len(tokens) else ""
-
-    def fail(msg: str):
-        pos = sum(len(t) for t in tokens[:at])
-        raise NewickError(f"Newick parse error at position {pos}: {msg}")
-
-    def read_length(node: int, tok: str) -> bool:
-        """Store the edge length in a label run; False if it has none."""
-        _label, colon, num = tok.partition(":")
-        if colon:
+def _floats(texts: List[str]):
+    """``texts`` as floats by the rules of Python's ``float``, and the mask
+    of the texts that are not numbers (NaN in the values)."""
+    try:
+        return np.array(texts, dtype=float), np.zeros(len(texts), dtype=bool)
+    except ValueError:
+        values = np.full(len(texts), np.nan)
+        unparsed = np.zeros(len(texts), dtype=bool)
+        for i, t in enumerate(texts):
             try:
-                length[node] = float(num)
+                values[i] = float(t)
             except ValueError:
-                fail(f"bad edge length {num!r}")
-        return bool(colon)
+                unparsed[i] = True
+        return values, unparsed
 
-    done = False
-    while not done:
-        # A node starts here: an internal node's '(' or a tip's label.
-        tok = token()
-        node = len(parent)
-        parent.append(stack[-1] if stack else -1)
-        length.append(0.0)
-        if tok == "(":
-            stack.append(node)
-            commas.append(0)
-            at += 1
-            continue
-        tips.append(node)
-        if tok in "(),;":  # also the end of the text
-            has_length = False
+
+def _tokens(lines: List[str]):
+    """The tokens of stripped non-blank Newick lines: the structural
+    characters and the label runs between them.
+
+    Returns, by token, its position in the lines joined by line breaks, its
+    kind (``_LABEL`` for a label run), its line and its nesting level (the
+    parentheses open before it); the start of each line; and the tokens with
+    an edge length, their lengths and the mask of lengths that are not
+    numbers.  A length is the text from the first colon of a label run to
+    the run's end (the next token, or the end of the line); all are cut out
+    at once by marking the colons and splitting there.
+    """
+    text = "\n".join(lines)
+    # one code point per element, so that positions count characters
+    encoding = "ascii" if text.isascii() else "utf-32-le"
+    codes = np.frombuffer(text.encode(encoding), np.uint8 if encoding == "ascii" else np.uint32)
+    kind = _KIND[np.minimum(codes, 255)]
+    starts = np.zeros(len(lines), dtype=np.int64)
+    starts[1:] = np.flatnonzero(kind == _BREAK) + 1
+    delim = (kind > _LABEL) & (kind < _COLON)
+    first = ~delim
+    first[1:] &= delim[:-1]  # the first character of a label run
+    pos = np.flatnonzero(first | (delim & (kind != _BREAK)))
+    tk = np.where(delim[pos], kind[pos], _LABEL)
+    line = np.searchsorted(starts, pos, "right") - 1
+    step = (tk == _OPEN).astype(np.int64) - (tk == _CLOSE)
+    level = np.cumsum(step) - step
+
+    colons = np.flatnonzero(kind == _COLON)
+    runs = np.searchsorted(pos, colons, "right") - 1
+    firsts = np.ones(len(runs), dtype=bool)
+    firsts[1:] = runs[1:] != runs[:-1]
+    colons, with_length = colons[firsts], runs[firsts]
+    stops = np.minimum(
+        np.append(pos[1:], len(text))[with_length],
+        np.append(starts[1:] - 1, len(text))[line[with_length]],
+    )
+    marks = np.zeros(len(codes) + 1, dtype=np.int8)
+    marks[colons] = 1
+    marks[stops] = -1
+    cut_out = codes.copy()
+    cut_out[colons] = ord(",")
+    cut_out = cut_out[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
+    values, unparsed = _floats(cut_out.tobytes().decode(encoding).split(",")[1:])
+    return pos, tk, line, level, starts, with_length, values, unparsed
+
+
+def _owners(tk: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """The '(' token that each ')' and ',' belongs to; -1 elsewhere.
+
+    Within one level, in text order, a '(' opening that level is followed
+    by its commas and its ')', so a stable sort by level puts each owner
+    last before them.
+    """
+    is_open = tk == _OPEN
+    paren = np.flatnonzero(is_open | (tk == _CLOSE) | (tk == _COMMA))
+    order = paren[np.argsort(level[paren] + is_open[paren], kind="stable")]
+    latest = np.where(is_open[order], np.arange(len(order)), 0)
+    np.maximum.accumulate(latest, out=latest)
+    owner = np.full(len(tk), -1)
+    owner[order] = order[latest]
+    return owner
+
+
+def _root_distances(level: np.ndarray, parent: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """``dist[v] = dist[parent[v]] + edge[v]`` for nodes given with their
+    nesting level, top-down; a root (level 0) has ``dist = edge``.
+
+    A level is summed at once.  A run of levels with one node each is a
+    path, summed by one running sum, which adds in the same order; so a
+    caterpillar costs a few array operations, not one per level.
+    """
+    order = np.argsort(level, kind="stable")
+    widths = np.bincount(level)
+    bounds = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=bounds[1:])
+    single = widths == 1
+    starts_run = ~single
+    starts_run[1:] |= ~single[:-1]
+    starts_run[:1] = True
+    cuts = [*np.flatnonzero(starts_run).tolist(), len(widths)]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    up, edge, bounds = rank[parent[order]], edge[order], bounds.tolist()
+    dist = np.empty(len(order))  # in level order
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a, b = bounds[lo], bounds[hi]
+        if lo == 0:
+            dist[a:b] = np.add.accumulate(edge[a:b]) if single[0] else edge[a:b]
+        elif single[lo]:
+            dist[a:b] = np.add.accumulate(np.append(dist[up[a]], edge[a:b]))[1:]
         else:
-            has_length = read_length(node, tok)
-            at += 1
-        if not has_length:
-            faults.append((node, NewickError("tip without edge length")))
-        # After a node: close parents, until a comma starts a sibling.
-        while True:
-            tok = token()
-            if tok in (",", ")") and not stack:
-                fail("expected ';'")
-            if tok == ",":
-                commas[-1] += 1
-                if commas[-1] == 1:
-                    splits.append(stack[-1])
-                at += 1
-                break
-            if tok == ")":
-                closed = stack.pop()
-                n_children = commas.pop() + 1
-                if n_children != 2:
-                    faults.append((closed, NonBinaryError(
-                        f"node has {n_children} children; only binary trees supported"
-                    )))
-                at += 1
-                tok = token()
-                if tok not in "(),;":
-                    read_length(closed, tok)
-                    at += 1
-                continue
-            if stack:
-                fail("expected ')'")
-            if tok != ";":
-                fail("expected ';'")
-            at += 1
-            if "".join(tokens[at:]).strip():
-                fail("trailing characters after ';'")
-            done = True
-            break
-
-    if faults:
-        raise min(faults, key=lambda f: f[0])[1]
-    dist = [length[0]] + [0.0] * (len(parent) - 1)
-    for v in range(1, len(parent)):
-        dist[v] = dist[parent[v]] + length[v]
-    tip_dist = [dist[v] for v in tips]
-    span = max(tip_dist)
-    dev = (span - min(tip_dist)) / span if span > 0 else 0.0
-    if dev > rtol:
-        raise NonUltrametricError(dev)
-    if height is None:
-        height = span
-    elif height < span * (1.0 - rtol):
-        raise NewickError(f"explicit height {height} below tip-to-root span {span}")
-    # node depths are measured back from the tips, not from the origin
-    return height, [span - dist[v] for v in splits]
+            dist[a:b] = dist[up[a:b]] + edge[a:b]
+    return dist[rank]
 
 
-def _newick_batch(texts: Iterable[str], rtol: float = 1e-9, height: Optional[float] = None):
-    heights: List[float] = []
-    offsets = [0]
-    depths: List[float] = []
-    for text in texts:
-        h, d = _scan_newick(text, rtol, height)
-        heights.append(h)
-        depths += d
-        offsets.append(len(depths))
-    return TreeBatch(heights, offsets, depths)
+def _read_trees(lines: List[str], rtol: float, height: Optional[float], where):
+    """``(heights, sizes, depths)`` of rooted binary ultrametric Newick
+    trees, one per stripped non-blank line of ``lines``: tree ``i`` has
+    height ``heights[i]`` and the next ``sizes[i]`` entries of ``depths``.
+
+    All lines are parsed at once, in arrays (:func:`_tokens`).  A token is
+    malformed by its nesting level and the token before it: '(' after ')'
+    or after a label, ',' or ')' outside every parenthesis, ';' inside
+    one or not at the end, a line without ';'.  A node is a '(' or a tip;
+    its edge length is the one after its label, and its parent is the owner
+    (:func:`_owners`) of the token after it.  Root distances are summed
+    top-down as ``dist[v] = dist[parent] + length[v]``
+    (:func:`_root_distances`), and a node's depth is the tip-to-root span
+    minus its distance, so that every number is rounded as a per-node walk
+    of the tree would round it.
+
+    The first bad line raises, its message prefixed with ``where(i)`` for
+    line ``i``.  In a line, a syntax error or a bad edge length (not a
+    number, negative or not finite) comes first, then a tip without a
+    length or a node without two children (the first in the line), a
+    non-ultrametric tree, an explicit ``height`` below the span, a missing
+    root edge, and depths outside (0, height).
+    """
+    pos, tk, line, level, starts, with_length, values, unparsed = _tokens(lines)
+    last = np.ones(len(pos), dtype=bool)  # the last token of its line
+    last[:-1] = line[1:] != line[:-1]
+    prev = np.roll(tk, 1)
+    prev[np.roll(last, 1)] = _COMMA  # a line starts as after a comma
+    length = np.zeros(len(pos))
+    length[with_length] = values
+    has_length = np.zeros(len(pos), dtype=bool)
+    has_length[with_length] = True
+
+    # Levels run on across lines.  A well-formed line ends at level 0, so
+    # they are right up to the end of the first malformed line.
+    nested = level > 0
+    err = np.zeros(len(pos), dtype=np.int8)  # a code of _SYNTAX, or 4 or 5
+    misplaced = ((tk == _OPEN) & ((prev == _LABEL) | (prev == _CLOSE))) | (
+        (tk == _SEMI) & nested
+    )
+    err[misplaced] = np.where(nested[misplaced], 1, 2)
+    err[((tk == _COMMA) | (tk == _CLOSE)) & ~nested] = 2
+    err[(tk == _SEMI) & ~nested & ~last] = 3
+    err[with_length[~(values >= 0.0) | (values == np.inf)]] = 5
+    err[with_length[unparsed]] = 4
+    bad_tokens = np.flatnonzero(err)
+    open_ends = np.flatnonzero(last & (tk != _SEMI))  # lines without ';'
+    bad = min(
+        int(line[bad_tokens[0]]) if len(bad_tokens) else len(lines),
+        int(line[open_ends[0]]) if len(open_ends) else len(lines),
+    )
+    error = None
+    if bad < len(lines):
+        tokens = bad_tokens[line[bad_tokens] == bad]
+        if len(tokens):  # before the end of the line
+            code, at = int(err[tokens[0]]), int(pos[tokens[0]] - starts[bad])
+            num = re.match("[^(),;]*", lines[bad][at:]).group().partition(":")[2]
+            msg = _SYNTAX.get(code) or (
+                f"bad edge length {num!r}" if code == 4
+                else f"edge length {num!r} is not finite and >= 0"
+            )
+            at += code == 3
+        else:
+            t = open_ends[np.searchsorted(line[open_ends], bad)]
+            at = len(lines[bad])
+            msg = _SYNTAX[1 if level[t] + (tk[t] == _OPEN) - (tk[t] == _CLOSE) > 0 else 2]
+        error = NewickError(f"{where(bad)}Newick parse error at position {at}: {msg}")
+        if bad == 0:
+            raise error
+
+    # The lines before the first syntax error are well formed and balanced.
+    cut = int(np.searchsorted(line, bad))
+    tk, prev, level, line = tk[:cut], prev[:cut], level[:cut], line[:cut]
+    length, has_length = length[:cut], has_length[:cut]
+    owner = _owners(tk, level)
+    opens = (tk == _OPEN).nonzero()[0]
+    commas = (tk == _COMMA).nonzero()[0]
+    closes = (tk == _CLOSE).nonzero()[0]
+    # A tip is a label run not after ')', or nothing: a ',', ')' or ';'
+    # right after '(', ',' or the start of the line.
+    label_tip = (tk == _LABEL) & (prev != _CLOSE)
+    empty_tip = ((prev == _OPEN) | (prev == _COMMA)) & (tk > _OPEN) & (tk < _BREAK)
+    tips = (label_tip | empty_tip).nonzero()[0]
+    inner = np.zeros(cut, dtype=np.int64)  # the index of each '(' among them
+    inner[opens] = np.arange(len(opens))
+    n_children = np.bincount(inner[owner[commas]], minlength=len(opens)) + 1
+    # The token after a node (and its label) belongs to its parent, or is
+    # the ';' of the root.
+    after = np.empty(len(opens), dtype=np.int64)
+    after[inner[owner[closes]]] = closes + 1
+    open_edge = length[after]  # an internal label's length, or 0
+    open_up = owner[after + (tk[after] == _LABEL)]
+    tip_up = owner[tips + label_tip[tips]]
+    with np.errstate(all="ignore"):
+        dist = _root_distances(level[opens], inner[open_up], open_edge)
+        tip_dist = length[tips]
+        below = tip_up >= 0  # not a single-tip tree
+        tip_dist[below] += dist[inner[tip_up[below]]]
+        tip_starts = np.searchsorted(line[tips], np.arange(bad))
+        span = np.maximum.reduceat(tip_dist, tip_starts)
+        dev = (span - np.minimum.reduceat(tip_dist, tip_starts)) / span
+        dev[~(span > 0)] = 0.0
+        heights = span if height is None else np.full(bad, float(height))
+        depth_line = line[commas]
+        depths = span[depth_line] - dist[inner[owner[commas]]]
+
+    faulty = np.zeros(bad, dtype=bool)
+    tipless = tips[~has_length[tips]]
+    non_binary = opens[n_children != 2]
+    faulty[line[tipless]] = True
+    faulty[line[non_binary]] = True
+    outside = np.zeros(bad, dtype=bool)
+    outside[depth_line[~((depths > 0.0) & (depths < heights[depth_line]))]] = True
+    failed = faulty | ~np.isfinite(span) | (dev > rtol) | ~(heights > 0) | outside
+    if height is not None:
+        failed |= height < span * (1.0 - rtol)
+    if failed.any():
+        i = int(failed.argmax())
+        at = where(i)
+        if faulty[i]:
+            # the first in the line: the tree's first such node in preorder
+            tip_at = tipless[line[tipless] == i][:1]
+            node_at = non_binary[line[non_binary] == i][:1]
+            if not len(node_at) or (len(tip_at) and tip_at[0] < node_at[0]):
+                raise NewickError(f"{at}tip without edge length")
+            k = n_children[inner[node_at[0]]]
+            raise NonBinaryError(f"{at}node has {k} children; only binary trees supported")
+        if not np.isfinite(span[i]):
+            raise NewickError(f"{at}tip-to-root distance is not finite")
+        if dev[i] > rtol:
+            raise NonUltrametricError(float(dev[i]), at)
+        if height is not None and height < span[i] * (1.0 - rtol):
+            raise NewickError(
+                f"{at}explicit height {height} below tip-to-root span {float(span[i])}"
+            )
+        if not heights[i] > 0:
+            raise DomainError(f"{at}height must be > 0")
+        root = opens[(line[opens] == i) & (level[opens] == 0)]
+        if height is None and len(root) and open_edge[inner[root[0]]] == 0.0:
+            raise NewickError(
+                f"{at}tree has no root edge, so its origin is unknown (height= places it)"
+            )
+        raise DomainError(f"{at}all node depths must lie strictly in (0, height)")
+    if error is not None:
+        raise error
+    return heights, np.bincount(depth_line, minlength=bad), depths
 
 
 def newick_to_tree(
@@ -706,13 +860,18 @@ def newick_to_tree(
     """Parse a rooted binary ultrametric Newick tree into depth form.
 
     The tree height is the common tip-to-origin distance, including the root
-    edge when one is present; a stemless tree puts the origin at the root
-    node, which is only valid if the observation time coincides with the
-    deepest coalescence.  Pass ``height`` to place the origin explicitly
-    (e.g. when reading stemless trees whose observation time is known).
-    Non-binary or non-ultrametric input raises.
+    edge.  A tree without a root edge does not fix its origin: pass
+    ``height`` to place it (e.g. the known observation time of stemless
+    trees); without it such a tree raises ``NewickError``.  Non-binary or
+    non-ultrametric input, and negative or non-finite edge lengths, raise.
+    The batch of one of :func:`read_newick_file`.
     """
-    return next(iter(_newick_batch([text], rtol, height)))
+    text = text.strip()
+    if not text:
+        raise NewickError("Newick parse error at position 0: expected ';'")
+    # A line break inside the text acts as any other blank would.
+    heights, _, depths = _read_trees([text.replace("\n", " ")], rtol, height, lambda i: "")
+    return OrientedUltrametricTree(float(heights[0]), tuple(depths.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -857,9 +1016,25 @@ def rate_model_to_json(model: RateModel) -> dict:
 
 
 def read_newick_file(path) -> TreeBatch:
-    """One tree per line, UTF-8; blank lines ignored."""
+    """One tree per line, UTF-8; blank lines ignored.
+
+    The file is parsed in chunks of whole lines of about ``_CHUNK_CHARS``
+    characters, each in arrays.  An error names the file and the 1-based
+    line of the tree.
+    """
+    parts = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))]
     with open(path, encoding="utf-8") as fh:
-        return _newick_batch(line for line in fh if line.strip())
+        first = 1
+        while lines := [line.strip() for line in fh.readlines(_CHUNK_CHARS)]:
+            numbers = [first + i for i, text in enumerate(lines) if text]
+            first += len(lines)
+            if numbers:
+                trees = [text for text in lines if text]
+                parts.append(
+                    _read_trees(trees, 1e-9, None, lambda i: f"{path} line {numbers[i]}: ")
+                )
+    heights, sizes, depths = map(np.concatenate, zip(*parts))
+    return TreeBatch(heights, np.concatenate(([0], np.cumsum(sizes))), depths)
 
 
 def write_newick_file(path, trees: Iterable[OrientedUltrametricTree], stem: bool = True):

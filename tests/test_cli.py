@@ -513,6 +513,19 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Is a directory" in err
 
+    @pytest.mark.parametrize("command", ["likelihood", "fit"])
+    def test_bad_tree_names_its_line(self, capsys, tmp_path, model_path, command):
+        path = tmp_path / "trees.nwk"
+        lines = ["(0:0.5,1:0.5):1.5;"] * 20
+        lines[16] = "(0:0.5,1:0.5)(2:0.5):1.5;"
+        path.write_text("\n".join(lines) + "\n")
+        args = ["--tree", str(path), "--model", model_path] if command == "likelihood" else [
+            "--trees", str(path)
+        ]
+        code, out, err = _run(capsys, command, *args, "--scheme", "full")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path} line 17: Newick parse error at position 13: ")
+
     def test_directory_as_output_file(self, capsys, tmp_path, model_path):
         code, _, err = _run(
             capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",

@@ -3,16 +3,19 @@
 import math
 import re
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cppgen.errors import (
     DomainError,
     ModelError,
+    NewickError,
     NonBinaryError,
     NonUltrametricError,
     SchemeError,
@@ -307,6 +310,295 @@ class TestArrayWriter:
         assert np.array_equal(back.offsets, batch.offsets)
         assert_allclose(back.heights, batch.heights, rtol=1e-11)
         assert_allclose(back.depths, batch.depths, rtol=0, atol=1e-11)
+
+
+_NEWICK_TOKENS = re.compile(r"[(),;]|[^(),;]+")
+
+
+def _reference_scan(text, rtol=1e-9, height=None):
+    """The per-tree scanner that the array reader replaced, kept as its
+    oracle: ``(height, depths)`` of one tree, from one pass over its tokens
+    with a stack of open nodes, root distances summed in preorder."""
+    tokens = _NEWICK_TOKENS.findall(text.strip())
+    parent, length, tips, splits, stack, commas, faults = [], [], [], [], [], [], []
+    at = 0
+
+    def token():
+        return tokens[at] if at < len(tokens) else ""
+
+    def fail(msg):
+        raise NewickError(f"Newick parse error at position {sum(map(len, tokens[:at]))}: {msg}")
+
+    def read_length(node, tok):
+        _label, colon, num = tok.partition(":")
+        if colon:
+            try:
+                length[node] = float(num)
+            except ValueError:
+                fail(f"bad edge length {num!r}")
+        return bool(colon)
+
+    done = False
+    while not done:
+        tok = token()
+        node = len(parent)
+        parent.append(stack[-1] if stack else -1)
+        length.append(0.0)
+        if tok == "(":
+            stack.append(node)
+            commas.append(0)
+            at += 1
+            continue
+        tips.append(node)
+        if tok in "(),;":
+            has_length = False
+        else:
+            has_length = read_length(node, tok)
+            at += 1
+        if not has_length:
+            faults.append((node, NewickError("tip without edge length")))
+        while True:
+            tok = token()
+            if tok in (",", ")") and not stack:
+                fail("expected ';'")
+            if tok == ",":
+                commas[-1] += 1
+                if commas[-1] == 1:
+                    splits.append(stack[-1])
+                at += 1
+                break
+            if tok == ")":
+                closed = stack.pop()
+                n_children = commas.pop() + 1
+                if n_children != 2:
+                    faults.append((closed, NonBinaryError(f"{n_children} children")))
+                at += 1
+                tok = token()
+                if tok not in "(),;":
+                    read_length(closed, tok)
+                    at += 1
+                continue
+            if stack:
+                fail("expected ')'")
+            if tok != ";":
+                fail("expected ';'")
+            at += 1
+            if "".join(tokens[at:]).strip():
+                fail("trailing characters after ';'")
+            done = True
+            break
+    if faults:
+        raise min(faults, key=lambda f: f[0])[1]
+    dist = [length[0]] + [0.0] * (len(parent) - 1)
+    for v in range(1, len(parent)):
+        dist[v] = dist[parent[v]] + length[v]
+    tip_dist = [dist[v] for v in tips]
+    span = max(tip_dist)
+    dev = (span - min(tip_dist)) / span if span > 0 else 0.0
+    if dev > rtol:
+        raise NonUltrametricError(dev)
+    if height is None:
+        height = span
+    elif height < span * (1.0 - rtol):
+        raise NewickError("explicit height below tip-to-root span")
+    return height, [span - dist[v] for v in splits]
+
+
+def _reference_batch(lines, height=None) -> TreeBatch:
+    heights, offsets, depths = [], [0], []
+    for line in lines:
+        if line.strip():
+            h, d = _reference_scan(line, height=height)
+            heights.append(h)
+            depths += d
+            offsets.append(len(depths))
+    return TreeBatch(heights, offsets, depths)
+
+
+def _reference_read(path) -> TreeBatch:
+    with open(path, encoding="utf-8") as fh:
+        return _reference_batch(fh)
+
+
+def _bits(batch: TreeBatch):
+    return [getattr(batch, name).tobytes() for name in ("heights", "offsets", "depths")]
+
+
+def _outcome(read, *args, **kwargs):
+    """The bits of the batch that ``read`` returns, or the class it raises."""
+    try:
+        batch = read(*args, **kwargs)
+    except (NewickError, DomainError) as exc:
+        return type(exc)
+    if isinstance(batch, OrientedUltrametricTree):
+        batch = TreeBatch.from_trees([batch])
+    return _bits(batch)
+
+
+# Label text: anything but the structural characters, the colon and the
+# characters that end a line in a file.
+_labels = st.text(st.characters(blacklist_characters="(),;:\n\r", blacklist_categories=("Cs",)), max_size=4)
+_blanks = st.sampled_from(["", " ", "\t", "  ", "　"])
+
+
+@st.composite
+def newick_lines(draw, stem=True):
+    """The written lines of a random batch, with random tip and internal
+    labels, blanks around lengths and lines, and blank lines between."""
+    batch = draw(tree_batches())
+    text = "".join(newick_chunks(batch, stem))
+    text = re.sub(r"(?m)(?<=[(,])\d+(?=:)|^\d+(?=:)", lambda m: draw(_labels), text)
+    text = re.sub(r"\)(?=:)", lambda m: ")" + draw(_labels), text)
+    text = re.sub(r":([^(),;\n]*)", lambda m: f":{draw(_blanks)}{m[1]}{draw(_blanks)}", text)
+    lines = []
+    for line in text.split("\n")[:-1]:
+        lines += [draw(_blanks) for _ in range(draw(st.integers(0, 2)))]
+        lines.append(draw(_blanks) + line + draw(_blanks))
+    return batch, lines
+
+
+# Each raises the same class from the array reader as from the scanner.
+_MALFORMED = [
+    "((0:1,1:1):1,2:2",  # unbalanced
+    "((0:1,1:1):1,2:2):1",
+    "(0:1,1:1)):1;",
+    ")(0:1,1:1):1;",
+    "(0:1,1:1):1; x",  # trailing text
+    "(0:1,1:1):1;(0:1,1:1):1;",
+    "(0:1,1:1):1;;",  # two ';'
+    "x(0:1,1:1):1;",  # a label before '('
+    "(0:1,1:1)x(2:1,3:1):1;",
+    "(0:1,1:1)(2:1,3:1);",
+    "((0:1):1,1:2):1;",  # unary
+    "();",
+    "(0:1,1:1,2:1):1;",  # ternary
+    "((0:1,1:1,2:1):1,(3:1):1):1;",  # ternary before unary: the first wins
+    "((0,1:1,2:1):1,3:2):1;",  # tipless before non-binary: the first wins
+    "(0,1:1):1;",  # tip without length
+    "(0:1,):1;",
+    ";",
+    "(0:1,1:x):1;",  # bad number
+    "(0:1,1:1:2):1;",
+    "(0:1,1:1):0x1;",
+    "(0:1,1:1):1e;",
+    "(0:0.3,1:0.4):1;",  # not ultrametric
+    "((0:1,1:1):1,2:1):1;",
+    "0:0;",  # zero height
+    "(0:0,1:0):1;",  # a depth at 0
+]
+
+# Rejected only since the array reader: negative or non-finite lengths,
+# and trees without a root edge (no height= given).
+_NEWLY_REJECTED = [
+    "((0:1,1:1):-0.5,2:0.5):2;",
+    "(0:1,1:1):-1;",
+    "(0:nan,1:nan):1;",
+    "(0:1e400,1:1e400):1;",
+    "(0:inf,1:1):1;",
+    "(0:1,1:1);",
+    "(0:1,1:1):0;",
+    "((0:1,1:1):1,2:2) x;",
+]
+
+
+class TestArrayReader:
+    @given(newick_lines(), st.sampled_from([1, 7, 120, 1 << 16]))
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_reference_scanner(self, tmp_path, case, chunk):
+        _, lines = case
+        path = tmp_path / "trees.nwk"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(model, "_CHUNK_CHARS", chunk):
+            assert _outcome(read_newick_file, path) == _outcome(_reference_read, path)
+
+    @given(newick_lines(stem=False))
+    @settings(max_examples=100, deadline=None)
+    def test_stemless_with_height_matches_reference(self, case):
+        batch, lines = case
+        lines = [line for line in lines if line.strip()]
+        for line, height in zip(lines, batch.heights.tolist()):
+            assert _outcome(newick_to_tree, line, height=height) == _outcome(
+                _reference_batch, [line], height=height
+            )
+
+    @pytest.mark.parametrize("text", _MALFORMED)
+    def test_malformed_raises_as_reference(self, tmp_path, text):
+        with pytest.raises((NewickError, DomainError)) as expected:
+            _reference_batch([text])
+        with pytest.raises((NewickError, DomainError)) as raised:
+            newick_to_tree(text)
+        assert type(raised.value) is type(expected.value)
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"(0:1,1:1):1;\n\n {text}\n(0:1,1:1):1;\n")
+        with pytest.raises((NewickError, DomainError)) as raised:
+            read_newick_file(path)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value).startswith(f"{path} line 3: ")
+
+    def test_domain_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        path.write_text("(0:1,1:1):1;\n(0:0,1:0):1;\n")
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))} line 2: "):
+            read_newick_file(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        lines = ["(0:1,1:1):1;"] * 40
+        lines[16] = "(0:0.3,1:0.4):1;"
+        lines[30] = "(0:1,1:1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonUltrametricError) as raised:
+            read_newick_file(path)
+        assert str(raised.value).startswith(f"{path} line 17: tree is not ultrametric")
+        assert raised.value.max_deviation == pytest.approx(0.1 / 1.4)
+
+    @pytest.mark.parametrize("text", _NEWLY_REJECTED)
+    def test_newly_rejected(self, text):
+        with pytest.raises(NewickError) as raised:
+            newick_to_tree(text)
+        assert type(raised.value) is NewickError
+
+    def test_lengths_must_be_finite_and_non_negative(self):
+        with pytest.raises(NewickError, match="position 10: edge length '-0.5' is not finite"):
+            newick_to_tree("((0:1,1:1):-0.5,2:0.5):2;")
+
+    def test_stemless_tree_needs_height(self):
+        with pytest.raises(NewickError, match="no root edge.*height="):
+            newick_to_tree("(0:1,1:1);")
+        tree = newick_to_tree("(0:1,1:1);", height=2.0)
+        assert tree.height == 2.0 and tree.depths == (1.0,)
+
+    def test_zero_lengths_give_tied_depths(self):
+        tree = newick_to_tree("((0:0.5,1:0.5):0,2:0.5):1;")
+        assert tree.height == 1.5 and tree.depths == (0.5, 0.5)
+
+    def test_blank_file(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        path.write_text("\n  \n\t\n")
+        assert read_newick_file(path) == TreeBatch([], [0], [])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+    def test_long_caterpillar_is_not_quadratic(self, tmp_path, order):
+        depths = np.linspace(1e-3, 1.999, 10**5 - 1)[::order]
+        path = tmp_path / "caterpillar.nwk"
+        write_newick_file(path, TreeBatch([2.0], [0, len(depths)], depths))
+        start = time.perf_counter()
+        batch = read_newick_file(path)
+        assert time.perf_counter() - start < 1.0
+        assert _bits(batch) == _bits(_reference_read(path))
+
+    def test_memory_stays_flat(self, tmp_path):
+        path = tmp_path / "trees.nwk"
+        write_newick_file(path, _random_batch(3000, seed=3))
+        tracemalloc.start()
+        try:
+            read_newick_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestCherries:
