@@ -3,19 +3,17 @@
 Stochastic subcommands require ``--seed`` and are bit-reproducible from
 (seed, config).  ``simulate`` draws its replicates in blocks of
 ``SIM_BLOCK``: the seed is split into one stream per block, each block is
-one batched draw into a :class:`~cppgen.model.TreeBatch`, and its lines are
-written before the next block is drawn, so memory holds about one block
-at a time (one more per pool worker).  ``--forward`` runs are not batched
-and come in blocks of ``FORWARD_BLOCK``.  The blocks depend on ``--reps``
-only, so the worker count never changes the output.  With two blocks or
-more, ``--workers`` (or ``CPPGEN_THREADS``) above 1 draws the blocks in a
-process pool.
+one batched draw into a :class:`~cppgen.model.TreeBatch` (forward runs one
+after another with ``--forward``), and its lines are written before the
+next block is drawn, so memory holds about one block at a time.  Every
+block is drawn in this process: each inverse tail inverts exactly, grid
+tails included, so a block of depths costs one vectorized inversion.
+``--workers`` is accepted for old scripts and ignored.
 
-Each command builds the model's inverse tail F once (``kernel.tail_for``);
-``simulate`` hands it to its pool workers once each, through the pool
-initializer.  ``solve_F`` is passed to ``tail_for`` under this module's
-name, so code that patches ``cli.solve_F`` (tests, tracers) sees the solve.
-Output is written a block at a time by ``model.newick_chunks`` or
+Each command builds the model's inverse tail F once (``kernel.tail_for``).
+``solve_F`` is passed to ``tail_for`` under this module's name, so code
+that patches ``cli.solve_F`` (tests, tracers) sees the solve.  Output is
+written a block at a time by ``model.newick_chunks`` or
 ``model.csv_chunks``, which format the whole block from its depth arrays;
 no per-replicate tree object is built.
 
@@ -23,8 +21,6 @@ Importing this module loads no scipy, so a command pays only for what it
 uses.  scipy is imported on first use, once per process: ``scipy.optimize``
 by ``fit``, ``scipy.stats`` and ``scipy.integrate`` by ``validate``, and
 ``scipy.interpolate`` by age-dependent models (``kernel.GridTail``).
-``concurrent.futures.ProcessPoolExecutor`` is imported only when a
-``simulate`` runs its blocks in a pool.
 """
 
 from __future__ import annotations
@@ -32,9 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
-from collections import deque
 from typing import Iterator, List, Optional
 
 from . import __version__
@@ -71,24 +65,12 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CppgenError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_model(path: str) -> RateModel:
     return rate_model_from_json(_read_json(path))
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("CPPGEN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CppgenError(f"CPPGEN_THREADS must be an integer, not {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _parse_init(spec: str) -> dict:
@@ -106,65 +88,17 @@ def _parse_init(spec: str) -> dict:
 
 
 # Replicates per simulation block.  A fixed size, so that the block layout,
-# and with it the output, depends on (seed, --reps) and not on the workers.
+# and with it the output, depends on (seed, --reps) only.
 SIM_BLOCK = 4096
-# Replicates per block of --forward runs.  A forward run is not batched and
-# costs from 0.2 ms (F(T) = 4.4) to seconds, so its blocks are small enough
-# to spread a few hundred replicates over the pool.
-FORWARD_BLOCK = 32
-
-# The per-command simulation job (F, k, forward model) in a pool worker.
-_JOB = None
 
 
-def _init_worker(job):
-    global _JOB
-    _JOB = job
-
-
-def _simulate_pooled(block):
-    return _simulate_block(_JOB, *block)
-
-
-def _simulate_block(job, seq, reps: int) -> TreeBatch:
-    """``reps`` replicates from split stream ``seq``: one batched draw of CPP
-    trees from ``F`` (de Finetti k-samples when ``k`` is set), or forward
-    runs of ``forward_model`` one after another when that is set."""
-    F, k, forward_model = job
-    rng = RandomStream(seq)
-    if forward_model is not None:
-        return TreeBatch.from_trees(simulate_forward(forward_model, rng) for _ in range(reps))
-    if k is None:
-        return simulate_cpp_many(F, reps, rng)
-    return definetti_sample_many(F, k, reps, rng)[1]
-
-
-def _simulated_blocks(job, reps: int, seed: int, workers: int) -> Iterator[TreeBatch]:
-    """The blocks of ``reps`` replicates, in order: ``FORWARD_BLOCK``
-    replicates each for forward runs, else ``SIM_BLOCK``.  With two blocks or
-    more and ``workers`` > 1 they are drawn in a pool, at most ``workers``
-    ahead of the block being consumed."""
-    size = FORWARD_BLOCK if job[2] is not None else SIM_BLOCK
-    n_blocks = -(-reps // size)
-    streams = RandomStream(seed).split(n_blocks)
-    blocks = [(s._seq, min(size, reps - b * size)) for b, s in enumerate(streams)]
-    if workers < 2 or n_blocks < 2:
-        for block in blocks:
-            yield _simulate_block(job, *block)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(workers, n_blocks)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(job,)
-    ) as pool:
-        pending = deque()
-        for block in blocks:
-            pending.append(pool.submit(_simulate_pooled, block))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+def _simulated_blocks(draw, reps: int, seed: int) -> Iterator[TreeBatch]:
+    """The blocks of ``reps`` replicates, in order: ``SIM_BLOCK`` each but the
+    last, block b drawn by ``draw(n, stream)`` from the b-th split stream of
+    ``seed``."""
+    streams = RandomStream(seed).split(-(-reps // SIM_BLOCK))
+    for b, rng in enumerate(streams):
+        yield draw(min(SIM_BLOCK, reps - b * SIM_BLOCK), rng)
 
 
 def _write_block(fh, batch: TreeBatch, fmt: str, first_rep: int):
@@ -179,7 +113,6 @@ def _write_block(fh, batch: TreeBatch, fmt: str, first_rep: int):
 def cmd_simulate(args) -> int:
     if args.reps < 0:
         raise DomainError(f"--reps must be >= 0, not {args.reps}")
-    workers = _workers(args)
     model = _load_model(args.model)
     scheme = parse_scheme(args.scheme)
     if scheme.variant == "bernoulli" and scheme.y is None:
@@ -187,22 +120,31 @@ def cmd_simulate(args) -> int:
     if args.forward:
         if scheme.variant != "full":
             raise CppgenError(f"--forward simulates the full scheme only, not {scheme.describe()}")
-        job = (None, None, model)
+
+        def draw(n, rng):
+            return TreeBatch.from_trees(simulate_forward(model, rng) for _ in range(n))
+
     else:
         F = tail_for(model, args.step, solve=solve_F)
         if scheme.variant == "bernoulli":
             F = thinned_inverse_tail(F, scheme.y)
         if scheme.variant == "uniform_k":
             MixtureParams.from_tail(F, scheme.k)  # DomainError for a degenerate F(T)
-            job = (F, scheme.k, None)
+
+            def draw(n, rng):
+                return definetti_sample_many(F, scheme.k, n, rng)[1]
+
         else:
             check_expected_tips(F, args.reps)
-            job = (F, None, None)
+
+            def draw(n, rng):
+                return simulate_cpp_many(F, n, rng)
+
     with _output(args.out) as fh:
         if args.format == "csv":
             fh.write("rep,index,depth\n")
         first_rep = 0
-        for batch in _simulated_blocks(job, args.reps, args.seed, workers):
+        for batch in _simulated_blocks(draw, args.reps, args.seed):
             _write_block(fh, batch, args.format, first_rep)
             first_rep += len(batch)
     return 0
@@ -285,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the forward event-by-event simulator (full scheme only)",
     )
-    sim.add_argument("--workers", type=int, default=None)
+    sim.add_argument("--workers", type=int, default=None, help="ignored; accepted for old scripts")
     sim.set_defaults(func=cmd_simulate)
 
     lik = sub.add_parser("likelihood", help="log-likelihood of Newick trees")

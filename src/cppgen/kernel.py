@@ -11,7 +11,9 @@ born at time t.  Where death does not depend on age, F has an exact form:
 constant rates give the closed form (``ClosedFormTail``), and piecewise-constant
 lambda(t), mu(t) give a sum of exponentials (``PiecewiseTail``).  Both have an
 exact inverse.  Only age-dependent death needs the Volterra solver
-(``solve_F``), whose ``GridTail`` is inverted by bisection.  ``tail_for`` picks
+(``solve_F``), whose ``GridTail`` interpolates F between grid nodes by a
+monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
+every tail inverts exactly what its ``value`` evaluates.  ``tail_for`` picks
 the right one for a model.
 
 The death rate is piecewise constant on time cells, and on each time cell q
@@ -29,7 +31,6 @@ age factor is one vector per time cell and the birth factor one table, so
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +112,9 @@ def closed_form_dF(lam: float, mu: float, t):
 class InverseTail:
     """Common interface: a nondecreasing F on [0, T] with F(0) = 1.
 
-    A tail with an exact inverse also has ``inverse(targets)``, the smallest
-    t in [0, T] with F(t) = target; ``invert_tail`` uses it when present.
-    Tails closed under Bernoulli thinning have ``thinned(y)``.
+    ``inverse(targets)`` is exact: the smallest t with F(t) = target,
+    clipped to [0, T].  Tails closed under Bernoulli thinning have
+    ``thinned(y)``.
     """
 
     T: float
@@ -122,6 +123,9 @@ class InverseTail:
         raise NotImplementedError
 
     def deriv(self, t):
+        raise NotImplementedError
+
+    def inverse(self, targets):
         raise NotImplementedError
 
 
@@ -258,6 +262,13 @@ class PiecewiseTail(InverseTail):
         return np.clip(self._knots[j] + dt, 0.0, self.T)
 
 
+# GridTail.inverse stops once no Newton step moves a depth by more than
+# _NEWTON_TOL * T, about three steps on the solver's grids; the cap only
+# bounds the loop.
+_NEWTON_TOL = 4 * np.finfo(float).eps
+_NEWTON_MAX_STEPS = 64
+
+
 @dataclass(frozen=True)
 class GridTail(InverseTail):
     """Grid-backed F with shape-preserving (monotone cubic) interpolation."""
@@ -293,6 +304,7 @@ class GridTail(InverseTail):
         interp = PchipInterpolator(ts, vals, extrapolate=False)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_dinterp", interp.derivative())
+        object.__setattr__(self, "_vals", vals)
 
     def value(self, t):
         out = self._interp(np.asarray(t, dtype=float))
@@ -307,6 +319,40 @@ class GridTail(InverseTail):
     def thinned(self, y: float) -> "GridTail":
         vals = 1.0 - y + y * np.asarray(self.values)
         return GridTail(self.ts, tuple(vals), self.T)
+
+    def inverse(self, targets):
+        """Exact inverse of the interpolant ``value`` evaluates; clipped to [0, T].
+
+        A target u in (F(t_i), F(t_{i+1})] lies in grid cell i, found by
+        ``searchsorted`` on the node values, so a target on a flat stretch
+        (lambda = 0) maps to the smallest t.  On the cell, F is the PCHIP cubic
+        p(s) = ((c0 s + c1) s + c2) s + c3 in s = t - t_i, and Newton's method
+        solves p(s) = u from linear interpolation between the cell's nodes.  A
+        step that leaves the bracket of the iterates so far, which starts as the
+        cell, is replaced by the bracket's midpoint.  The iterates settle to a
+        few ulps of T after about three steps.
+        """
+        u = np.asarray(targets, dtype=float)
+        x, c, v = self._interp.x, self._interp.c, self._vals
+        i = np.clip(np.searchsorted(v, u, side="left") - 1, 0, len(x) - 2)
+        c0, c1, c2, c3 = c[:, i]
+        h = x[i + 1] - x[i]
+        v0, v1 = v[i], v[i + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = h * np.where(u <= v0, 0.0, np.where(u >= v1, 1.0, (u - v0) / (v1 - v0)))
+        lo, hi = np.zeros(u.shape), h
+        for _ in range(_NEWTON_MAX_STEPS):
+            p = ((c0 * s + c1) * s + c2) * s + c3 - u
+            lo = np.where(p < 0, s, lo)
+            hi = np.where(p < 0, hi, s)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = s - p / ((3.0 * c0 * s + 2.0 * c1) * s + c2)
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            moved = np.abs(new - s)
+            s = new
+            if not np.any(moved > _NEWTON_TOL * self.T):
+                break
+        return np.clip(x[i] + s, 0.0, self.T)
 
 
 def _entry_hazard(cells, births) -> np.ndarray:
@@ -486,22 +532,6 @@ def survival_a(F: InverseTail) -> float:
     return 1.0 - 1.0 / float(F.value(F.T))
 
 
-def invert_tail(F: InverseTail, targets, tol: float = 1e-12):
-    """Solve F(t) = target for each target in [1, F(T)].
-
-    Uses the tail's exact ``inverse`` when it has one; otherwise (grid tails)
-    vectorized bisection, ~40 halvings bringing the bracket below ``tol`` in t.
-    """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    inverse = getattr(F, "inverse", None)
-    if inverse is not None:
-        return inverse(targets)
-    lo = np.zeros(targets.shape)
-    hi = np.full(targets.shape, float(F.T))
-    n_iter = max(1, math.ceil(math.log2(max(F.T / tol, 2.0))))
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        too_low = np.asarray(F.value(mid)) < targets
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    return 0.5 * (lo + hi)
+def invert_tail(F: InverseTail, targets):
+    """The smallest t in [0, T] with F(t) = target, for each target in [1, F(T)]."""
+    return F.inverse(np.atleast_1d(np.asarray(targets, dtype=float)))

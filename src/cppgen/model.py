@@ -1023,16 +1023,19 @@ def read_newick_file(path) -> TreeBatch:
     line of the tree.
     """
     parts = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    with open(path, encoding="utf-8") as fh:
-        first = 1
-        while lines := [line.strip() for line in fh.readlines(_CHUNK_CHARS)]:
-            numbers = [first + i for i, text in enumerate(lines) if text]
-            first += len(lines)
-            if numbers:
-                trees = [text for text in lines if text]
-                parts.append(
-                    _read_trees(trees, 1e-9, None, lambda i: f"{path} line {numbers[i]}: ")
-                )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = 1
+            while lines := [line.strip() for line in fh.readlines(_CHUNK_CHARS)]:
+                numbers = [first + i for i, text in enumerate(lines) if text]
+                first += len(lines)
+                if numbers:
+                    trees = [text for text in lines if text]
+                    parts.append(
+                        _read_trees(trees, 1e-9, None, lambda i: f"{path} line {numbers[i]}: ")
+                    )
+    except UnicodeDecodeError as exc:
+        raise NewickError(f"{path} is not UTF-8 text ({exc.reason})") from None
     heights, sizes, depths = map(np.concatenate, zip(*parts))
     return TreeBatch(heights, np.concatenate(([0], np.cumsum(sizes))), depths)
 

@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line interface."""
 
-import concurrent.futures
 import json
 import math
 import tracemalloc
@@ -178,7 +177,8 @@ class TestSimulate:
         assert solve_calls == []
 
     def test_age_dependent_worker_count_invariance(self, capsys, ad_path):
-        # the pool initializer ships the solved GridTail to each worker
+        # --workers is accepted and ignored: the grid tail is solved and
+        # inverted in this process either way
         outs = []
         for workers in ("1", "2"):
             code, out, _ = _run(
@@ -192,7 +192,8 @@ class TestSimulate:
 
 class TestSimulationBlocks:
     """``simulate`` draws fixed-size blocks; a block size of 5 makes 12
-    replicates three blocks, drawn in a pool when there are workers."""
+    replicates three blocks, forward runs included, whatever ``--workers``
+    says."""
 
     @pytest.mark.parametrize(
         "model, scheme, extra",
@@ -208,7 +209,6 @@ class TestSimulationBlocks:
         self, capsys, monkeypatch, model_path, ad_path, model, scheme, extra
     ):
         monkeypatch.setattr(cli, "SIM_BLOCK", 5)
-        monkeypatch.setattr(cli, "FORWARD_BLOCK", 5)
         path = model_path if model == "const" else ad_path
         outs = []
         for workers in ("1", "3", "1"):
@@ -220,31 +220,6 @@ class TestSimulationBlocks:
             outs.append(out)
         assert len(outs[0].splitlines()) == 12
         assert outs[0] == outs[1] == outs[2]
-
-    def test_pool_only_for_two_blocks_or_more(self, capsys, monkeypatch, model_path):
-        # cli imports ProcessPoolExecutor from concurrent.futures when it
-        # starts a pool, so the pool is recorded where it is looked up
-        pools = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(cli, "SIM_BLOCK", 5)
-        argv = ["simulate", "--model", model_path, "--scheme", "full", "--seed", "1"]
-        assert _run(capsys, *argv, "--reps", "5", "--workers", "3")[0] == 0
-        assert _run(capsys, *argv, "--reps", "12", "--workers", "1")[0] == 0
-        assert pools == []
-        assert _run(capsys, *argv, "--reps", "6", "--workers", "3")[0] == 0
-        assert pools == [2]  # no more workers than blocks
-        # forward runs come in blocks of FORWARD_BLOCK = 32, not SIM_BLOCK
-        monkeypatch.setattr(cli, "SIM_BLOCK", 4096)
-        assert _run(capsys, *argv, "--forward", "--reps", "32", "--workers", "2")[0] == 0
-        assert pools == [2]
-        assert _run(capsys, *argv, "--forward", "--reps", "33", "--workers", "2")[0] == 0
-        assert pools == [2, 2]
 
     def test_csv_replicate_index_runs_across_blocks(self, capsys, monkeypatch, model_path):
         monkeypatch.setattr(cli, "SIM_BLOCK", 2)
@@ -526,6 +501,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path} line 17: Newick parse error at position 13: ")
 
+    @pytest.mark.parametrize("command", ["likelihood", "fit", "dump-f", "fit-bounds"])
+    def test_input_not_utf8(self, capsys, tmp_path, model_path, trees_path, command):
+        trees = tmp_path / "latin1.nwk"
+        trees.write_bytes(b"(0:0.5,1:0.5):1.5;\n\xff(0:0.5,1:0.5):1.5;\n")
+        model = tmp_path / "latin1.json"
+        model.write_bytes(b'{"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": 2.0\xff}')
+        argv, bad = {
+            "likelihood": (
+                ["likelihood", "--tree", str(trees), "--model", model_path, "--scheme", "full"],
+                trees,
+            ),
+            "fit": (["fit", "--trees", str(trees), "--scheme", "full"], trees),
+            "dump-f": (["dump-f", "--model", str(model)], model),
+            "fit-bounds": (
+                ["fit", "--trees", trees_path, "--scheme", "full", "--bounds", str(model)],
+                model,
+            ),
+        }[command]
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} is not ")
+
     def test_directory_as_output_file(self, capsys, tmp_path, model_path):
         code, _, err = _run(
             capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",
@@ -556,16 +553,6 @@ class TestExitCodes:
         code, _, err = _run(capsys, "fit", "--trees", trees_path, "--scheme", "full", "--init", init)
         assert code == 2
         assert err.startswith("error: ") and message in err
-
-    def test_non_integer_thread_count(self, capsys, monkeypatch, model_path):
-        monkeypatch.setenv("CPPGEN_THREADS", "x")
-        code, out, err = _run(
-            capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",
-            "--seed", "0",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: CPPGEN_THREADS must be an integer")
 
     def test_negative_reps(self, capsys, model_path):
         argv = ["simulate", "--model", model_path, "--scheme", "full", "--seed", "0"]

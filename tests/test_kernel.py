@@ -449,10 +449,69 @@ class TestClosedFormInverse:
         targets = np.linspace(1.0, F.value(2.0), 50)
         assert np.array_equal(invert_tail(F, targets), F.inverse(targets))
 
-    def test_grid_tail_still_bisected(self):
-        F = solve_F(RateModel.constant(1.0, 0.5, 2.0), 1e-2)
-        targets = np.linspace(1.001, F.value(2.0) - 1e-6, 50)
-        assert_allclose(F.value(invert_tail(F, targets)), targets, rtol=1e-10)
+
+# lambda = 0 on model times [0.5, 1), so F is flat on reverse times [1, 1.5].
+AD_GAP_MODEL = RateModel.age_dependent(
+    lam=PiecewiseConstant((0.0, 0.5, 1.0), (1.0, 0.0, 1.2)),
+    mu=AgeDependentRate((0.0,), (0.0, 0.5), ((0.2, 0.7),)),
+    T=2.0,
+)
+
+
+def _bisect(F, targets, tol=1e-12):
+    """The bisection ``invert_tail`` used for grid tails before they had an
+    exact inverse: about 40 halvings of [0, T], kept as the oracle."""
+    targets = np.asarray(targets, dtype=float)
+    lo = np.zeros(targets.shape)
+    hi = np.full(targets.shape, float(F.T))
+    for _ in range(max(1, math.ceil(math.log2(max(F.T / tol, 2.0))))):
+        mid = 0.5 * (lo + hi)
+        too_low = np.asarray(F.value(mid)) < targets
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestGridTailInverse:
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    def test_round_trip(self, step):
+        F = solve_F(AD_MODEL, step)
+        t = np.linspace(0.0, 2.0, 4001)
+        assert_allclose(F.inverse(F.value(t)), t, rtol=0, atol=1e-12)
+        assert_allclose(F.inverse([1.0, F.value(F.T)]), [0.0, F.T], rtol=0, atol=1e-12)
+        assert F.inverse([1.0])[0] == 0.0
+
+    def test_thinned_round_trip(self):
+        F = solve_F(AD_MODEL, 1e-2).thinned(0.3)
+        t = np.linspace(0.0, 2.0, 4001)
+        assert_allclose(F.inverse(F.value(t)), t, rtol=0, atol=1e-12)
+        assert_allclose(F.inverse([1.0, F.value(F.T)]), [0.0, F.T], rtol=0, atol=1e-12)
+
+    def test_flat_cells_map_to_smallest_t(self):
+        F = solve_F(AD_GAP_MODEL, 1e-2)
+        flat = np.linspace(1.0, 1.5, 51)
+        assert np.all(F.value(flat) == F.value(1.0))
+        assert_allclose(F.inverse(F.value(flat)), 1.0, rtol=0, atol=1e-12)
+        rising = np.concatenate([np.linspace(0.0, 1.0, 501), np.linspace(1.5, 2.0, 501)[1:]])
+        assert_allclose(F.inverse(F.value(rising)), rising, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, step, y",
+        [
+            (AD_MODEL, 1e-2, 1.0),
+            (AD_MODEL, 1e-3, 1.0),
+            (AD_MODEL, 1e-2, 0.3),
+            (AD_GAP_MODEL, 1e-2, 1.0),
+        ],
+        ids=["step-1e-2", "step-1e-3", "thinned", "flat-window"],
+    )
+    def test_matches_bisection_oracle(self, model, step, y):
+        F = solve_F(model, step).thinned(y)
+        targets = np.concatenate(
+            [np.linspace(1.0, F.value(F.T), 997), 1.0 / np.random.default_rng(5).uniform(size=500)]
+        )
+        targets = targets[targets <= F.value(F.T)]
+        assert_allclose(invert_tail(F, targets), _bisect(F, targets), rtol=0, atol=1e-12)
 
 
 class TestPiecewiseTail:
