@@ -53,8 +53,9 @@ class InsufficientTipsError(CppgenError):
 class TieError(CppgenError):
     """Divided-difference evaluation requested with (near-)tied arguments.
 
-    Perturb the inputs (e.g. by 1e-6 * T) or fall back to the brute-force
-    enumeration, which has no distinctness requirement.
+    Raised only by the divided-difference side of
+    ``ksample.power_sum_identity``; the joint law with unsampled tips is a
+    power-series coefficient and has no distinctness requirement.
     """
 
 

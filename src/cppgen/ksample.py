@@ -3,8 +3,10 @@
 The k-sample tree is a mixture of Bernoulli-sampled CPPs over an explicit
 mixing density for the sampling probability y.  This module provides that
 density and its exact sampler, the two-stage (de Finetti) tree sampler, the
-joint distribution function of node depths on {N = k+m} together with its
-brute-force enumeration twin, and all likelihood variants.
+joint law of node depths and the number m of unsampled tips (one coefficient
+of a power series with positive terms; the enumerations
+:func:`joint_df_bruteforce` and :func:`power_sum_identity` stay as its test
+references), and all likelihood variants.
 
 All likelihoods are computed in log space.  :func:`loglik` evaluates a
 whole :class:`~cppgen.model.TreeBatch` under any scheme; the per-tree
@@ -45,7 +47,6 @@ __all__ = [
     "full_loglikelihood",
     "full_likelihood",
     "bernoulli_loglikelihood",
-    "bernoulli_likelihood",
     "ksample_loglikelihood",
     "ksample_loglikelihoods",
     "ksample_likelihood",
@@ -256,10 +257,6 @@ def bernoulli_loglikelihood(
     return full_loglikelihood(tree, thinned_inverse_tail(F, y), oriented, conditional)
 
 
-def bernoulli_likelihood(tree, F, y, oriented: bool = True, conditional: bool = False):
-    return math.exp(bernoulli_loglikelihood(tree, F, y, oriented, conditional))
-
-
 def _logsumexp0(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over axis 0, as ``scipy.special.logsumexp``: the
     column maximum is taken out of the sum, which enters through ``log1p``.
@@ -379,49 +376,53 @@ def _depth_probs(k: int, x: Sequence[float], F: InverseTail):
     return p0, pi
 
 
+def _log_series_coef(p: np.ndarray, m: int) -> float:
+    """log [z^m] prod_j 1 / (1 - p_j z), p_j in [0, 1); a p listed twice
+    squares its factor.  Row n holds [z^n] of the product over each prefix
+    of p: the cumulative sum of p times row n-1, positive terms only, so
+    ties cost no accuracy.  Each row is divided by its last (largest) entry,
+    whose log is summed exactly at the end, so nothing overflows.
+    O(len(p) m).
+    """
+    row = np.ones(len(p))
+    tops = np.empty(m)
+    for n in range(m):
+        row = np.cumsum(p * row)
+        tops[n] = row[-1]
+        if tops[n] == 0.0:
+            return -math.inf
+        row /= tops[n]
+    return math.fsum(np.log(tops))
+
+
 def joint_df(k: int, m: int, x: Sequence[float], F: InverseTail) -> float:
     """P(N = k+m, H'_1 < x_1, ..., H'_{k-1} < x_{k-1}) for the k-sample.
 
-    Closed-form divided-difference evaluation; requires the p_i pairwise
-    distinct and distinct from p_0 = P(H < T) (raises TieError otherwise).
-    Accumulation is in extended precision to tame the cancellation in the
-    divided-difference sum.
+    With p_0 = P(H < T) and p_i = P(H < x_i), this is (1 - p_0) / C(m+k, k)
+    * prod_i p_i * [z^m] (1 - p_0 z)^{-2} prod_i (1 - p_i z)^{-1}, one
+    :func:`_log_series_coef`: exact for tied p_i, O(k m).
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    p0_f, pi_f = _depth_probs(k, x, F)
-    if k == 1:
-        return float((1.0 - p0_f) * p0_f**m)
-    p0 = np.longdouble(p0_f)
-    p = np.asarray(pi_f, dtype=np.longdouble)
-    diffs = p[:, None] - p[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    if float(np.abs(diffs).min()) < TIE_TOL or float(np.abs(p - p0).min()) < TIE_TOL:
-        raise TieError(
-            "p_i values closer than 1e-8; perturb depths (e.g. by 1e-6*T) or "
-            "use joint_df_bruteforce"
-        )
-    denom = diffs.prod(axis=1)
-    num = p ** (m + 2) - (m + 2) * p * p0 ** (m + 1) + (m + 1) * p0 ** (m + 2)
-    total = np.sum(p ** (k - 2) / denom * num / (p - p0) ** 2)
-    out = (1.0 - p0) / np.longdouble(math.comb(m + k, k)) * p.prod() * total
-    return float(out)
+    p0, pi = _depth_probs(k, x, F)
+    log_c = _log_series_coef(np.append(pi, [p0, p0]), m)
+    return (1.0 - p0) * float(np.prod(pi)) * math.exp(log_c - math.log(math.comb(m + k, k)))
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+@lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All tuples of `parts` nonnegative integers summing to `total`, one per
+    row of a read-only int array: the gaps between parts-1 bars placed, in
+    ``itertools.combinations`` order, among total+parts-1 slots.  The
+    callers' size guard bounds the cache."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
+        out = np.zeros((int(total == 0), 0), dtype=np.int64)
+    else:
+        slots = total + parts - 1
+        bars = np.array(list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64)
+        out = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    out.setflags(write=False)
+    return out
 
 
 def _guard(k: int, m: int):
@@ -431,19 +432,15 @@ def _guard(k: int, m: int):
 
 def joint_df_bruteforce(k: int, m: int, x: Sequence[float], F: InverseTail) -> float:
     """Same probability as :func:`joint_df`, by explicit enumeration of the
-    unsampled-tip configurations; no distinctness requirement."""
+    unsampled-tip configurations: the reference that criterion 2 of
+    :mod:`cppgen.validate` compares :func:`joint_df` with."""
     if m < 0:
         raise DomainError("m must be >= 0")
     _guard(k, m)
     p0, pi = _depth_probs(k, x, F)
     total = 0.0
     for mk in range(m + 1):
-        inner = 0.0
-        for cfg in _compositions(m - mk, k - 1):
-            term = 1.0
-            for p, mi in zip(pi, cfg):
-                term *= p ** (mi + 1)
-            inner += term
+        inner = np.prod(pi ** (_compositions(m - mk, k - 1) + 1), axis=1).sum()
         total += (mk + 1) * p0**mk * inner
     return float((1.0 - p0) / math.comb(m + k, k) * total)
 
@@ -455,26 +452,20 @@ def likelihood_with_missing(
     m: int,
     oriented: bool = True,
 ) -> float:
-    """Likelihood of a k-tip tree jointly with {N = k+m}, by enumeration.
-
-    Reference implementation for small m: the configuration sum grows
-    combinatorially and is guarded accordingly.
+    """Likelihood of a k-tip tree jointly with {N = k+m}: the full
+    likelihood / C(m+k, k) * [z^m] prod_{i=0}^{k-1} (1 - p_i z)^{-2}, with
+    p_0 = P(H < T) and p_i = P(H < x_i) at the depths, by
+    :func:`_log_series_coef` in O(k m).  Summed over m it gives
+    P(N >= k) = a^{k-1} times the k-sample likelihood.
     """
     if tree.n_tips != k:
         raise DomainError(f"tree has {tree.n_tips} tips, expected k={k}")
     if m < 0:
         raise DomainError("m must be >= 0")
-    _guard(k, m)
     log_l = full_loglikelihood(tree, F, oriented)
-    d = np.asarray(tree.depths)
-    p = np.append(1.0 - 1.0 / np.asarray(F.value(d)) if d.size else [], survival_a(F))
-    total = 0.0
-    for cfg in _compositions(m, k):
-        term = 1.0
-        for pi, mi in zip(p, cfg):
-            term *= (mi + 1) * pi**mi
-        total += term
-    return math.exp(log_l) * total / math.comb(m + k, k)
+    p0, pi = _depth_probs(k, tree.depths, F)
+    log_c = _log_series_coef(np.repeat(np.append(pi, p0), 2), m)
+    return math.exp(log_l + log_c - math.log(math.comb(m + k, k)))
 
 
 def power_sum_identity(p: Sequence[float], m: int) -> Tuple[float, float]:
@@ -482,7 +473,8 @@ def power_sum_identity(p: Sequence[float], m: int) -> Tuple[float, float]:
 
     lhs: sum over compositions (m_1..m_n) of m of prod p_i^{m_i}, by
     enumeration.  rhs: sum_i p_i^{m+n-1} / prod_{j != i}(p_i - p_j), in
-    extended precision.  Exposed publicly as a test helper.
+    extended precision.  Exposed publicly as a test helper: the reference
+    of criterion 3 of :mod:`cppgen.validate`.
     """
     p_arr = np.asarray(p, dtype=np.longdouble)
     n = len(p_arr)
@@ -491,11 +483,6 @@ def power_sum_identity(p: Sequence[float], m: int) -> Tuple[float, float]:
     np.fill_diagonal(diffs, 1.0)
     if n > 1 and float(np.abs(diffs).min()) < TIE_TOL:
         raise TieError("p values closer than 1e-8")
-    lhs = np.longdouble(0.0)
-    for cfg in _compositions(m, n):
-        term = np.longdouble(1.0)
-        for pi, mi in zip(p_arr, cfg):
-            term *= pi**mi
-        lhs += term
+    lhs = np.prod(p_arr ** _compositions(m, n), axis=1).sum()
     rhs = np.sum(p_arr ** (m + n - 1) / diffs.prod(axis=1))
     return float(lhs), float(rhs)

@@ -22,6 +22,7 @@ from cppgen.errors import (
 from cppgen.kernel import ClosedFormTail, node_depth_density_f, survival_a
 from cppgen.ksample import (
     MixtureParams,
+    _log_series_coef,
     definetti_sample,
     definetti_sample_many,
     bernoulli_loglikelihood,
@@ -392,17 +393,26 @@ class TestJointDistribution:
                 joint_df(1, m, [], F_STD), (1.0 - A_STD) * A_STD**m, rtol=1e-14
             )
 
-    def test_tied_depths_raise(self):
-        with pytest.raises(TieError):
-            joint_df(3, 2, [0.5, 0.5 + 1e-12], F_STD)
+    def test_ties_match_enumeration(self):
+        # equal p_i, p_i 1e-12 apart and p_i -> p_0 (a bound near T)
+        for x in ([0.5, 0.5], [0.5, 0.5 + 1e-12], [1.0, 2.0 - 1e-12]):
+            assert_allclose(
+                joint_df(3, 4, x, F_STD), joint_df_bruteforce(3, 4, x, F_STD), rtol=1e-13
+            )
+
+    def test_series_coefficient_at_large_m(self):
+        # K equal factors: [z^m] (1 - p z)^{-K} = C(m+K-1, K-1) p^m
+        m = 10**4
+        for K, p in ((100, 0.3), (2, 0.999)):
+            expect = math.log(math.comb(m + K - 1, K - 1)) + m * math.log(p)
+            assert abs(_log_series_coef(np.full(K, p), m) - expect) < 1e-10
 
     def test_enumeration_guard(self):
         with pytest.raises(SizeGuardError):
             joint_df_bruteforce(3, 40, [0.4, 0.9], F_STD)
 
     def test_near_boundary_depths(self):
-        # p_i approaches p_0 as the bound approaches T; the extended-precision
-        # accumulation keeps the cancellation in check well past 1e-4 of T
+        # p_i approaches p_0 as the bound approaches T
         x = np.array([1.0, 2.0 - 1e-4])
         got = joint_df(3, 4, x, F_STD)
         ref = joint_df_bruteforce(3, 4, x, F_STD)
@@ -440,6 +450,16 @@ class TestMissingTips:
         target = A_STD * ksample_likelihood(tree, F_STD, 2)
         tail_bound = 3 * likelihood_with_missing(tree, F_STD, 2, 12) / (1 - A_STD)
         assert partial < target < partial + tail_bound
+        # the mixture theorem to rounding, beyond the oracles' enumeration
+        # guard (m <= 12, k <= 8); the terms decay like a^m, so those past
+        # m = 400 are negligible
+        for depths in ((0.3,), (0.3, 1.2, 0.01, 1.9, 0.8, 0.5, 1.1, 0.2, 1.5)):
+            tree = OrientedUltrametricTree(2.0, depths)
+            k = tree.n_tips
+            terms = [likelihood_with_missing(tree, F_STD, k, m) for m in range(400)]
+            total = math.fsum(terms)
+            target = A_STD ** (k - 1) * ksample_likelihood(tree, F_STD, k)
+            assert_allclose(total, target, rtol=1e-9)
 
 
 class TestPowerSumIdentity:
