@@ -155,6 +155,38 @@ class ClosedFormTail(InverseTail):
     def deriv(self, t):
         return self.y * closed_form_dF(self.lam, self.mu, t)
 
+    def rate_gradient(self, t):
+        """(dF/dlam, dF/dmu) of ``value`` at t; dF_y/dy is the unthinned F - 1.
+
+        With F - 1 = y lam g(r, t), g = (e^{rt} - 1) / r and r = lam - mu,
+        dF/dlam = y (g + lam g_r) and dF/dmu = -y lam g_r, where
+        g_r = dg/dr = (t e^{rt} - g) / r.  The branches are those of
+        ``closed_form_F``: at r taken as 0, g = t and g_r = t^2 / 2; where
+        |rt| < ``_SERIES_SWITCH``, g = t + r t^2 / 2 and g_r = t^2 / 2 + r t^3 / 3.
+        Just past the switch, the cancellation in t e^{rt} - g leaves g_r good
+        to a few 1e-8 relative.
+        """
+        lam, mu = self.lam, self.mu
+        t = np.asarray(t, dtype=float)
+        tt = np.atleast_1d(t)
+        r = lam - mu
+        if abs(r) < _R_SWITCH * max(lam, mu, 1.0):
+            g, g_r = tt, tt * tt / 2.0
+        else:
+            rt = r * tt
+            g = np.expm1(rt) / r
+            g_r = (tt * np.exp(rt) - g) / r
+            small = np.abs(rt) < _SERIES_SWITCH
+            if small.any():
+                ts = tt[small]
+                g[small] = ts + r * ts * ts / 2.0
+                g_r[small] = ts * ts / 2.0 + r * ts**3 / 3.0
+        d_lam = self.y * (g + lam * g_r)
+        d_mu = -self.y * lam * g_r
+        if t.ndim:
+            return d_lam, d_mu
+        return float(d_lam[0]), float(d_mu[0])
+
     def thinned(self, y: float) -> "ClosedFormTail":
         return ClosedFormTail(self.lam, self.mu, self.T, self.y * y)
 

@@ -14,6 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -393,12 +394,18 @@ class TreeBatch:
     def n_tips(self) -> np.ndarray:
         return np.diff(self.offsets) + 1
 
+    @cached_property
+    def tree_index(self) -> np.ndarray:
+        """The tree of each depth, built once per batch (the arrays are read-only)."""
+        index = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        index.setflags(write=False)
+        return index
+
     def tree_sums(self, values) -> np.ndarray:
         """Sum of ``values`` (one per depth) over each tree; 0 for single tips."""
-        index = np.repeat(np.arange(len(self)), np.diff(self.offsets))
-        return np.bincount(index, weights=values, minlength=len(self))
+        return np.bincount(self.tree_index, weights=values, minlength=len(self))
 
-    @property
+    @cached_property
     def cherries(self) -> np.ndarray:
         """Cherry count of each tree.
 
@@ -416,7 +423,9 @@ class TreeBatch:
         right = np.ones(len(d), dtype=bool)
         right[:-1] = d[1:] > d[:-1]
         right[hi[full] - 1] = True
-        return self.tree_sums(left & right).astype(np.int64)
+        counts = self.tree_sums(left & right).astype(np.int64)
+        counts.setflags(write=False)
+        return counts
 
 
 def count_cherries(tree: OrientedUltrametricTree) -> int:

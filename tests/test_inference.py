@@ -1,4 +1,10 @@
-"""Rate estimation: likelihood aggregation and the Nelder-Mead MLE driver."""
+"""Rate estimation: likelihood aggregation and the MLE driver.
+
+Full and Bernoulli fits run L-BFGS-B on the analytic score, which is checked
+against central differences, and their optimum against a Nelder-Mead
+reference computed here.  Uniform k-sample fits keep Nelder-Mead, whose
+objective is too noisy and too flat along its ridge for a gradient method.
+"""
 
 import math
 
@@ -8,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from cppgen.cpp import RandomStream, simulate_cpp_many, thinned_inverse_tail
 from cppgen.errors import DegenerateMixtureError, DomainError
-from cppgen.inference import FitResult, fit_mle, neg_log_likelihood
+from cppgen.inference import MU_FLOOR, FitResult, _score, fit_mle, neg_log_likelihood
 from cppgen.kernel import ClosedFormTail
 from cppgen.ksample import (
     bernoulli_loglikelihood,
@@ -160,6 +166,10 @@ class TestFitMle:
             ({"bounds": {"lam": (2.0, 1.0)}}, "exceeds upper end"),
             ({"bounds": {"mu": (0.5,)}}, "must be a pair"),
             ({"bounds": [("lam", (0.1, 1.0))]}, "bounds must map"),
+            ({"bounds": {"lam": (-1.0, 1.0)}}, "bound of lam"),
+            ({"bounds": {"lam": (0.0, 0.0)}}, "bound of lam"),
+            ({"bounds": {"mu": (-0.1, 1.0)}}, "bound of mu"),
+            ({"bounds": {"y": (0.5, 1.5)}}, "bound of y"),
         ],
     )
     def test_rejects_bad_init_and_bounds(self, options, message):
@@ -173,3 +183,136 @@ class TestFitMle:
             bounds={"lam": [0.1, 10.0], "mu": [0.0, 5.0]},
         )
         assert 0.1 <= res.lam <= 10.0 and 0.0 <= res.mu <= 5.0
+
+    def test_bounds_are_a_box(self):
+        # Truth lam = 1 lies above the box: the fit stops on the bound,
+        # where the projected gradient is 0, and reports it.
+        res = fit_mle(
+            _trees(150, 7), SamplingScheme.full(), init={"lam": 0.5, "mu": 0.2},
+            bounds={"lam": (0.1, 0.6), "mu": (0.05, 5.0)},
+        )
+        assert res.converged
+        assert res.lam == pytest.approx(0.6, rel=1e-9) and res.bound_hits["lam_upper"]
+        assert 0.05 <= res.mu <= 5.0
+
+
+def _nelder_mead_optimum(batch, scheme, theta0, oriented=True):
+    """The minimum negative log-likelihood found by a tightly converged
+    Nelder-Mead over (log lam, log mu[, logit y]) from theta0."""
+    from scipy.optimize import minimize
+
+    def nll(theta):
+        y = 1.0 / (1.0 + math.exp(-theta[2])) if len(theta) == 3 else None
+        return neg_log_likelihood(
+            batch, math.exp(theta[0]), math.exp(theta[1]), scheme, float(batch.heights[0]),
+            y=y, oriented=oriented,
+        )
+
+    res = minimize(
+        nll, theta0, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
+    )
+    return res.fun
+
+
+class TestGradientFit:
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9), (1.0, MU_FLOOR)],
+        ids=["r>0", "r<0", "r=0", "r=+1e-9", "r=-1e-9", "mu=floor"],
+    )
+    @pytest.mark.parametrize("y", [1.0, 0.3])
+    def test_score_matches_central_differences(self, lam, mu, y):
+        batch = TreeBatch.from_trees(_trees(200, 5))
+
+        def ll(lam, mu, y):
+            scheme = SamplingScheme.bernoulli(None)
+            return -neg_log_likelihood(batch, lam, mu, scheme, 2.0, y=y)
+
+        h = 1e-5
+        fd = [(ll(lam * (1 + h), mu, y) - ll(lam * (1 - h), mu, y)) / (2 * h * lam)]
+        if mu > MU_FLOOR:
+            fd.append((ll(lam, mu * (1 + h), y) - ll(lam, mu * (1 - h), y)) / (2 * h * mu))
+        else:
+            # mu - h < 0: a one-sided difference of second order instead.
+            hm = 1e-4
+            fd.append((-3 * ll(lam, mu, y) + 4 * ll(lam, mu + hm, y) - ll(lam, mu + 2 * hm, y)) / (2 * hm))
+        if y < 1.0:  # the free-y component
+            fd.append((ll(lam, mu, y * (1 + h)) - ll(lam, mu, y * (1 - h))) / (2 * h * y))
+        score = _score(batch, lam, mu, y, 2.0)[: len(fd)]
+        assert_allclose(score, fd, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "scheme, y, oriented",
+        [
+            (SamplingScheme.full(), 1.0, True),
+            (SamplingScheme.bernoulli(0.3), 0.3, True),
+            (SamplingScheme.bernoulli(None), 0.5, True),
+            (SamplingScheme.full(), 1.0, False),
+        ],
+        ids=["full", "bernoulli:0.3", "free-y", "unoriented"],
+    )
+    def test_reaches_nelder_mead_optimum(self, scheme, y, oriented):
+        batch = TreeBatch.from_trees(_trees(300, 12, thinned_inverse_tail(F_STD, y)))
+        res = fit_mle(batch, scheme, init={"lam": 0.8, "mu": 0.4}, oriented=oriented)
+        assert res.converged
+        theta0 = [0.0, math.log(0.5)] + ([0.0] if scheme.y is None and scheme.variant == "bernoulli" else [])
+        reference = -_nelder_mead_optimum(batch, scheme, theta0, oriented)
+        assert res.loglik >= reference - 1e-9 * abs(reference)
+        assert res.loglik == pytest.approx(
+            -neg_log_likelihood(batch, res.lam, res.mu, scheme, 2.0, y=res.y, oriented=oriented),
+            rel=1e-12,
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_start_with_overflowing_tail_is_skipped(self):
+        # The lattice's scale-2 start (lam 400) has F(T) = e^{800}, past the
+        # float range, so its objective is +inf; the other two starts begin
+        # far above the truth and still converge.
+        trees = _trees(150, 7)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(ClosedFormTail(400.0, 0.2, 2.0).value(2.0))
+        res = fit_mle(trees, SamplingScheme.full(), init={"lam": 200.0, "mu": 0.1})
+        good = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
+        assert res.converged
+        assert res.loglik >= good.loglik - 1e-9 * abs(good.loglik)
+
+    @pytest.mark.parametrize("seed", [9, 3])
+    def test_yule_boundary_is_reached(self, seed):
+        # On log mu the Yule boundary is flat; the fit still puts mu on it.
+        F = ClosedFormTail(1.0, 0.0, 1.0)
+        batch = TreeBatch.from_trees(_trees(300, seed, F))
+        res = fit_mle(batch, SamplingScheme.full(), init={"lam": 1.0, "mu": 0.2})
+        assert res.converged and res.mu == 0.0 and res.bound_hits["mu_lower"]
+        reference = -_nelder_mead_optimum(batch, SamplingScheme.full(), [0.0, math.log(1e-3)])
+        assert res.loglik >= reference - 1e-9 * abs(reference)
+
+
+class TestConvergedIsTheWinners:
+    """``converged`` is the status of the start that gave the estimate,
+    not whether any start converged."""
+
+    @pytest.mark.parametrize("winner_converges", [False, True])
+    @pytest.mark.parametrize("scheme", [SamplingScheme.full(), SamplingScheme.uniform_k(3)])
+    def test_status_of_lowest_start(self, monkeypatch, scheme, winner_converges):
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        init = {"lam": 1.0, "mu": 0.5}
+        _, trees = definetti_sample_many(F_STD, 3, 20, RandomStream(4))
+
+        def fake_minimize(fun, x0, **kwargs):
+            # The scale-1 start wins with the lowest value; the other two
+            # converge at higher values.
+            x0 = np.asarray(x0, dtype=float)
+            wins = abs(x0[0] - math.log(init["lam"])) < 1e-12
+            ok = winner_converges or not wins
+            return OptimizeResult(
+                x=x0, fun=1.0 if wins else 2.0, nit=5, success=ok,
+                jac=np.array([0.0 if ok else 1.0, 0.0]),
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize", fake_minimize)
+        res = fit_mle(trees, scheme, init=init)
+        assert res.lam == pytest.approx(init["lam"]) and res.mu == pytest.approx(init["mu"])
+        assert res.converged is winner_converges

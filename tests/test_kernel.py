@@ -171,6 +171,44 @@ class TestClosedForm:
         assert np.array_equal(closed_form_F(lam, mu, grid), _closed_form_both_branches(lam, mu, grid))
 
 
+class TestRateGradient:
+    @pytest.mark.parametrize(
+        "lam, mu, y",
+        [(1.0, 0.5, 1.0), (0.5, 1.0, 0.3), (0.7, 0.7, 1.0), (1.0, 1.0 - 1e-9, 0.3), (2.0, 0.0, 1.0)],
+    )
+    def test_matches_central_differences(self, lam, mu, y):
+        # with |r| = 1e-9, every t is below the series switch |rt| = 1e-8
+        t = np.array([0.4, 1.0, 2.0])
+        h = 1e-4
+
+        def value(lam, mu):
+            return ClosedFormTail(lam, mu, 2.0, y).value(t)
+
+        d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, y).rate_gradient(t)
+        fd_lam = (value(lam + h, mu) - value(lam - h, mu)) / (2 * h)
+        assert_allclose(d_lam, fd_lam, rtol=1e-7)
+        if mu > 0:
+            fd_mu = (value(lam, mu + h) - value(lam, mu - h)) / (2 * h)
+            assert_allclose(d_mu, fd_mu, rtol=1e-7)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0)])
+    def test_small_t_is_the_taylor_expansion(self, lam, mu):
+        # F - 1 = lam (t + r t^2 / 2 + r^2 t^3 / 6 + O(t^4)), so
+        # dF/dmu = -lam (t^2 / 2 + r t^3 / 3 + O(t^4)): exact to rounding at
+        # t = 1e-9, with no cancellation.
+        t, r = 1e-9, lam - mu
+        d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, 0.3).rate_gradient(t)
+        g, g_r = t + r * t * t / 2, t * t / 2 + r * t**3 / 3
+        assert_allclose(d_lam, 0.3 * (g + lam * g_r), rtol=1e-15)
+        assert_allclose(d_mu, -0.3 * lam * g_r, rtol=1e-15)
+
+    def test_scalar_in_scalar_out(self):
+        F = ClosedFormTail(1.0, 0.5, 2.0)
+        d_lam, d_mu = F.rate_gradient(1.0)
+        assert isinstance(d_lam, float) and isinstance(d_mu, float)
+        assert (d_lam, d_mu) == tuple(float(v[0]) for v in F.rate_gradient([1.0]))
+
+
 class TestTailObjects:
     def test_survival_probability(self):
         F = ClosedFormTail(1.0, 0.5, 2.0)

@@ -172,6 +172,20 @@ class TestTreeBatch:
         with pytest.raises(ValueError):
             batch.depths[0] = 0.7
 
+    def test_tree_index_and_cherries_built_once(self, monkeypatch):
+        batch = TreeBatch([1.0, 1.0, 1.0], [0, 2, 2, 3], [0.5, 0.25, 0.75])
+        assert batch.tree_index.tolist() == [0, 0, 2]
+        calls = []
+        repeat = np.repeat
+        monkeypatch.setattr(np, "repeat", lambda *a, **k: calls.append(1) or repeat(*a, **k))
+        assert batch.tree_sums([1.0, 2.0, 4.0]).tolist() == [3.0, 0.0, 4.0]
+        assert batch.cherries.tolist() == [1, 0, 1]
+        assert batch.cherries is batch.cherries
+        assert calls == []
+        for arr in (batch.tree_index, batch.cherries):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
     @pytest.mark.parametrize(
         "heights, offsets, depths",
         [
