@@ -14,6 +14,7 @@ from .cpp import (
     simulate_cpp,
     simulate_cpp_many,
     simulate_forward,
+    subsample,
     thinned_inverse_tail,
     uniform_k_sample,
 )
@@ -33,11 +34,9 @@ from .kernel import (
 from .ksample import (
     MixtureParams,
     definetti_sample,
-    full_likelihood,
     full_loglikelihood,
     joint_df,
     joint_df_bruteforce,
-    ksample_likelihood,
     ksample_loglikelihood,
     ksample_loglikelihoods,
     likelihood_with_missing,

@@ -3,20 +3,22 @@
 The CPP route draws node depths directly from the inverse tail F; the
 forward route runs the branching process event by event and extracts the
 reduced tree of the survivors.  Agreement of the two is the end-to-end
-distributional check exercised by the validation suite.
+distributional check exercised by the validation suite.  Thinning and
+k-subsampling act on a whole :class:`TreeBatch`: each draws a mask of kept
+tips for one ``np.maximum.reduceat`` (:func:`subsample`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DomainError, InsufficientTipsError, PopulationCapError
-from .kernel import InverseTail, invert_tail, survival_a
+from .kernel import InverseTail, invert_tail
 from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel, TreeBatch
 
 __all__ = [
@@ -26,9 +28,9 @@ __all__ = [
     "simulate_cpp_many",
     "simulate_forward",
     "thinned_inverse_tail",
+    "subsample",
     "bernoulli_thin",
     "uniform_k_sample",
-    "subsample_depths",
 ]
 
 # Forward simulation aborts once this many particles have been created in a
@@ -273,48 +275,53 @@ def thinned_inverse_tail(F: InverseTail, y: float) -> InverseTail:
     return thinned(y)
 
 
-def subsample_depths(depths: Sequence[float], kept: Sequence[int]) -> tuple:
-    """Depths of the subtree on sorted tip indices ``kept``.
+def subsample(batch: TreeBatch, keep) -> TreeBatch:
+    """The subtrees of ``batch`` on the tips that ``keep`` (one bool per
+    tip, in batch order) marks, by the running-max rule: the depth between
+    consecutive kept tips i < j of a tree is max(depths[i:j]).
 
-    Running-max rule: the new depth between consecutive kept tips i < j is
-    max(depths[i:j]).
+    A tree with no kept tip is dropped, as a :class:`TreeBatch` holds no
+    empty tree; keeping whole trees selects rows.
     """
-    d = np.asarray(depths, dtype=float)
-    out = []
-    for a, b in zip(kept, kept[1:]):
-        out.append(float(d[a:b].max()))
-    return tuple(out)
+    n_tips = batch.n_tips
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (int(n_tips.sum()),):
+        raise DomainError(f"keep must hold one bool per tip, {int(n_tips.sum())} in all")
+    kept = np.flatnonzero(keep)
+    tree = np.repeat(np.arange(len(batch)), n_tips)[kept]
+    # left[g] is the depth on the left of tip g, -inf at the first tip of a
+    # tree; between kept tips g < h of one tree, max(left[g + 1 : h + 1])
+    left = np.append(np.insert(batch.depths, batch.offsets[:-1], -np.inf), -np.inf)
+    depths = np.maximum.reduceat(left, kept + 1)[:-1][tree[1:] == tree[:-1]]
+    counts = np.bincount(tree, minlength=len(batch))
+    alive = counts > 0
+    return TreeBatch(batch.heights[alive], np.append(0, np.cumsum(counts[alive] - 1)), depths)
 
 
-def bernoulli_thin(
-    tree: OrientedUltrametricTree, y: float, rng: RandomStream
-) -> Optional[OrientedUltrametricTree]:
-    """Keep each tip independently with probability y.
-
-    Returns None for the (positive-probability) empty sample; conditioning
-    on a nonempty outcome is the caller's choice.
-    """
+def bernoulli_thin(batch: TreeBatch, y: float, rng: RandomStream) -> TreeBatch:
+    """Keep each tip independently with probability y, by one uniform per
+    tip in batch order.  Trees left with no tip are dropped, so
+    ``len(batch) - len(result)`` samples were empty."""
     if not (0.0 < y <= 1.0):
         raise DomainError("y must lie in (0, 1]")
-    n = tree.n_tips
-    kept = np.flatnonzero(rng.rng.random(n) < y)
-    if kept.size == 0:
-        return None
-    return OrientedUltrametricTree(
-        height=tree.height, depths=subsample_depths(tree.depths, kept)
-    )
+    return subsample(batch, rng.rng.random(int(batch.n_tips.sum())) < y)
 
 
-def uniform_k_sample(
-    tree: OrientedUltrametricTree, k: int, rng: RandomStream
-) -> OrientedUltrametricTree:
-    """Subtree on a uniform k-subset of tips, order preserved."""
-    n = tree.n_tips
+def uniform_k_sample(batch: TreeBatch, k: int, rng: RandomStream) -> TreeBatch:
+    """The subtree of each tree on a uniform k-subset of its tips, order
+    preserved: one uniform key per tip, and the k smallest keys of each tree
+    kept, found by one ``lexsort`` by (tree, key)."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    if n < k:
-        raise InsufficientTipsError(f"tree has {n} tips, need at least {k}")
-    kept = np.sort(rng.rng.choice(n, size=k, replace=False))
-    return OrientedUltrametricTree(
-        height=tree.height, depths=subsample_depths(tree.depths, kept)
-    )
+    n_tips = batch.n_tips
+    short = np.flatnonzero(n_tips < k)
+    if short.size:
+        raise InsufficientTipsError(
+            f"tree {short[0]} has {n_tips[short[0]]} tips, need at least {k}"
+        )
+    # order lists the tips tree by tree, so a tip's rank in its tree is its
+    # position less that of the tree's first tip
+    order = np.lexsort((rng.rng.random(n_tips.sum()), np.repeat(np.arange(len(batch)), n_tips)))
+    keep = np.empty(order.size, dtype=bool)
+    keep[order] = np.arange(order.size) - np.repeat(np.cumsum(n_tips) - n_tips, n_tips) < k
+    return subsample(batch, keep)

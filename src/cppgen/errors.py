@@ -42,6 +42,11 @@ class DegenerateMixtureError(DomainError):
     having zero likelihood."""
 
 
+class TailOverflowError(DomainError):
+    """F(T) is not finite in floating point, so the full and Bernoulli
+    likelihoods cannot be evaluated.  A fit scores such rates +inf."""
+
+
 class PopulationCapError(CppgenError):
     """Forward simulation exceeded the particle cap (supercritical blowup)."""
 

@@ -19,7 +19,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateMixtureError, DomainError, FitError, QuadratureError
+from .errors import (
+    DegenerateMixtureError, DomainError, FitError, QuadratureError, TailOverflowError
+)
 from .kernel import ClosedFormTail, solve_F, tail_for
 from .ksample import loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
@@ -173,7 +175,8 @@ _FTOL = 1e-15
 _LBFGSB_RUNS = 3
 
 _FIT_ERRORS = (
-    ValueError, FloatingPointError, OverflowError, QuadratureError, DegenerateMixtureError
+    ValueError, FloatingPointError, OverflowError, QuadratureError, DegenerateMixtureError,
+    TailOverflowError,
 )
 
 

@@ -76,10 +76,11 @@ def _growth_inverse(r, w, critical):
 
 
 def _is_critical(lam, mu):
-    """Elementwise: is r = lam - mu below the threshold where it is taken as 0?"""
-    return np.abs(np.asarray(lam) - np.asarray(mu)) < _R_SWITCH * np.maximum(
-        np.maximum(lam, mu), 1.0
-    )
+    """Elementwise: is |lam - mu| < ``_R_SWITCH`` * max(lam, mu, 1), so that
+    r = lam - mu is taken as 0?  Compared term by term, which costs no
+    numpy call on floats."""
+    r = abs(lam - mu)
+    return (r < _R_SWITCH * lam) | (r < _R_SWITCH * mu) | (r < _R_SWITCH)
 
 
 def closed_form_F(lam: float, mu: float, t):
@@ -88,8 +89,7 @@ def closed_form_F(lam: float, mu: float, t):
         raise DomainError("rates must be >= 0")
     t = np.asarray(t, dtype=float)
     r = lam - mu
-    scale = max(lam, mu, 1.0)
-    if abs(r) < _R_SWITCH * scale:
+    if _is_critical(lam, mu):
         out = 1.0 + lam * t
         return out if out.ndim else float(out)
     tt = np.atleast_1d(t)
@@ -170,7 +170,7 @@ class ClosedFormTail(InverseTail):
         t = np.asarray(t, dtype=float)
         tt = np.atleast_1d(t)
         r = lam - mu
-        if abs(r) < _R_SWITCH * max(lam, mu, 1.0):
+        if _is_critical(lam, mu):
             g, g_r = tt, tt * tt / 2.0
         else:
             rt = r * tt

@@ -10,9 +10,9 @@ references), and all likelihood variants.
 
 All likelihoods are computed in log space.  :func:`loglik` evaluates a
 whole :class:`~cppgen.model.TreeBatch` under any scheme; the per-tree
-``*_loglikelihood`` functions are its batch-of-one wrappers, and each
-``*_likelihood`` function is the linear-space convenience wrapper of its
-``*_loglikelihood`` twin.
+``*_loglikelihood`` functions are its batch-of-one wrappers.  There is no
+linear-space likelihood: ``exp`` of a large tree's log-likelihood
+underflows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     QuadratureError,
     SizeGuardError,
+    TailOverflowError,
     TieError,
 )
 from .kernel import InverseTail, invert_tail, survival_a
@@ -45,11 +46,9 @@ __all__ = [
     "definetti_sample_many",
     "loglik",
     "full_loglikelihood",
-    "full_likelihood",
     "bernoulli_loglikelihood",
     "ksample_loglikelihood",
     "ksample_loglikelihoods",
-    "ksample_likelihood",
     "joint_df",
     "joint_df_bruteforce",
     "likelihood_with_missing",
@@ -66,6 +65,10 @@ TIE_TOL = 1e-8
 # peak memory does not grow with the number of trees (2000 k:5 trees: 22 ms
 # and no growth, against 11 ms and +14 MB at 4096 depths).
 QUAD_BLOCK = 64
+# Gauss-Legendre nodes are doubled until each tree's log-integral moves by
+# at most QUAD_RTOL; a tree still moving at QUAD_MAX_NODES fails.
+QUAD_MAX_NODES = 4096
+QUAD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,7 @@ def definetti_sample_many(
     offsets = np.arange(reps + 1, dtype=np.int64) * (k - 1)
     if k == 1:
         return ys, TreeBatch(heights, offsets, np.empty(0))
-    a = params.a
-    c = a * ys / (1.0 - a * (1.0 - ys))  # P(H_y < T) per replicate
+    c = params.c(ys)  # P(H_y < T) per replicate
     u = rng.rng.random((reps, k - 1))
     targets = 1.0 / (1.0 - c[:, None] * u)  # F_y(t) targets
     # Solve F_y(t) = target with F_y = 1 - y + y F, per-element y.
@@ -188,17 +190,16 @@ def loglik(
     scheme: SamplingScheme,
     oriented: bool = True,
     quad_nodes: int = 64,
-    max_nodes: int = 4096,
-    rtol: float = 1e-6,
 ) -> np.ndarray:
     """Log-likelihood of each tree of ``batch`` under ``scheme``.
 
     Full and Bernoulli trees: ``sum(log F' - 2 log F) - log F(T)`` over the
     tree's depths, with the thinned tail ``F_y`` under Bernoulli sampling;
-    all depths are evaluated in one pass and summed per tree.  Uniform
-    k-samples: :func:`ksample_loglikelihoods` (``quad_nodes``, ``max_nodes``
-    and ``rtol`` drive its quadrature).  ``oriented=False`` adds the shape
-    multiplicity ``log 2^(n-1-cherries)`` of each tree.
+    all depths are evaluated in one pass and summed per tree.  Raises
+    :class:`TailOverflowError` when F(T) is not finite.  Uniform k-samples:
+    :func:`ksample_loglikelihoods`, starting from ``quad_nodes`` nodes.
+    ``oriented=False`` adds the shape multiplicity ``log 2^(n-1-cherries)``
+    of each tree.
     """
     T = F.T
     if len(batch) and np.abs(batch.heights - T).max() > 1e-9 * max(T, 1.0):
@@ -212,16 +213,21 @@ def loglik(
         wrong = np.flatnonzero(n_tips != k)
         if wrong.size:
             raise DomainError(f"tree has {n_tips[wrong[0]]} tips, expected k={k}")
-        out = ksample_loglikelihoods(
-            d.reshape(len(batch), k - 1), F, k, quad_nodes, max_nodes, rtol
-        )
+        out = ksample_loglikelihoods(d.reshape(len(batch), k - 1), F, k, quad_nodes)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
             F = thinned_inverse_tail(F, scheme.y)
+        with np.errstate(over="ignore"):
+            FT = float(F.value(T))
+        if not math.isfinite(FT):
+            raise TailOverflowError(
+                f"F(T) is not finite ({FT}): at these rates the likelihood needs "
+                "log-space tails (ROADMAP item 2)"
+            )
         logf = np.log(F.deriv(d)) - 2.0 * np.log(F.value(d))
-        out = batch.tree_sums(logf) - math.log(float(F.value(T)))
+        out = batch.tree_sums(logf) - math.log(FT)
     if not oriented:
         out = out + (batch.n_tips - 1 - batch.cherries) * math.log(2.0)
     return out
@@ -241,10 +247,6 @@ def full_loglikelihood(
     if conditional and tree.depths:
         out -= len(tree.depths) * math.log(survival_a(F))
     return out
-
-
-def full_likelihood(tree, F, oriented: bool = True, conditional: bool = False) -> float:
-    return math.exp(full_loglikelihood(tree, F, oriented, conditional))
 
 
 def bernoulli_loglikelihood(
@@ -290,8 +292,6 @@ def ksample_loglikelihoods(
     F: InverseTail,
     k: int,
     quad_nodes: int = 64,
-    max_nodes: int = 4096,
-    rtol: float = 1e-6,
 ) -> np.ndarray:
     """Oriented k-sample log-likelihoods of R trees, from their (R, k-1) depths.
 
@@ -301,10 +301,10 @@ def ksample_loglikelihoods(
         C(tau) * k / a^{k-1} * int_0^1 prod_i f_{y(v)}(x_i) dv,
 
     with an O(1) integrand at both endpoints.  Gauss-Legendre nodes are
-    doubled, for each tree separately, until its log-integral moves by at
-    most ``rtol``; a tree still moving at ``max_nodes`` raises
-    :class:`QuadratureError`.  Trees are integrated in blocks of
-    ``QUAD_BLOCK`` depths.  Depths are not range-checked here.
+    doubled from ``quad_nodes``, for each tree separately, until its
+    log-integral moves by at most ``QUAD_RTOL``; a tree still moving at
+    ``QUAD_MAX_NODES`` raises :class:`QuadratureError`.  Trees are
+    integrated in blocks of ``QUAD_BLOCK`` depths.  Depths are not range-checked here.
     """
     if k == 1:
         return np.zeros(len(depths))
@@ -328,13 +328,14 @@ def ksample_loglikelihoods(
         n = quad_nodes
         prev = log_integrals(n, rows)
         while rows.size:
-            if n >= max_nodes:
+            if n >= QUAD_MAX_NODES:
                 raise QuadratureError(
-                    f"k-sample quadrature not stable to {rtol} relative at {max_nodes} nodes"
+                    f"k-sample quadrature not stable to {QUAD_RTOL} relative "
+                    f"at {QUAD_MAX_NODES} nodes"
                 )
             n *= 2
             cur = log_integrals(n, rows)
-            done = np.abs(cur - prev) <= rtol
+            done = np.abs(cur - prev) <= QUAD_RTOL
             out[rows[done]] = cur[done]
             rows, prev = rows[~done], cur[~done]
     return base + out
@@ -346,18 +347,11 @@ def ksample_loglikelihood(
     k: int,
     oriented: bool = True,
     quad_nodes: int = 64,
-    max_nodes: int = 4096,
-    rtol: float = 1e-6,
 ) -> float:
     """Log-likelihood of a k-tip tree under the uniform k-sampling scheme;
     the batch-of-one case of :func:`loglik`."""
     batch = TreeBatch.from_trees([tree])
-    scheme = SamplingScheme.uniform_k(k)
-    return float(loglik(batch, F, scheme, oriented, quad_nodes, max_nodes, rtol)[0])
-
-
-def ksample_likelihood(tree, F, k, oriented: bool = True, quad_nodes: int = 64, **kw):
-    return math.exp(ksample_loglikelihood(tree, F, k, oriented, quad_nodes, **kw))
+    return float(loglik(batch, F, SamplingScheme.uniform_k(k), oriented, quad_nodes)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -930,13 +930,16 @@ class SamplingScheme:
 
 
 def parse_scheme(spec: str) -> SamplingScheme:
-    """Parse "full" | "bernoulli:<y>" | "k:<int>" with positioned errors."""
+    """Parse "full" | "bernoulli:<y>" | "k:<int>" with positioned errors;
+    "bernoulli:?", as ``SamplingScheme.describe`` writes it, is a free y."""
     if spec == "full":
         return SamplingScheme.full()
     head, sep, arg = spec.partition(":")
     if head == "bernoulli":
         if not sep:
             raise SchemeError(spec, len(spec), "expected ':<y>'")
+        if arg == "?":
+            return SamplingScheme.bernoulli(None)
         try:
             y = float(arg)
         except ValueError:

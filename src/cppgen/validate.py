@@ -4,7 +4,7 @@
 A check takes no arguments and returns ``(name, passed, detail)``; its
 seeds, bounds and wall-time limits are fixed in its body.  The function
 ``criterion_NN_...`` is release criterion NN.  ``QUICK`` holds the
-arithmetic criteria 1, 2, 3, 4 and 8 (about 15 s, most of it the
+arithmetic criteria 1, 2, 3, 4 and 8 (about 6 s, most of it the
 power-sum enumeration); ``FULL`` adds the Monte Carlo criteria 5, 6, 7, 9
 and 10.  ``cppgen validate --full`` and ``pytest tests/test_acceptance.py``
 run the same ``FULL`` checks.
@@ -24,6 +24,7 @@ from .cpp import (
     bernoulli_thin,
     simulate_cpp_many,
     simulate_forward,
+    subsample,
     thinned_inverse_tail,
     uniform_k_sample,
 )
@@ -34,18 +35,12 @@ from .ksample import (
     definetti_sample_many,
     joint_df,
     joint_df_bruteforce,
-    ksample_likelihood,
+    loglik,
     mixing_cdf,
     mixing_density,
     power_sum_identity,
 )
-from .model import (
-    AgeDependentRate,
-    OrientedUltrametricTree,
-    PiecewiseConstant,
-    RateModel,
-    SamplingScheme,
-)
+from .model import AgeDependentRate, PiecewiseConstant, RateModel, SamplingScheme, TreeBatch
 
 Check = Tuple[str, bool, str]
 
@@ -165,21 +160,15 @@ def criterion_06_bernoulli_thinning_theorem() -> Check:
     Fy = thinned_inverse_tail(F_STD, y)
     d_direct = simulate_cpp_many(Fy, 30_000, RandomStream(61)).depths
     rng = RandomStream(62)
-    thinned_depths = []
-    thinned_tips = []
-    for tree in simulate_cpp_many(F_STD, 90_000, rng):
-        sub = bernoulli_thin(tree, y, rng)
-        if sub is not None:
-            thinned_depths.extend(sub.depths)
-            thinned_tips.append(sub.n_tips)
-    ks = stats.ks_2samp(np.asarray(thinned_depths)[:10_000], d_direct[:10_000]).statistic
+    thinned = bernoulli_thin(simulate_cpp_many(F_STD, 90_000, rng), y, rng)
+    ks = stats.ks_2samp(thinned.depths[:10_000], d_direct[:10_000]).statistic
     # tip counts of both pipelines are shifted geometric with parameter a_y
     nmax = 12
-    obs = np.bincount(np.clip(thinned_tips, 0, nmax), minlength=nmax + 1)[1:]
+    obs = np.bincount(np.clip(thinned.n_tips, 0, nmax), minlength=nmax + 1)[1:]
     a_y = survival_a(Fy)
     n = np.arange(1, nmax)
-    expect = (1.0 - a_y) * a_y ** (n - 1) * len(thinned_tips)
-    expect = np.append(expect, len(thinned_tips) - expect.sum())
+    expect = (1.0 - a_y) * a_y ** (n - 1) * len(thinned)
+    expect = np.append(expect, len(thinned) - expect.sum())
     p = stats.chisquare(obs, expect).pvalue
     return (
         "Bernoulli thinning theorem (KS, chi-square)",
@@ -196,16 +185,12 @@ def criterion_07_mixture_representation_of_k_samples() -> Check:
         F = ClosedFormTail(1.0, mu, 2.0)
         direct = definetti_sample_many(F, k, reps, RandomStream(seed))[1].depths
         rng = RandomStream(seed + 50)
-        naive = []
-        count = 0
-        while count < reps:
-            for tree in simulate_cpp_many(F, 20_000, rng):
-                if tree.n_tips >= k:
-                    naive.extend(uniform_k_sample(tree, k, rng).depths)
-                    count += 1
-                    if count >= reps:
-                        break
-        ks[mu] = stats.ks_2samp(direct, np.asarray(naive)).statistic
+        naive = np.empty(0)
+        while naive.size < reps * (k - 1):
+            trees = simulate_cpp_many(F, 20_000, rng)
+            big = subsample(trees, np.repeat(trees.n_tips >= k, trees.n_tips))
+            naive = np.append(naive, uniform_k_sample(big, k, rng).depths)
+        ks[mu] = stats.ks_2samp(direct, naive[: reps * (k - 1)]).statistic
     elapsed = time.monotonic() - t0
     ok = all(v < 0.02 for v in ks.values()) and elapsed < 300.0
     detail = ", ".join(f"mu={mu} KS={v:.4f}" for mu, v in ks.items())
@@ -215,11 +200,11 @@ def criterion_07_mixture_representation_of_k_samples() -> Check:
 def criterion_08_k_sample_likelihood_normalization() -> Check:
     nodes, weights = np.polynomial.legendre.leggauss(48)
     grid = nodes + 1.0  # map to (0, 2)
-    total = 0.0
-    for i, x1 in enumerate(grid):
-        for j, x2 in enumerate(grid):
-            tree = OrientedUltrametricTree(2.0, (x1, x2))
-            total += weights[i] * weights[j] * ksample_likelihood(tree, F_STD, 3)
+    # one k = 3 tree with depths (x1, x2) per pair of grid points
+    depths = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).ravel()
+    trees = TreeBatch(np.full(48 * 48, 2.0), np.arange(0, 2 * 48 * 48 + 1, 2), depths)
+    density = np.exp(loglik(trees, F_STD, SamplingScheme.uniform_k(3)))
+    total = float(np.outer(weights, weights).ravel() @ density)
     err = abs(total - 1.0)
     return ("oriented k = 3 likelihood integrates to 1", err < 1e-4, f"|integral - 1| = {err:.2g}")
 

@@ -344,7 +344,57 @@ class TestKSampleOverflow:
         assert json.loads(out)["logL"] == 0.0
 
 
+class TestTailOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.5"])
+    def test_infinite_F_is_a_domain_error(self, capsys, model_path, tmp_path, scheme):
+        # lam = 400, T = 2: F(T) = e^800 overflows; exit 2 naming F(T)
+        # instead of "logL": NaN, and no numpy warning
+        trees = tmp_path / "sim.nwk"
+        code, _, _ = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "full",
+            "--reps", "50", "--seed", "3", "--out", str(trees),
+        )
+        assert code == 0
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"kind": "constant", "lambda": 400.0, "mu": 0.2, "T": 2.0}))
+        code, out, err = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", str(big), "--scheme", scheme
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "F(T) is not finite" in err
+        assert "Warning" not in err
+
+
 class TestFit:
+    def test_free_bernoulli_y(self, capsys, model_path, tmp_path):
+        # "bernoulli:?" is the free-y scheme as SamplingScheme.describe writes it
+        trees = tmp_path / "sim.nwk"
+        code, _, _ = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "bernoulli:0.5",
+            "--reps", "200", "--seed", "12", "--out", str(trees),
+        )
+        assert code == 0
+        code, out, err = _run(capsys, "fit", "--trees", str(trees), "--scheme", "bernoulli:?")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert 0.0 < payload["y"] < 1.0
+
+    @pytest.mark.parametrize("command", ["simulate", "likelihood"])
+    def test_free_y_needs_a_fit(self, capsys, model_path, tmp_path, command):
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((0:0.3,1:0.3):0.3,2:0.6):1.4;\n")
+        if command == "simulate":
+            argv = ["simulate", "--reps", "2", "--seed", "1"]
+        else:
+            argv = ["likelihood", "--tree", str(trees)]
+        code, out, err = _run(capsys, *argv, "--model", model_path, "--scheme", "bernoulli:?")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "y" in err
+
     def test_round_trip(self, capsys, model_path, tmp_path):
         code, out, _ = _run(
             capsys, "simulate", "--model", model_path, "--scheme", "full",

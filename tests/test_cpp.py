@@ -1,5 +1,6 @@
 """Simulation layer: node-depth draws, batch simulation, thinning, forward model."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from cppgen import cpp
 from cppgen.cpp import (
     MAX_EXPECTED_TIPS,
     POPULATION_CAP,
@@ -18,7 +20,7 @@ from cppgen.cpp import (
     simulate_cpp_many,
     simulate_forward,
     simulate_forward_detailed,
-    subsample_depths,
+    subsample,
     thinned_inverse_tail,
     uniform_k_sample,
 )
@@ -90,29 +92,90 @@ class TestCppSimulation:
         assert abs(tips.mean() - F_STD.value(2.0)) < 4 * se
 
 
+def _subsample_oracle(batch, keep):
+    """``subsample`` tree by tree: the depth between consecutive kept tips
+    i < j of a tree is max(depths[i:j])."""
+    trees, first = [], 0
+    for tree in batch:
+        kept = np.flatnonzero(keep[first : first + tree.n_tips])
+        first += tree.n_tips
+        if kept.size:
+            depths = tuple(max(tree.depths[i:j]) for i, j in zip(kept, kept[1:]))
+            trees.append(OrientedUltrametricTree(tree.height, depths))
+    return TreeBatch.from_trees(trees)
+
+
+def _random_batch(rng, n_trees):
+    """Random trees of 1 to 9 tips, caterpillars (depths rising or falling)
+    among them."""
+    trees = []
+    for _ in range(n_trees):
+        depths = rng.uniform(0.01, 1.99, int(rng.integers(0, 9)))
+        shape = rng.integers(3)
+        if shape:
+            depths = np.sort(depths)[:: 1 if shape == 1 else -1]
+        trees.append(OrientedUltrametricTree(2.0, tuple(depths)))
+    return TreeBatch.from_trees(trees)
+
+
 class TestSubsampling:
     def test_subsample_running_max(self):
-        assert subsample_depths((0.3, 0.6, 0.2), [0, 2, 3]) == (0.6, 0.2)
-        assert subsample_depths((0.3, 0.6, 0.2), [0, 3]) == (0.6,)
-        assert subsample_depths((0.3, 0.6, 0.2), [1]) == ()
+        batch = TreeBatch([2.0, 2.0, 2.0], [0, 3, 3, 4], [0.3, 0.6, 0.2, 1.0])
+        keep = np.array([1, 0, 1, 1, 0, 1, 1], dtype=bool)
+        assert subsample(batch, keep) == TreeBatch([2.0, 2.0], [0, 2, 3], [0.6, 0.2, 1.0])
+        keep = np.array([1, 0, 0, 1, 1, 0, 1], dtype=bool)
+        assert list(subsample(batch, keep)) == [
+            OrientedUltrametricTree(2.0, (0.6,)),
+            OrientedUltrametricTree(2.0),
+            OrientedUltrametricTree(2.0),
+        ]
+
+    def test_subsample_matches_per_tree_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            batch = _random_batch(rng, int(rng.integers(0, 8)))
+            keep = rng.random(int(batch.n_tips.sum())) < rng.uniform(0.0, 1.0)
+            assert subsample(batch, keep) == _subsample_oracle(batch, keep)
+
+    def test_subsample_edge_cases(self):
+        batch = _random_batch(np.random.default_rng(6), 30)
+        total = int(batch.n_tips.sum())
+        # all tips kept: the identity
+        assert subsample(batch, np.ones(total, dtype=bool)) == batch
+        # no tip kept: an empty batch
+        empty = subsample(batch, np.zeros(total, dtype=bool))
+        assert len(empty) == 0 and empty.depths.size == 0
+        # whole trees kept: row selection
+        rows = np.arange(len(batch)) % 3 == 1
+        kept = subsample(batch, np.repeat(rows, batch.n_tips))
+        assert list(kept) == [t for t, r in zip(batch, rows) if r]
+        # single tips and a caterpillar kept at its ends
+        batch = TreeBatch([2.0, 2.0, 2.0], [0, 0, 4, 4], [0.1, 0.2, 0.3, 0.4])
+        keep = np.array([1, 1, 0, 0, 0, 1, 1], dtype=bool)
+        assert subsample(batch, keep) == TreeBatch([2.0] * 3, [0, 0, 1, 1], [0.4])
+
+    def test_subsample_needs_one_bool_per_tip(self):
+        batch = TreeBatch([2.0], [0, 2], [0.3, 0.6])
+        for keep in (np.ones(2, dtype=bool), np.ones(3, dtype=int)):
+            with pytest.raises(DomainError, match="one bool per tip"):
+                subsample(batch, keep)
 
     def test_bernoulli_keep_all(self):
-        tree = OrientedUltrametricTree(2.0, (0.3, 0.6))
-        assert bernoulli_thin(tree, 1.0, RandomStream(0)) == tree
+        batch = simulate_cpp_many(F_STD, 50, RandomStream(1))
+        assert bernoulli_thin(batch, 1.0, RandomStream(0)) == batch
+        with pytest.raises(DomainError):
+            bernoulli_thin(batch, 0.0, RandomStream(0))
 
     def test_bernoulli_can_be_empty(self):
-        tree = OrientedUltrametricTree(2.0, (0.3,))
-        results = [bernoulli_thin(tree, 0.05, RandomStream(i)) for i in range(200)]
-        assert any(r is None for r in results)
-        kept = [r for r in results if r is not None]
-        assert all(r.n_tips in (1, 2) for r in kept)
+        batch = TreeBatch.from_trees([OrientedUltrametricTree(2.0, (0.3,))] * 200)
+        thinned = bernoulli_thin(batch, 0.05, RandomStream(0))
+        assert len(thinned) < 200
+        assert set(thinned.n_tips.tolist()) <= {1, 2}
 
     def test_bernoulli_keep_count_binomial(self):
         tree = OrientedUltrametricTree(2.0, tuple([0.5] * 19))  # 20 tips
-        rng = RandomStream(21)
-        counts = np.array(
-            [getattr(bernoulli_thin(tree, 0.3, rng), "n_tips", 0) for _ in range(5000)]
-        )
+        thinned = bernoulli_thin(TreeBatch.from_trees([tree] * 5000), 0.3, RandomStream(21))
+        counts = np.append(thinned.n_tips, np.zeros(5000 - len(thinned), dtype=int))
         expect = stats.binom.pmf(np.arange(21), 20, 0.3) * 5000
         obs = np.bincount(counts, minlength=21)
         mask = expect > 5
@@ -122,14 +185,54 @@ class TestSubsampling:
         )
         assert chi.pvalue > 0.001
 
+    def test_bernoulli_consumes_one_uniform_per_tip(self):
+        batch = simulate_cpp_many(F_STD, 300, RandomStream(2))
+        rng = RandomStream(3)
+        thinned = bernoulli_thin(batch, 0.4, rng)
+        reference = RandomStream(3)
+        keep = reference.rng.random(int(batch.n_tips.sum())) < 0.4
+        assert thinned == _subsample_oracle(batch, keep)
+        assert rng.uniform() == reference.uniform()
+
     def test_uniform_k_needs_enough_tips(self):
-        tree = OrientedUltrametricTree(2.0, (0.3,))
-        with pytest.raises(InsufficientTipsError):
-            uniform_k_sample(tree, 3, RandomStream(0))
+        batch = TreeBatch([2.0, 2.0, 2.0], [0, 3, 4, 5], [0.3, 0.6, 0.2, 1.0, 0.5])
+        with pytest.raises(InsufficientTipsError, match="tree 1 has 2 tips, need at least 3"):
+            uniform_k_sample(batch, 3, RandomStream(0))
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            uniform_k_sample(batch, 0, RandomStream(0))
 
     def test_uniform_k_all_tips_is_identity(self):
         tree = OrientedUltrametricTree(2.0, (0.3, 0.6, 0.2))
-        assert uniform_k_sample(tree, 4, RandomStream(0)) == tree
+        assert list(uniform_k_sample(TreeBatch.from_trees([tree]), 4, RandomStream(0))) == [tree]
+
+    def test_uniform_k_keeps_k_tips_of_each_tree(self):
+        batch = simulate_cpp_many(F_STD, 2000, RandomStream(4))
+        big = subsample(batch, np.repeat(batch.n_tips >= 3, batch.n_tips))
+        sampled = uniform_k_sample(big, 3, RandomStream(5))
+        assert len(sampled) == len(big) and np.all(sampled.n_tips == 3)
+        # each sampled depth is the running max over some stretch of its tree
+        for tree, sub in zip(big, sampled):
+            assert set(sub.depths) <= set(tree.depths)
+
+    def test_uniform_k_subsets_are_uniform(self, monkeypatch):
+        # The running max does not tell which tips were kept, so the keep
+        # masks are taken where uniform_k_sample hands them to subsample.
+        masks = []
+
+        def recording(batch, keep):
+            masks.append(keep.copy())
+            return subsample(batch, keep)
+
+        monkeypatch.setattr(cpp, "subsample", recording)
+        n = 10_000
+        tree = OrientedUltrametricTree(2.0, (0.4, 0.2, 0.8, 0.6))
+        sampled = uniform_k_sample(TreeBatch.from_trees([tree] * n), 3, RandomStream(6))
+        assert len(sampled) == n and len(masks) == 1
+        rows = masks[0].reshape(n, 5)
+        assert np.all(rows.sum(axis=1) == 3)
+        subsets = {s: i for i, s in enumerate(itertools.combinations(range(5), 3))}
+        counts = np.bincount([subsets[tuple(np.flatnonzero(r))] for r in rows], minlength=10)
+        assert stats.chisquare(counts).pvalue > 0.001
 
     def test_thinned_tail_dispatch(self):
         assert thinned_inverse_tail(F_STD, 1.0) is F_STD

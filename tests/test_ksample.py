@@ -17,6 +17,7 @@ from cppgen.errors import (
     DomainError,
     QuadratureError,
     SizeGuardError,
+    TailOverflowError,
     TieError,
 )
 from cppgen.kernel import ClosedFormTail, node_depth_density_f, survival_a
@@ -26,11 +27,9 @@ from cppgen.ksample import (
     definetti_sample,
     definetti_sample_many,
     bernoulli_loglikelihood,
-    full_likelihood,
     full_loglikelihood,
     joint_df,
     joint_df_bruteforce,
-    ksample_likelihood,
     ksample_loglikelihood,
     ksample_loglikelihoods,
     likelihood_with_missing,
@@ -59,7 +58,7 @@ class TestFullLikelihood:
     def test_single_tip(self):
         tree = OrientedUltrametricTree(2.0)
         # P(N = 1) = 1 - a = 1/F(T)
-        assert_allclose(full_likelihood(tree, F_STD), 1.0 / _F(2.0), rtol=1e-12)
+        assert_allclose(math.exp(full_loglikelihood(tree, F_STD)), 1.0 / _F(2.0), rtol=1e-12)
 
     def test_hand_computed(self):
         tree = OrientedUltrametricTree(2.0, (0.3, 0.6))
@@ -226,7 +225,7 @@ class TestKSampleLikelihood:
 
         val, _ = quad(integrand, 0.0, 1.0, limit=200)
         expect = k * (1.0 - a) / a ** (k - 1) * val
-        assert_allclose(ksample_likelihood(tree, F_STD, k), expect, rtol=1e-8)
+        assert_allclose(math.exp(ksample_loglikelihood(tree, F_STD, k)), expect, rtol=1e-8)
 
     def test_tip_count_must_match_k(self):
         tree = OrientedUltrametricTree(2.0, (0.3,))
@@ -235,7 +234,7 @@ class TestKSampleLikelihood:
 
     def test_k2_density_integrates_to_one(self):
         def dens(x):
-            return ksample_likelihood(OrientedUltrametricTree(2.0, (x,)), F_STD, 2)
+            return math.exp(ksample_loglikelihood(OrientedUltrametricTree(2.0, (x,)), F_STD, 2))
 
         val, _ = quad(dens, 0.0, 2.0, limit=200)
         assert_allclose(val, 1.0, rtol=1e-8)
@@ -246,12 +245,8 @@ class TestKSampleLikelihood:
         _, trees = definetti_sample_many(F_STD, 2, 4000, RandomStream(37))
         xs = np.array([t.depths[0] for t in trees])
         grid = np.linspace(0.05, 1.95, 20)
-        dens = np.array(
-            [
-                ksample_likelihood(OrientedUltrametricTree(2.0, (x,)), F_STD, 2)
-                for x in grid
-            ]
-        )
+        trees = TreeBatch(np.full(len(grid), 2.0), np.arange(len(grid) + 1), grid)
+        dens = np.exp(loglik(trees, F_STD, SamplingScheme.uniform_k(2)))
         cdf_grid = np.cumsum(np.concatenate([[0.0], np.diff(grid) * 0.5 * (dens[1:] + dens[:-1])]))
         emp = np.searchsorted(np.sort(xs), grid).astype(float) / len(xs)
         # coarse agreement between empirical CDF increments and quadrature
@@ -284,10 +279,14 @@ class TestKSampleLikelihood:
             assert np.array_equal(np.isfinite(got), finite)
             assert_allclose(got[finite], expect[finite], rtol=1e-15, atol=0)
 
-    def test_batch_raises_past_node_cap(self):
+    def test_batch_raises_past_node_cap(self, monkeypatch):
+        from cppgen import ksample
+
+        monkeypatch.setattr(ksample, "QUAD_MAX_NODES", 128)
+        monkeypatch.setattr(ksample, "QUAD_RTOL", 1e-300)
         depths = [(0.3, 0.6), (1.9999, 1e-4)]
-        with pytest.raises(QuadratureError):
-            ksample_loglikelihoods(depths, F_STD, 3, max_nodes=128, rtol=1e-300)
+        with pytest.raises(QuadratureError, match="at 128 nodes"):
+            ksample_loglikelihoods(depths, F_STD, 3)
 
     def test_nodes_computed_once_per_size(self, monkeypatch):
         import numpy.polynomial.legendre as legendre
@@ -365,6 +364,20 @@ class TestBatchLikelihood:
         with pytest.raises(DomainError):
             loglik(batch, F_STD, SamplingScheme.full())
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", [SamplingScheme.full(), SamplingScheme.bernoulli(0.3)])
+    def test_infinite_F_is_a_typed_error(self, scheme):
+        # lam = 400, T = 2: F(T) = e^800 overflows, and so would inf - inf;
+        # a typed error instead of NaN, without a numpy warning
+        batch = TreeBatch([2.0, 2.0], [0, 1, 2], [0.5, 1.5])
+        F = ClosedFormTail(400.0, 0.2, 2.0)
+        with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
+            loglik(batch, F, scheme)
+        # data errors stay plain DomainErrors
+        with pytest.raises(DomainError) as err:
+            loglik(TreeBatch([1.5], [0, 1], [0.5]), F, scheme)
+        assert type(err.value) is DomainError
+
     def test_tip_count_must_match_k(self):
         batch = TreeBatch([2.0, 2.0], [0, 2, 3], [0.5, 0.7, 0.2])
         with pytest.raises(DomainError, match="tree has 2 tips, expected k=3"):
@@ -429,7 +442,7 @@ class TestMissingTips:
         tree = OrientedUltrametricTree(2.0, (0.3, 0.6))
         assert_allclose(
             likelihood_with_missing(tree, F_STD, 3, 0),
-            full_likelihood(tree, F_STD),
+            math.exp(full_loglikelihood(tree, F_STD)),
             rtol=1e-12,
         )
 
@@ -447,7 +460,7 @@ class TestMissingTips:
         # P(N >= k) times the k-sample density (geometric tail bounded above)
         tree = OrientedUltrametricTree(2.0, (0.3,))
         partial = sum(likelihood_with_missing(tree, F_STD, 2, m) for m in range(13))
-        target = A_STD * ksample_likelihood(tree, F_STD, 2)
+        target = A_STD * math.exp(ksample_loglikelihood(tree, F_STD, 2))
         tail_bound = 3 * likelihood_with_missing(tree, F_STD, 2, 12) / (1 - A_STD)
         assert partial < target < partial + tail_bound
         # the mixture theorem to rounding, beyond the oracles' enumeration
@@ -458,7 +471,7 @@ class TestMissingTips:
             k = tree.n_tips
             terms = [likelihood_with_missing(tree, F_STD, k, m) for m in range(400)]
             total = math.fsum(terms)
-            target = A_STD ** (k - 1) * ksample_likelihood(tree, F_STD, k)
+            target = A_STD ** (k - 1) * math.exp(ksample_loglikelihood(tree, F_STD, k))
             assert_allclose(total, target, rtol=1e-9)
 
 

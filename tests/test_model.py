@@ -735,6 +735,18 @@ class TestSchemeParsing:
         assert parse_scheme("bernoulli:0.3") == SamplingScheme.bernoulli(0.3)
         assert parse_scheme("k:5") == SamplingScheme.uniform_k(5)
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            SamplingScheme.full(),
+            SamplingScheme.bernoulli(0.3),
+            SamplingScheme.bernoulli(None),
+            SamplingScheme.uniform_k(5),
+        ],
+    )
+    def test_describe_round_trips(self, scheme):
+        assert parse_scheme(scheme.describe()) == scheme
+
     @pytest.mark.parametrize("bad", ["", "bern:0.3", "bernoulli:1.5", "bernoulli:x", "k:0", "k:two", "k"])
     def test_malformed(self, bad):
         with pytest.raises(SchemeError) as err:
