@@ -23,7 +23,6 @@ from .kernel import (
     ClosedFormTail,
     GridTail,
     InverseTail,
-    PiecewiseTail,
     closed_form_F,
     death_density_g,
     node_depth_density_f,

@@ -28,8 +28,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from typing import Iterator, List, Optional
+
+import numpy as np
 
 from . import __version__
 from .cpp import (
@@ -39,7 +42,7 @@ from .cpp import (
     simulate_forward,
     thinned_inverse_tail,
 )
-from .errors import CppgenError, DomainError
+from .errors import CppgenError, DomainError, TailOverflowError
 from .inference import fit_mle, neg_log_likelihood
 from .kernel import solve_F, step_grid, tail_for
 from .ksample import MixtureParams, definetti_sample_many, loglik
@@ -199,9 +202,11 @@ def cmd_dump_f(args) -> int:
     model = _load_model(args.model)
     F = tail_for(model, args.step, solve=solve_F)
     ts = step_grid(model.T, args.step)
-    lines = ["t,F"] + [
-        f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, F.value(ts))
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = F.value(ts)
+    if not math.isfinite(values[-1]):
+        raise TailOverflowError(f"F(T) is not finite ({values[-1]}): F leaves the float range")
+    lines = ["t,F"] + [f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, values)]
     _write_lines(args.out, lines)
     return 0
 

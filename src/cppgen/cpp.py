@@ -269,10 +269,7 @@ def thinned_inverse_tail(F: InverseTail, y: float) -> InverseTail:
         raise DomainError("y must lie in (0, 1]")
     if y == 1.0:
         return F
-    thinned = getattr(F, "thinned", None)
-    if thinned is None:
-        raise DomainError(f"cannot thin inverse tail of type {type(F).__name__}")
-    return thinned(y)
+    return F.thinned(y)
 
 
 def subsample(batch: TreeBatch, keep) -> TreeBatch:

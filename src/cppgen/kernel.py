@@ -7,10 +7,10 @@ unique solution of the linear Volterra integro-differential equation
     F'(t) = lambda(T - t) * ( F(t) - int_0^t F(s) g(T - t, T - s) ds ),
 
 with F(0) = 1, where g(t, s) is the density of the death time s of a particle
-born at time t.  Where death does not depend on age, F has an exact form:
-constant rates give the closed form (``ClosedFormTail``), and piecewise-constant
-lambda(t), mu(t) give a sum of exponentials (``PiecewiseTail``).  Both have an
-exact inverse.  Only age-dependent death needs the Volterra solver
+born at time t.  There are two tails, exact and grid.  Where death does not
+depend on age, piecewise-constant lambda(t), mu(t) give F as a sum of
+exponentials with an exact inverse (``ClosedFormTail``); constant rates are
+its one-piece case.  Only age-dependent death needs the Volterra solver
 (``solve_F``), whose ``GridTail`` interpolates F between grid nodes by a
 monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
 every tail inverts exactly what its ``value`` evaluates.  ``tail_for`` picks
@@ -31,6 +31,7 @@ age factor is one vector per time cell and the birth factor one table, so
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,9 @@ __all__ = [
     "InverseTail",
     "ClosedFormTail",
     "GridTail",
-    "PiecewiseTail",
     "tail_for",
     "step_grid",
     "closed_form_F",
-    "closed_form_dF",
     "death_density_g",
     "solve_F",
     "node_depth_density_f",
@@ -62,10 +61,12 @@ _SERIES_SWITCH = 1e-8
 
 
 def _growth(r, dt, critical):
-    """(e^{r dt} - 1) / r elementwise, and dt where ``critical`` (r taken as 0)."""
+    """(e^{r dt} - 1) / r, and dt where ``critical`` (r taken as 0); ``r`` and
+    ``critical`` are one piece's numbers or one entry per point."""
+    if not isinstance(critical, np.ndarray):
+        return dt if critical else np.expm1(r * dt) / r
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.expm1(r * dt) / r
-    return np.where(critical, dt, out)
+        return np.where(critical, dt, np.expm1(r * dt) / r)
 
 
 def _growth_inverse(r, w, critical):
@@ -102,19 +103,12 @@ def closed_form_F(lam: float, mu: float, t):
     return out if t.ndim else float(out[0])
 
 
-def closed_form_dF(lam: float, mu: float, t):
-    """F'(t) = lam * e^{rt} in both branches."""
-    t = np.asarray(t, dtype=float)
-    out = lam * np.exp((lam - mu) * t)
-    return out if out.ndim else float(out)
-
-
 class InverseTail:
     """Common interface: a nondecreasing F on [0, T] with F(0) = 1.
 
     ``inverse(targets)`` is exact: the smallest t with F(t) = target,
-    clipped to [0, T].  Tails closed under Bernoulli thinning have
-    ``thinned(y)``.
+    clipped to [0, T].  ``thinned(y)`` is the tail of the Bernoulli-sampled
+    CPP, F_y = 1 - y + y F, in the same representation.
     """
 
     T: float
@@ -128,35 +122,126 @@ class InverseTail:
     def inverse(self, targets):
         raise NotImplementedError
 
+    def thinned(self, y: float) -> "InverseTail":
+        raise NotImplementedError
+
+
+def _per_piece(v) -> tuple:
+    """``v`` as a tuple of floats; a number is one piece."""
+    return tuple(map(float, v)) if isinstance(v, (tuple, list, np.ndarray)) else (float(v),)
+
+
+def _pieces(T: float, breaks: tuple, lam: tuple, mu: tuple):
+    """The constants of each piece of an exact tail, in reverse time: its
+    knot tau_j and its end (clipped to T), lambda_j, r_j, whether r_j is
+    taken as 0, and at the knot R_j = int_{T - tau_j}^T r, F' and F - 1,
+    summed in piece order.  Piece j spans model time [b_{n-1-j}, b_{n-j})
+    with b_n = T, so tau_j = T - b_{n-j}."""
+    knots = [T - b for b in (T,) + breaks[::-1]]
+    R, slope, G = 0.0, lam[-1], 0.0
+    for j, (l, m) in enumerate(zip(lam[::-1], mu[::-1])):
+        r, critical, width = l - m, _is_critical(l, m), knots[j + 1] - knots[j]
+        yield knots[j], min(knots[j] + width, T), l, r, critical, R, slope, G
+        if j + 1 < len(lam):
+            G += slope * float(_growth(r, width, critical))
+            R += r * width
+            slope = lam[-2 - j] * float(np.exp(R))
+
 
 @dataclass(frozen=True)
 class ClosedFormTail(InverseTail):
-    """Constant-rate F, optionally Bernoulli-thinned: F_y = 1 - y + y F.
+    """Exact F for piecewise-constant lambda(s) and mu(s), optionally
+    Bernoulli-thinned: F_y = 1 - y + y F.  Constant rates are the one-piece case.
 
-    Thinning composes multiplicatively in y, so repeated thinning stays in
-    this representation.
+    With age-independent death, F(t) = 1 + int_{T-t}^T lambda(s) e^{int_s^T r} ds
+    with r = lambda - mu (Kendall 1948; Lambert & Stadler 2013).  In reverse
+    time t = T - s, on a piece [tau_j, tau_{j+1}] of constant lambda_j and r_j,
+
+        F(t) = F(tau_j) + lambda_j e^{R_j} (e^{r_j (t - tau_j)} - 1) / r_j,
+
+    where R_j = int_{T - tau_j}^T r, so F is a sum of exponentials with an
+    exact inverse on each piece; one piece gives 1 + (lambda/r)(e^{rt} - 1).
+    ``breaks`` are the left edges of the pieces in model time (for a model,
+    the union of the lambda and mu breaks); ``lam`` and ``mu`` hold the rates
+    on each piece, and a number is one piece.  Every evaluation finds the
+    piece holding each point by one ``searchsorted`` over the knots, so its
+    cost grows with the log of the piece count.  Thinning composes
+    multiplicatively in y.  Construction never warns, even where F leaves the
+    float range; callers check that F(T) is finite.
     """
 
-    lam: float
-    mu: float
+    lam: tuple
+    mu: tuple
     T: float
     y: float = 1.0
+    breaks: tuple = (0.0,)
 
     def __post_init__(self):
         if not (0.0 < self.y <= 1.0):
             raise DomainError("y must lie in (0, 1]")
         if not (self.T > 0):
             raise DomainError("T must be > 0")
+        lam, mu, breaks = _per_piece(self.lam), _per_piece(self.mu), _per_piece(self.breaks)
+        n = len(breaks)
+        if not (n and len(lam) == len(mu) == n):
+            raise DomainError("breaks, lam and mu must have equal, positive length")
+        if breaks[0] != 0.0 or breaks[-1] >= self.T or any(map(operator.ge, breaks, breaks[1:])):
+            raise DomainError("breaks must rise strictly from 0 inside [0, T)")
+        if min(lam + mu) < 0:
+            raise DomainError("rates must be >= 0")
+        # One column per piece constant, indexed by the piece j of each point:
+        # plain numbers for one piece (j = 0), arrays for more (j is an array).
+        if n == 1:  # constant rates: F - 1 = lam (e^{rt} - 1) / r from t = 0
+            (l,), (m,) = lam, mu
+            columns = ((0.0,), (self.T,), lam, (l - m,), (_is_critical(l, m),), (0.0,), lam, (0.0,))
+        else:
+            # F may leave the float range past a knot; value(T) is then not finite.
+            with np.errstate(over="ignore"):
+                columns = tuple(map(np.array, zip(*_pieces(self.T, breaks, lam, mu))))
+        # The dataclass is frozen, so the fields are normalized in __dict__.
+        self.__dict__.update(lam=lam, mu=mu, breaks=breaks, _columns=columns)
+
+    @classmethod
+    def from_model(cls, model: RateModel) -> "ClosedFormTail":
+        """The exact F of a model whose death rate does not depend on age."""
+        if not isinstance(model.mu, PiecewiseConstant):
+            raise DomainError("the exact tail needs age-independent death")
+        breaks = np.union1d(model.lam.breaks, model.mu.breaks)
+        lam = np.atleast_1d(model.lam(breaks)).tolist()
+        mu = np.atleast_1d(model.mu(breaks)).tolist()
+        return cls(lam, mu, model.T, breaks=breaks.tolist())
+
+    def _piece(self, t):
+        """The piece j holding each t (0 for one piece) and dt = t - tau_j;
+        piece 0 runs on below 0 and the last piece past T."""
+        n = len(self.breaks)
+        if n == 1:
+            return 0, t
+        knot = self._columns[0]
+        j = np.clip(np.searchsorted(knot, t, side="right") - 1, 0, n - 1)
+        return j, t - knot[j]
 
     def value(self, t):
-        base = closed_form_F(self.lam, self.mu, t)
-        return (1.0 - self.y) + self.y * base
+        """F_y = 1 + y (G_j + F'(tau_j) (e^{r_j dt} - 1) / r_j) on the piece
+        holding t, with G_j = F(tau_j) - 1."""
+        t = np.asarray(t, dtype=float)
+        j, dt = self._piece(t)
+        _, _, _, r, critical, _, slope, G = self._columns
+        g = G[j] + slope[j] * _growth(r[j], dt, critical[j])
+        out = 1.0 + self.y * g
+        return out if out.ndim else float(out)
 
     def deriv(self, t):
-        return self.y * closed_form_dF(self.lam, self.mu, t)
+        """F' = y lambda_j e^{R_j + r_j (t - tau_j)} on the piece holding t."""
+        t = np.asarray(t, dtype=float)
+        j, dt = self._piece(t)
+        _, _, lam, r, _, R, _, _ = self._columns
+        out = self.y * lam[j] * np.exp(R[j] + r[j] * dt)
+        return out if out.ndim else float(out)
 
     def rate_gradient(self, t):
-        """(dF/dlam, dF/dmu) of ``value`` at t; dF_y/dy is the unthinned F - 1.
+        """(dF/dlam, dF/dmu) of ``value`` at t for constant rates (one piece);
+        dF_y/dy is the unthinned F - 1.
 
         With F - 1 = y lam g(r, t), g = (e^{rt} - 1) / r and r = lam - mu,
         dF/dlam = y (g + lam g_r) and dF/dmu = -y lam g_r, where
@@ -164,9 +249,11 @@ class ClosedFormTail(InverseTail):
         ``closed_form_F``: at r taken as 0, g = t and g_r = t^2 / 2; where
         |rt| < ``_SERIES_SWITCH``, g = t + r t^2 / 2 and g_r = t^2 / 2 + r t^3 / 3.
         Just past the switch, the cancellation in t e^{rt} - g leaves g_r good
-        to a few 1e-8 relative.
+        to a few 1e-8 relative.  Raises ``DomainError`` for more than one piece.
         """
-        lam, mu = self.lam, self.mu
+        if len(self.breaks) > 1:
+            raise DomainError("rate_gradient needs constant rates (one piece)")
+        (lam,), (mu,) = self.lam, self.mu
         t = np.asarray(t, dtype=float)
         tt = np.atleast_1d(t)
         r = lam - mu
@@ -188,110 +275,23 @@ class ClosedFormTail(InverseTail):
         return float(d_lam[0]), float(d_mu[0])
 
     def thinned(self, y: float) -> "ClosedFormTail":
-        return ClosedFormTail(self.lam, self.mu, self.T, self.y * y)
+        return ClosedFormTail(self.lam, self.mu, self.T, self.y * y, self.breaks)
 
     def inverse(self, targets):
-        """Exact inverse: t = log1p((F - 1) r / lam) / r with F the unthinned
-        target (target - 1 + y) / y, or (F - 1) / lam at r = 0; clipped to [0, T]."""
+        """Exact inverse: the unthinned target u = F - 1 lies in the last piece
+        j with F(tau_j) - 1 <= u, where one ``_growth_inverse`` solves it;
+        clipped to [0, T]."""
         u = (np.asarray(targets, dtype=float) - 1.0) / self.y  # F - 1, unthinned
-        if self.lam == 0.0:
-            return np.zeros(u.shape)
-        critical = _is_critical(self.lam, self.mu)
-        t = _growth_inverse(self.lam - self.mu, u / self.lam, critical)
-        return np.clip(t, 0.0, self.T)
-
-
-@dataclass(frozen=True)
-class PiecewiseTail(InverseTail):
-    """Exact F for piecewise-constant lambda(s) and mu(s), optionally thinned.
-
-    With age-independent death, F(t) = 1 + int_{T-t}^T lambda(s) e^{int_s^T r} ds
-    with r = lambda - mu (Kendall 1948; Lambert & Stadler 2013).  In reverse
-    time t = T - s, on a piece [tau_j, tau_{j+1}] of constant lambda_j and r_j,
-
-        F(t) = F(tau_j) + lambda_j e^{R_j} (e^{r_j (t - tau_j)} - 1) / r_j,
-
-    where R_j = int_{T - tau_j}^T r, so F is a sum of exponentials with an
-    exact inverse on each piece.  ``breaks`` are the left edges of the pieces
-    in model time (the union of the lambda and mu breaks); ``lam`` and ``mu``
-    hold the rates on each piece.  Thinning composes multiplicatively in y.
-    """
-
-    breaks: tuple
-    lam: tuple
-    mu: tuple
-    T: float
-    y: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.y <= 1.0):
-            raise DomainError("y must lie in (0, 1]")
-        if not (self.T > 0):
-            raise DomainError("T must be > 0")
-        b = np.asarray(self.breaks, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if not (b.size and b.shape == lam.shape == mu.shape):
-            raise DomainError("breaks, lam and mu must have equal, positive length")
-        if b[0] != 0.0 or np.any(np.diff(b) <= 0) or b[-1] >= self.T:
-            raise DomainError("breaks must rise strictly from 0 inside [0, T)")
-        if np.any(lam < 0) or np.any(mu < 0):
-            raise DomainError("rates must be >= 0")
-        # Reverse time: piece j spans model time [b_{n-1-j}, b_{n-j}).
-        knots = self.T - np.append(b, self.T)[::-1]
-        lam, mu = lam[::-1], mu[::-1]
-        r = lam - mu
-        width = np.diff(knots)
-        critical = _is_critical(lam, mu)
-        R = np.cumsum(np.append(0.0, r * width))  # int_{T-t}^T r at the knots
-        slope = lam * np.exp(R[:-1])  # F' at the start of each piece
-        # F - 1 at the knots, accumulated in the order value() evaluates it.
-        G = np.cumsum(np.append(0.0, slope * _growth(r, width, critical)))
-        derived = dict(knots=knots, lam=lam, r=r, critical=critical, R=R, slope=slope, G=G)
-        for name, arr in derived.items():
-            object.__setattr__(self, "_" + name, arr)
-
-    @classmethod
-    def from_model(cls, model: RateModel) -> "PiecewiseTail":
-        if not isinstance(model.mu, PiecewiseConstant):
-            raise DomainError("the exact piecewise tail needs age-independent death")
-        breaks = np.union1d(model.lam.breaks, model.mu.breaks)
-        lam = np.atleast_1d(model.lam(breaks)).tolist()
-        mu = np.atleast_1d(model.mu(breaks)).tolist()
-        return cls(tuple(breaks.tolist()), tuple(lam), tuple(mu), model.T)
-
-    def _piece(self, t):
-        idx = np.searchsorted(self._knots, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self._lam) - 1)
-        return idx, t - self._knots[idx]
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        j, dt = self._piece(t)
-        g = self._G[j] + self._slope[j] * _growth(self._r[j], dt, self._critical[j])
-        out = 1.0 + self.y * g
-        return out if out.ndim else float(out)
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        j, dt = self._piece(t)
-        out = self.y * self._lam[j] * np.exp(self._R[j] + self._r[j] * dt)
-        return out if out.ndim else float(out)
-
-    def thinned(self, y: float) -> "PiecewiseTail":
-        return PiecewiseTail(self.breaks, self.lam, self.mu, self.T, self.y * y)
-
-    def inverse(self, targets):
-        """Exact inverse, piece by piece; clipped to [0, T]."""
-        u = (np.asarray(targets, dtype=float) - 1.0) / self.y  # F - 1, unthinned
-        j = np.clip(np.searchsorted(self._G, u, side="right") - 1, 0, len(self._lam) - 1)
+        knot, end, _, r, critical, _, slope, G = self._columns
+        n, j = len(self.breaks), 0
+        if n > 1:
+            j = np.clip(np.searchsorted(G, u, side="right") - 1, 0, n - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (u - self._G[j]) / self._slope[j]
-        dt = _growth_inverse(self._r[j], w, self._critical[j])
+            w = (u - G[j]) / slope[j]
+        dt = _growth_inverse(r[j], w, critical[j])
         # A piece with lambda = 0 is flat in F: its targets sit at its start.
-        dt = np.where(self._slope[j] > 0, dt, 0.0)
-        dt = np.clip(dt, 0.0, self._knots[j + 1] - self._knots[j])
-        return np.clip(self._knots[j] + dt, 0.0, self.T)
+        dt = np.where(slope[j] > 0, dt, 0.0)
+        return np.clip(knot[j] + dt, knot[j], end[j])
 
 
 # GridTail.inverse stops once no Newton step moves a depth by more than
@@ -310,8 +310,8 @@ class GridTail(InverseTail):
     T: float
 
     def __post_init__(self):
-        # scipy is imported here, not at module level, so that constant and
-        # piecewise-rate models never load it.
+        # scipy is imported here, not at module level, so that models with
+        # an exact tail never load it.
         from scipy.interpolate import PchipInterpolator
 
         ts = np.asarray(self.ts, dtype=float)
@@ -537,15 +537,13 @@ def solve_F(model: RateModel, step: float) -> GridTail:
 def tail_for(model: RateModel, step: float = 1e-3, solve=None) -> InverseTail:
     """F of ``model``: exact wherever death does not depend on age.
 
-    Constant rates get ``ClosedFormTail``, piecewise-constant lambda(t) and
-    mu(t) get ``PiecewiseTail``, and age-dependent death gets the Volterra
-    grid ``solve(model, step)`` (``solve_F`` by default; callers pass their
-    own binding to cache the solve or to observe it).
+    Piecewise-constant lambda(t) and mu(t), constant rates included, get the
+    exact ``ClosedFormTail``, and age-dependent death gets the Volterra grid
+    ``solve(model, step)`` (``solve_F`` by default; callers pass their own
+    binding to cache the solve or to observe it).
     """
-    if model.kind == "constant":
-        return ClosedFormTail(model.lambda_constant, model.mu_constant, model.T)
     if isinstance(model.mu, PiecewiseConstant):
-        return PiecewiseTail.from_model(model)
+        return ClosedFormTail.from_model(model)
     return (solve or solve_F)(model, step)
 
 

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cppgen
 from cppgen import cli
 from cppgen.cli import main
 from cppgen.kernel import ClosedFormTail, closed_form_F, step_grid, tail_for
@@ -19,6 +24,16 @@ TV_JSON = {
     "lambda": {"breaks": [0.0, 1.3], "values": [1.0, 1.5]},
     "mu": 0.5,
     "T": 2.0,
+}
+# F(T) is about e^{800}, past the float range, in both models.
+BIG_JSON = {
+    "time_varying": {
+        "kind": "time_varying",
+        "lambda": {"breaks": [0.0, 1.0], "values": [400.0, 400.0]},
+        "mu": 0.2,
+        "T": 2.0,
+    },
+    "constant": {"kind": "constant", "lambda": 400.0, "mu": 0.2, "T": 2.0},
 }
 AD_JSON = {
     "kind": "age_dependent",
@@ -365,6 +380,58 @@ class TestTailOverflow:
         assert out == ""
         assert err.startswith("error: ") and "F(T) is not finite" in err
         assert "Warning" not in err
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["time_varying", "constant"])
+    def test_every_command_exits_2(self, capsys, model_path, tmp_path, kind):
+        # the same typed errors for a time-varying and a constant F(T) = inf,
+        # with no numpy warning: dump-f writes no "inf" row either
+        trees = {}
+        for scheme in ("full", "k:3"):
+            trees[scheme] = tmp_path / f"{scheme}.nwk"
+            code, _, _ = _run(
+                capsys, "simulate", "--model", model_path, "--scheme", scheme,
+                "--reps", "20", "--seed", "3", "--out", str(trees[scheme]),
+            )
+            assert code == 0
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(BIG_JSON[kind]))
+        commands = [
+            ("likelihood", "--tree", str(trees["full"]), "--scheme", "full"),
+            ("likelihood", "--tree", str(trees["full"]), "--scheme", "bernoulli:0.5"),
+            ("likelihood", "--tree", str(trees["k:3"]), "--scheme", "k:3"),
+            ("simulate", "--scheme", "full", "--reps", "3", "--seed", "1"),
+            ("simulate", "--scheme", "k:3", "--reps", "3", "--seed", "1"),
+            ("dump-f", "--step", "0.5"),
+        ]
+        for argv in commands:
+            code, out, err = _run(capsys, *argv, "--model", str(big))
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: ") and "F(T)" in err, err
+
+    @pytest.mark.parametrize("command", ["dump-f", "likelihood"])
+    def test_time_varying_under_warnings_as_errors(self, tmp_path, command):
+        # a fresh interpreter with -W error::RuntimeWarning, as CI runs it
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(BIG_JSON["time_varying"]))
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((0:0.3,1:0.3):0.3,2:0.6):1.4;\n")
+        argv = ["dump-f"]
+        if command == "likelihood":
+            argv = ["likelihood", "--tree", str(trees), "--scheme", "full"]
+        src = str(Path(cppgen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cppgen.cli", *argv,
+             "--model", str(big)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: F(T) is not finite")
+        assert "Traceback" not in proc.stderr
 
 
 class TestFit:

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cppgen.errors import DomainError, SolverError
+from cppgen.cpp import RandomStream, simulate_cpp_many
+from cppgen.errors import DegenerateMixtureError, DomainError, SolverError, TailOverflowError
 from cppgen.kernel import (
     ClosedFormTail,
     GridTail,
-    PiecewiseTail,
     closed_form_F,
     death_density_g,
     invert_tail,
@@ -24,7 +24,8 @@ from cppgen.kernel import (
     survival_a,
     tail_for,
 )
-from cppgen.model import AgeDependentRate, PiecewiseConstant, RateModel
+from cppgen.ksample import definetti_sample_many, loglik
+from cppgen.model import AgeDependentRate, PiecewiseConstant, RateModel, SamplingScheme, TreeBatch
 
 TV_MODEL = RateModel.time_varying(
     lam=PiecewiseConstant((0.0, 1.0), (1.0, 1.5)),
@@ -553,22 +554,32 @@ class TestGridTailInverse:
 
 
 class TestPiecewiseTail:
+    """The exact tail of piecewise-constant rates, ``ClosedFormTail.from_model``."""
+
     def test_matches_quadrature_oracle(self):
-        F = PiecewiseTail.from_model(TV_MODEL)
+        F = ClosedFormTail.from_model(TV_MODEL)
         assert F.breaks == (0.0, 1.0)
         for t in (0.25, 0.75, 1.0, 1.5, 2.0):
             assert_allclose(F.value(t), _tv_exact(t), rtol=1e-9)
 
     def test_one_piece_is_closed_form(self):
-        F = PiecewiseTail.from_model(RateModel.constant(1.0, 0.5, 2.0))
-        G = ClosedFormTail(1.0, 0.5, 2.0)
+        # constant rates are the one-piece case; closed_form_F is the oracle,
+        # and F' = lam e^{rt} (thinned: y lam e^{rt})
         t = np.linspace(0.0, 2.0, 81)
-        for y in (1.0, 0.3):
-            assert_allclose(F.thinned(y).value(t), G.thinned(y).value(t), rtol=1e-14)
-            assert_allclose(F.thinned(y).deriv(t), G.thinned(y).deriv(t), rtol=1e-14)
+        cases = [(1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9),
+                 (1.5, 0.0), (0.0, 0.5)]
+        for lam, mu in cases:
+            F = ClosedFormTail.from_model(RateModel.constant(lam, mu, 2.0))
+            assert F == ClosedFormTail(lam, mu, 2.0)
+            assert F.lam == (lam,) and F.mu == (mu,) and F.breaks == (0.0,)
+            for y in (1.0, 0.3):
+                Fy = F.thinned(y)
+                expect = 1.0 - y + y * closed_form_F(lam, mu, t)
+                assert_allclose(Fy.value(t), expect, rtol=1e-15, atol=0)
+                assert_allclose(Fy.deriv(t), y * lam * np.exp((lam - mu) * t), rtol=1e-15, atol=0)
 
     def test_deriv_matches_central_difference(self):
-        F = PiecewiseTail.from_model(TV_MODEL).thinned(0.6)
+        F = ClosedFormTail.from_model(TV_MODEL).thinned(0.6)
         t = np.linspace(0.05, 1.95, 39)
         t = t[np.abs(t - 1.0) > 1e-3]  # F' jumps at the break
         h = 1e-6
@@ -576,29 +587,123 @@ class TestPiecewiseTail:
         assert_allclose(F.deriv(t), num, rtol=1e-8)
 
     def test_thinning_composes(self):
-        F = PiecewiseTail.from_model(TV_MODEL)
+        F = ClosedFormTail.from_model(TV_MODEL)
         t = np.linspace(0.0, 2.0, 41)
         assert_allclose(F.thinned(0.5).thinned(0.6).value(t), F.thinned(0.3).value(t), rtol=1e-14)
         assert_allclose(F.thinned(0.3).value(t), 1.0 - 0.3 + 0.3 * F.value(t), rtol=1e-14)
 
     @pytest.mark.parametrize("y", [1.0, 0.3])
     def test_inverse_round_trip(self, y):
-        F = PiecewiseTail.from_model(TV_MODEL).thinned(y)
+        F = ClosedFormTail.from_model(TV_MODEL).thinned(y)
         t = np.linspace(0.0, 2.0, 201)
         assert_allclose(invert_tail(F, F.value(t)), t, rtol=0, atol=1e-12)
         assert_allclose(F.inverse([1.0, F.value(F.T)]), [0.0, F.T], rtol=0, atol=1e-12)
 
     def test_tails_pickle(self):
-        for F in (PiecewiseTail.from_model(TV_MODEL), solve_F(TV_MODEL, 1e-2)):
+        for F in (ClosedFormTail.from_model(TV_MODEL), solve_F(TV_MODEL, 1e-2)):
             G = pickle.loads(pickle.dumps(F))
             t = np.linspace(0.0, 2.0, 11)
             assert np.array_equal(G.value(t), F.value(t))
+
+    def test_rate_gradient_is_one_piece_only(self):
+        with pytest.raises(DomainError, match="one piece"):
+            ClosedFormTail.from_model(TV_MODEL).rate_gradient(1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lam=(1.0, 2.0), mu=0.5, T=2.0, breaks=(0.0, 1.0)),
+            dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.5, 1.0)),
+            dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.0, 2.0)),
+            dict(lam=(1.0, 2.0), mu=(0.5, -0.5), T=2.0, breaks=(0.0, 1.0)),
+            dict(lam=-1.0, mu=0.5, T=2.0),
+            dict(lam=1.0, mu=0.5, T=0.0),
+        ],
+        ids=["lengths", "first-break", "break-past-T", "negative-mu", "negative-lam", "T"],
+    )
+    def test_bad_pieces_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            ClosedFormTail(**kwargs)
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.25, 2.0))
+
+
+@st.composite
+def _exact_tails(draw):
+    """A ClosedFormTail of 1-4 pieces, lambda = 0 and critical (mu = lambda)
+    pieces included, thinned by a random y."""
+    T = draw(st.floats(0.5, 2.0))
+    cuts = sorted(draw(st.lists(st.integers(1, 19), max_size=3, unique=True)))
+    lam = [draw(_RATES) for _ in range(len(cuts) + 1)]
+    mu = [draw(st.one_of(st.just(l), _RATES)) for l in lam]
+    breaks = (0.0,) + tuple(T * k / 20 for k in cuts)
+    return ClosedFormTail(tuple(lam), tuple(mu), T, breaks=breaks).thinned(draw(st.floats(0.05, 1.0)))
+
+
+class TestExactTailProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_tails())
+    def test_random_pieces(self, F):
+        T, eps = F.T, np.finfo(float).eps
+        assert F.value(0.0) == 1.0
+        t = np.linspace(0.0, T, 2001)
+        v, dv = F.value(t), F.deriv(t)
+        assert np.all(np.diff(v) >= -2 * eps * v[1:])  # nondecreasing up to rounding
+        # Away from the knots (tau_j = T - b_j), where F' jumps:
+        h = 1e-6 * T
+        knots = T - np.asarray(F.breaks)
+        away = np.min(np.abs(t[:, None] - knots[None, :]), axis=1) > 1e-3 * T
+        away &= (t > 2 * h) & (t < T - 2 * h)
+        # where F strictly increases, inverse(value(t)) gives t back; the
+        # rounding of F(t) moves it by at most about 5e-13 T at these rates
+        rising = away & (dv > 0)
+        assert np.all(np.abs(F.inverse(v[rising]) - t[rising]) <= 1e-12 * T)
+        # F' matches central differences, up to their O(h^2) and rounding error
+        ta = t[away]
+        num = (F.value(ta + h) - F.value(ta - h)) / (2 * h)
+        assert np.all(np.abs(F.deriv(ta) - num) <= 1e-6 * np.abs(num) + 4 * eps * F.value(ta) / h)
+
+
+def _two_pieces(lam):
+    """lam on both pieces of [0, 1), [1, 2), mu = 0.2: F(T) is about e^{2 lam}."""
+    return RateModel.time_varying(
+        lam=PiecewiseConstant((0.0, 1.0), (lam, lam)), mu=PiecewiseConstant.constant(0.2), T=2.0
+    )
+
+
+class TestOverflowingTail:
+    # F(T) past the float range; with lam = 800, e^{R} and F - 1 overflow
+    # at the second knot already, while the tail is built.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "model",
+        [_two_pieces(400.0), _two_pieces(800.0), RateModel.constant(400.0, 0.2, 2.0)],
+        ids=["time_varying", "overflow-at-knot", "constant"],
+    )
+    def test_typed_errors_without_warning(self, model):
+        F = ClosedFormTail.from_model(model)  # building never warns
+        with np.errstate(over="ignore"):
+            assert F.value(F.T) == math.inf
+        # F is finite up to t = 0.8 < 709 / 800, below the first knot (tau = 1),
+        # and evaluating it there never touches the pieces past the overflow
+        t = np.linspace(0.0, 0.8, 9)
+        assert np.all(np.isfinite(F.value(t))) and np.all(np.isfinite(F.deriv(t)))
+        assert math.isfinite(F.value(0.5)) and math.isfinite(F.deriv(0.5))
+        batch = TreeBatch([2.0, 2.0], [0, 1, 2], [0.5, 1.5])
+        for scheme in (SamplingScheme.full(), SamplingScheme.bernoulli(0.3)):
+            with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
+                loglik(batch, F, scheme)
+        with pytest.raises(DomainError, match="tips"):
+            simulate_cpp_many(F, 3, RandomStream(1))
+        with pytest.raises(DegenerateMixtureError, match="not finite"):
+            definetti_sample_many(F, 3, 3, RandomStream(1))
 
 
 class TestTailFor:
     def test_dispatch(self):
         assert isinstance(tail_for(RateModel.constant(1.0, 0.5, 2.0)), ClosedFormTail)
-        assert isinstance(tail_for(TV_MODEL), PiecewiseTail)
+        assert isinstance(tail_for(TV_MODEL), ClosedFormTail)
         assert isinstance(tail_for(AD_MODEL, 1e-2), GridTail)
 
     def test_solver_only_for_age_dependent(self):
