@@ -15,7 +15,6 @@ from .cpp import (
     simulate_cpp_many,
     simulate_forward,
     subsample,
-    thinned_inverse_tail,
     uniform_k_sample,
 )
 from .inference import FitResult, fit_mle, neg_log_likelihood

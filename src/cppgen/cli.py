@@ -32,15 +32,12 @@ import math
 import sys
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from . import __version__
 from .cpp import (
     RandomStream,
     check_expected_tips,
     simulate_cpp_many,
     simulate_forward,
-    thinned_inverse_tail,
 )
 from .errors import CppgenError, DomainError, TailOverflowError
 from .inference import fit_mle, neg_log_likelihood
@@ -130,7 +127,7 @@ def cmd_simulate(args) -> int:
     else:
         F = tail_for(model, args.step, solve=solve_F)
         if scheme.variant == "bernoulli":
-            F = thinned_inverse_tail(F, scheme.y)
+            F = F.thinned(scheme.y)
         if scheme.variant == "uniform_k":
             MixtureParams.from_tail(F, scheme.k)  # DomainError for a degenerate F(T)
 
@@ -202,8 +199,7 @@ def cmd_dump_f(args) -> int:
     model = _load_model(args.model)
     F = tail_for(model, args.step, solve=solve_F)
     ts = step_grid(model.T, args.step)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = F.value(ts)
+    values = F.value(ts)
     if not math.isfinite(values[-1]):
         raise TailOverflowError(f"F(T) is not finite ({values[-1]}): F leaves the float range")
     lines = ["t,F"] + [f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, values)]

@@ -27,7 +27,6 @@ __all__ = [
     "simulate_cpp",
     "simulate_cpp_many",
     "simulate_forward",
-    "thinned_inverse_tail",
     "subsample",
     "bernoulli_thin",
     "uniform_k_sample",
@@ -80,8 +79,7 @@ def check_expected_tips(F: InverseTail, reps: int) -> float:
     A tree has F(T) tips on average; raises ``DomainError`` when F(T) is not
     finite or ``reps`` trees would hold more than ``MAX_EXPECTED_TIPS`` tips.
     """
-    with np.errstate(over="ignore"):
-        FT = float(F.value(F.T))
+    FT = float(F.value(F.T))
     expected = reps * FT
     if not (math.isfinite(expected) and expected <= MAX_EXPECTED_TIPS):
         raise DomainError(
@@ -261,15 +259,6 @@ def simulate_forward_detailed(model: RateModel, rng: RandomStream) -> ForwardRes
 # ---------------------------------------------------------------------------
 # Thinning and subsampling
 # ---------------------------------------------------------------------------
-
-
-def thinned_inverse_tail(F: InverseTail, y: float) -> InverseTail:
-    """Inverse tail of the Bernoulli-sampled CPP: F_y = 1 - y + y F."""
-    if not (0.0 < y <= 1.0):
-        raise DomainError("y must lie in (0, 1]")
-    if y == 1.0:
-        return F
-    return F.thinned(y)
 
 
 def subsample(batch: TreeBatch, keep) -> TreeBatch:

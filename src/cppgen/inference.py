@@ -3,11 +3,11 @@ optionally the Bernoulli sampling probability) from observed trees.
 
 Full and Bernoulli trees form a CPP, whose log-likelihood is a sum over the
 node depths x of log F'_y(x) - 2 log F_y(x), minus log F_y(T) per tree.  For
-constant rates F is closed form, so is its score (``_score``), and
+constant rates one tail gives that sum and its score (``_objective``), and
 :func:`fit_mle` fits these schemes by L-BFGS-B.  The uniform k-sample
 likelihood is a quadrature over a mixture whose objective is noisy at large
 rT and flat along a (lambda, mu) ridge; it keeps a derivative-free
-Nelder-Mead.  Either way the value comes from :func:`neg_log_likelihood`.
+Nelder-Mead.  Either way the reported value is :func:`neg_log_likelihood`.
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ def neg_log_likelihood(
     Bernoulli ``y`` (``scheme.y is None``) is taken from ``y``.
     """
     if model is None:
-        if lam < 0 or mu < 0:
-            raise DomainError("rates must be >= 0")
-        F = ClosedFormTail(lam, mu, T)
+        F = ClosedFormTail(lam, mu, T)  # DomainError for negative rates
     else:
         F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=_cached_solve_F)
     if scheme.variant == "bernoulli" and scheme.y is None:
@@ -139,28 +137,33 @@ def _fit_options(bounds: Optional[dict], init: Optional[dict]):
     return bounds, init
 
 
-def _score(batch: TreeBatch, lam: float, mu: float, y: float, T: float) -> np.ndarray:
-    """Gradient of the full or Bernoulli log-likelihood of ``batch`` in
-    (lam, mu, y), for constant rates.
-
-    Each depth x contributes log F'_y(x) - 2 log F_y(x) and each tree
-    -log F_y(T).  With F'_y = y lam e^{rx}, d log F'_y is (1/lam + x, -x, 1/y);
-    d F_y in (lam, mu) comes from ``ClosedFormTail.rate_gradient`` and
-    d F_y / dy = F - 1 = (F_y - 1) / y.  The tree shapes add a constant, so
-    the score is the same oriented or not, and it needs no per-tree sum.
+def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float):
+    """The oriented negative log-likelihood of full or Bernoulli trees
+    ``batch`` for constant rates, less its constant shape term, and its
+    gradient in (lam, mu, y), from one tail: +inf and 0 where F_y(T) is not
+    finite.  With F'_y = y lam e^{rx}, r = lam - mu, m depths x and n trees,
+    the log-likelihood is m log(y lam) + r sum(x) - 2 sum(log F_y(x)) -
+    n log F_y(T), and d log F'_y is (1/lam + x, -x, 1/y); d F_y in (lam, mu)
+    comes from ``ClosedFormTail.rate_gradient``, and d F_y / dy = F - 1 =
+    (F_y - 1) / y.
     """
     F = ClosedFormTail(lam, mu, T, y)
+    vT = F.value(T)
+    if not math.isfinite(vT):
+        return math.inf, np.zeros(3)
     d = batch.depths
     v = F.value(d)
     d_lam, d_mu = F.rate_gradient(d)
-    vT = F.value(T)
     d_lamT, d_muT = F.rate_gradient(T)
     n, m, x_sum = len(batch), d.size, float(d.sum())
-    return np.array([
+    log_F = float(np.log(v).sum())
+    loglik = m * math.log(y * lam) + (lam - mu) * x_sum - 2.0 * log_F - n * math.log(vT)
+    score = np.array([
         m / lam + x_sum - 2.0 * float((d_lam / v).sum()) - n * d_lamT / vT,
         -x_sum - 2.0 * float((d_mu / v).sum()) - n * d_muT / vT,
         (m - 2.0 * float(((v - 1.0) / v).sum()) - n * (vT - 1.0) / vT) / y,
     ])
+    return -loglik, -score
 
 
 # L-BFGS-B stops once the max-norm of the projected gradient of the per-tree
@@ -195,10 +198,11 @@ def fit_mle(
     start's own status.  The trees are packed into one batch before the
     first start, so an objective evaluation is array work only.
 
-    Full and Bernoulli trees (y fixed or free) are fitted by L-BFGS-B with
-    the analytic score (``_score``) inside the box the bounds map to
-    (``_lbfgsb``).  Uniform k-samples keep a derivative-free Nelder-Mead on
-    a clamped objective (``_nelder_mead`` says why).
+    Full and Bernoulli trees (y fixed or free) are fitted by L-BFGS-B on
+    ``_objective`` inside the box the bounds map to (``_lbfgsb``).  Uniform
+    k-samples keep a derivative-free Nelder-Mead on a clamped objective
+    (``_nelder_mead`` says why).  ``loglik`` is :func:`neg_log_likelihood`
+    at the reported estimate, as CLI ``likelihood`` computes it there.
     """
     batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
     if not len(batch):
@@ -212,7 +216,7 @@ def fit_mle(
     def unpack(theta):
         lam = math.exp(theta[0])
         mu = math.exp(theta[1])
-        y = 1.0 / (1.0 + math.exp(-theta[2])) if free_y else None
+        y = 1.0 / (1.0 + math.exp(-theta[2])) if free_y else scheme.y or 1.0
         return lam, mu, y
 
     starts = []
@@ -229,8 +233,8 @@ def fit_mle(
     if scheme.variant == "uniform_k":
         fit = _nelder_mead(batch, scheme, T, bounds, oriented, unpack, starts)
     else:
-        fit = _lbfgsb(batch, scheme, T, bounds, oriented, unpack, starts, free_y)
-    theta, nll, converged, total_iter = fit
+        fit = _lbfgsb(batch, T, bounds, unpack, starts, free_y)
+    theta, converged, total_iter = fit
 
     lam, mu, y = unpack(theta)
     lam = min(max(lam, bounds["lam"][0]), bounds["lam"][1])
@@ -242,24 +246,24 @@ def fit_mle(
         "mu_upper": bounds["mu"][1] > 0 and mu >= bounds["mu"][1] * (1 - 1e-6),
     }
     if free_y:
-        bound_hits["y_upper"] = y is not None and y >= 1.0 - 1e-9
+        bound_hits["y_upper"] = y >= 1.0 - 1e-9
     if mu < MU_REPORT_ZERO:
         mu = 0.0
     return FitResult(
         lam=lam,
         mu=mu,
-        y=y,
-        loglik=-nll,
+        y=y if free_y else None,
+        loglik=-neg_log_likelihood(batch, lam, mu, scheme, T, y=y, oriented=oriented),
         n_iter=total_iter,
         converged=converged,
         bound_hits=bound_hits,
     )
 
 
-def _lbfgsb(batch, scheme, T, bounds, oriented, unpack, starts, free_y):
-    """L-BFGS-B from each start on the per-tree mean negative log-likelihood;
-    returns the best start's (theta, negative log-likelihood, convergence)
-    and the total number of iterations.
+def _lbfgsb(batch, T, bounds, unpack, starts, free_y):
+    """L-BFGS-B from each start on the per-tree mean of ``_objective``;
+    returns the best start's theta and convergence, and the total number of
+    iterations.
 
     The box is (log lam, log mu[, logit y]) of the bounds, with mu's lower
     end at ``MU_FLOOR`` and no bound where y may reach 0 or 1.  A start
@@ -271,7 +275,6 @@ def _lbfgsb(batch, scheme, T, bounds, oriented, unpack, starts, free_y):
     from scipy.optimize import minimize  # here, so that importing cppgen loads no scipy
 
     n = len(batch)
-    fixed_y = scheme.y if scheme.variant == "bernoulli" else 1.0
     # The bounds as a box in theta; None where it is unbounded.
     lam_lo, lam_hi = bounds["lam"]
     mu_lo = max(bounds["mu"][0], MU_FLOOR)
@@ -294,17 +297,12 @@ def _lbfgsb(batch, scheme, T, bounds, oriented, unpack, starts, free_y):
         try:
             lam, mu, y = unpack(theta)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = neg_log_likelihood(
-                    batch, lam, mu, scheme, T, y=y, oriented=oriented
-                ) / n
-                if not math.isfinite(value):
-                    return math.inf, np.zeros(len(theta))
-                score = _score(batch, lam, mu, y if free_y else fixed_y, T)
+                value, grad = _objective(batch, lam, mu, y, T)
         except _FIT_ERRORS:
             return math.inf, np.zeros(len(theta))
         # Chain rule to (log lam, log mu[, logit y]).
-        jac = np.array([lam, mu, y * (1.0 - y) if free_y else 0.0])[: len(theta)]
-        return value, -score[: len(theta)] * jac / n
+        jac = np.array([lam, mu, y * (1.0 - y)])[: len(theta)]
+        return value / n, grad[: len(theta)] * jac / n
 
     def descend(theta):
         """L-BFGS-B runs from theta: (result, converged, iterations).  A
@@ -343,13 +341,13 @@ def _lbfgsb(batch, scheme, T, bounds, oriented, unpack, starts, free_y):
             total_iter += nit
             if res.fun <= best.fun:
                 best, best_converged = res, converged
-    return best.x, float(best.fun) * n, best_converged, total_iter
+    return best.x, best_converged, total_iter
 
 
 def _nelder_mead(batch, scheme, T, bounds, oriented, unpack, starts):
     """Nelder-Mead from each start on the clamped negative log-likelihood;
-    returns the best start's (theta, negative log-likelihood, convergence)
-    and the total number of iterations.
+    returns the best start's theta and convergence, and the total number of
+    iterations.
 
     Uniform k-samples stay here: it is the one optimizer that fits them
     today.  At T = 40, a = 1 - 1/F(T) rounds, so their objective is noisy at
@@ -387,4 +385,4 @@ def _nelder_mead(batch, scheme, T, bounds, oriented, unpack, starts):
             best, best_converged = res, bool(res.success)
     if best is None:
         raise FitError("all optimizer starts failed")
-    return best.x, float(best.fun), best_converged, total_iter
+    return best.x, best_converged, total_iter

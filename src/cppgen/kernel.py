@@ -123,6 +123,12 @@ class InverseTail:
         raise NotImplementedError
 
     def thinned(self, y: float) -> "InverseTail":
+        """F_y for y in (0, 1]; ``self`` at y = 1."""
+        if not (0.0 < y <= 1.0):
+            raise DomainError("y must lie in (0, 1]")
+        return self if y == 1.0 else self._thinned(y)
+
+    def _thinned(self, y: float) -> "InverseTail":
         raise NotImplementedError
 
 
@@ -166,8 +172,9 @@ class ClosedFormTail(InverseTail):
     on each piece, and a number is one piece.  Every evaluation finds the
     piece holding each point by one ``searchsorted`` over the knots, so its
     cost grows with the log of the piece count.  Thinning composes
-    multiplicatively in y.  Construction never warns, even where F leaves the
-    float range; callers check that F(T) is finite.
+    multiplicatively in y.  Where F or F' leaves the float range it is +inf,
+    and neither construction nor ``value`` or ``deriv`` warns; callers check
+    that F(T) is finite.
     """
 
     lam: tuple
@@ -223,20 +230,26 @@ class ClosedFormTail(InverseTail):
 
     def value(self, t):
         """F_y = 1 + y (G_j + F'(tau_j) (e^{r_j dt} - 1) / r_j) on the piece
-        holding t, with G_j = F(tau_j) - 1."""
+        holding t, with G_j = F(tau_j) - 1; +inf past the float range."""
         t = np.asarray(t, dtype=float)
         j, dt = self._piece(t)
         _, _, _, r, critical, _, slope, G = self._columns
-        g = G[j] + slope[j] * _growth(r[j], dt, critical[j])
-        out = 1.0 + self.y * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            grown = slope[j] * _growth(r[j], dt, critical[j])
+        if len(self.breaks) > 1:
+            # A point on a knot grows by 0, also where F' overflowed there (inf * 0).
+            grown = np.where(dt == 0.0, 0.0, grown)
+        out = 1.0 + self.y * (G[j] + grown)
         return out if out.ndim else float(out)
 
     def deriv(self, t):
-        """F' = y lambda_j e^{R_j + r_j (t - tau_j)} on the piece holding t."""
+        """F' = y lambda_j e^{R_j + r_j (t - tau_j)} on the piece holding t;
+        +inf past the float range."""
         t = np.asarray(t, dtype=float)
         j, dt = self._piece(t)
         _, _, lam, r, _, R, _, _ = self._columns
-        out = self.y * lam[j] * np.exp(R[j] + r[j] * dt)
+        with np.errstate(over="ignore"):
+            out = self.y * lam[j] * np.exp(R[j] + r[j] * dt)
         return out if out.ndim else float(out)
 
     def rate_gradient(self, t):
@@ -274,7 +287,7 @@ class ClosedFormTail(InverseTail):
             return d_lam, d_mu
         return float(d_lam[0]), float(d_mu[0])
 
-    def thinned(self, y: float) -> "ClosedFormTail":
+    def _thinned(self, y: float) -> "ClosedFormTail":
         return ClosedFormTail(self.lam, self.mu, self.T, self.y * y, self.breaks)
 
     def inverse(self, targets):
@@ -348,7 +361,7 @@ class GridTail(InverseTail):
         out = np.asarray(out)
         return out if out.ndim else float(out)
 
-    def thinned(self, y: float) -> "GridTail":
+    def _thinned(self, y: float) -> "GridTail":
         vals = 1.0 - y + y * np.asarray(self.values)
         return GridTail(self.ts, tuple(vals), self.T)
 

@@ -25,7 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cpp import RandomStream, thinned_inverse_tail
+from .cpp import RandomStream
 from .errors import (
     DegenerateMixtureError,
     DomainError,
@@ -91,8 +91,7 @@ class MixtureParams:
         For k > 1, raises ``DegenerateMixtureError`` when F(T) is not finite,
         so large that a rounds to 1, or 1 (a = 0: every tree has one tip).
         """
-        with np.errstate(over="ignore"):
-            FT = float(F.value(F.T))
+        FT = float(F.value(F.T))
         a = 1.0 - 1.0 / FT
         if k > 1:
             if not math.isfinite(FT):
@@ -218,9 +217,8 @@ def loglik(
         if scheme.variant == "bernoulli":
             if scheme.y is None:
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
-            F = thinned_inverse_tail(F, scheme.y)
-        with np.errstate(over="ignore"):
-            FT = float(F.value(T))
+            F = F.thinned(scheme.y)
+        FT = float(F.value(T))
         if not math.isfinite(FT):
             raise TailOverflowError(
                 f"F(T) is not finite ({FT}): at these rates the likelihood needs "
@@ -256,7 +254,7 @@ def bernoulli_loglikelihood(
     oriented: bool = True,
     conditional: bool = False,
 ) -> float:
-    return full_loglikelihood(tree, thinned_inverse_tail(F, y), oriented, conditional)
+    return full_loglikelihood(tree, F.thinned(y), oriented, conditional)
 
 
 def _logsumexp0(x: np.ndarray) -> np.ndarray:

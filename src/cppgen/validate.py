@@ -25,7 +25,6 @@ from .cpp import (
     simulate_cpp_many,
     simulate_forward,
     subsample,
-    thinned_inverse_tail,
     uniform_k_sample,
 )
 from .inference import fit_mle
@@ -157,7 +156,7 @@ def criterion_05_forward_simulation_matches_cpp() -> Check:
 
 def criterion_06_bernoulli_thinning_theorem() -> Check:
     y = 0.3
-    Fy = thinned_inverse_tail(F_STD, y)
+    Fy = F_STD.thinned(y)
     d_direct = simulate_cpp_many(Fy, 30_000, RandomStream(61)).depths
     rng = RandomStream(62)
     thinned = bernoulli_thin(simulate_cpp_many(F_STD, 90_000, rng), y, rng)

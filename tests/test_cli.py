@@ -478,6 +478,27 @@ class TestFit:
         assert abs(payload["mu"] - 0.5) < 0.3
         assert payload["converged"] is True
 
+    @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.3"])
+    def test_logl_is_the_likelihood_at_the_estimate(self, capsys, model_path, tmp_path, scheme):
+        trees = str(tmp_path / "sim.nwk")
+        code, _, _ = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", scheme,
+            "--reps", "300", "--seed", "13", "--out", trees,
+        )
+        assert code == 0
+        code, out, err = _run(capsys, "fit", "--trees", trees, "--scheme", scheme)
+        assert code == 0, err
+        fit = json.loads(out)
+        fitted = tmp_path / "fitted.json"
+        fitted.write_text(json.dumps(
+            {"kind": "constant", "lambda": fit["lambda"], "mu": fit["mu"], "T": 2.0}
+        ))
+        code, out, err = _run(
+            capsys, "likelihood", "--tree", trees, "--model", str(fitted), "--scheme", scheme,
+        )
+        assert code == 0, err
+        assert json.loads(out)["logL"] == pytest.approx(fit["logL"], rel=1e-12)
+
 
 class TestDumpF:
     def test_matches_closed_form(self, capsys, model_path):

@@ -21,11 +21,10 @@ from cppgen.cpp import (
     simulate_forward,
     simulate_forward_detailed,
     subsample,
-    thinned_inverse_tail,
     uniform_k_sample,
 )
 from cppgen.errors import DomainError, InsufficientTipsError, PopulationCapError
-from cppgen.kernel import ClosedFormTail, survival_a
+from cppgen.kernel import ClosedFormTail, GridTail, survival_a
 from cppgen.model import (
     AgeDependentRate,
     OrientedUltrametricTree,
@@ -235,12 +234,14 @@ class TestSubsampling:
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_thinned_tail_dispatch(self):
-        assert thinned_inverse_tail(F_STD, 1.0) is F_STD
-        assert_allclose(
-            thinned_inverse_tail(F_STD, 0.3).value(1.0),
-            0.7 + 0.3 * F_STD.value(1.0),
-            rtol=1e-12,
-        )
+        ts = np.linspace(0.0, 2.0, 9)
+        grid = GridTail(tuple(ts), tuple(F_STD.value(ts)), 2.0)
+        for F in (F_STD, grid):
+            assert F.thinned(1.0) is F
+            assert_allclose(F.thinned(0.3).value(1.0), 0.7 + 0.3 * F_STD.value(1.0), rtol=1e-12)
+            for y in (0.0, -0.5, 1.5, math.nan):
+                with pytest.raises(DomainError, match="y must lie"):
+                    F.thinned(y)
 
 
 def _forward_recursive(model, rng):

@@ -1,9 +1,10 @@
 """Rate estimation: likelihood aggregation and the MLE driver.
 
-Full and Bernoulli fits run L-BFGS-B on the analytic score, which is checked
-against central differences, and their optimum against a Nelder-Mead
-reference computed here.  Uniform k-sample fits keep Nelder-Mead, whose
-objective is too noisy and too flat along its ridge for a gradient method.
+Full and Bernoulli fits run L-BFGS-B on ``_objective``, whose value is checked
+against ``loglik`` and whose score against central differences, and their
+optimum against a Nelder-Mead reference computed here.  Uniform k-sample fits
+keep Nelder-Mead, whose objective is too noisy and too flat along its ridge
+for a gradient method.
 """
 
 import math
@@ -12,15 +13,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cppgen.cpp import RandomStream, simulate_cpp_many, thinned_inverse_tail
+from cppgen.cpp import RandomStream, simulate_cpp_many
 from cppgen.errors import DegenerateMixtureError, DomainError
-from cppgen.inference import MU_FLOOR, FitResult, _score, fit_mle, neg_log_likelihood
+from cppgen.inference import MU_FLOOR, FitResult, _objective, fit_mle, neg_log_likelihood
 from cppgen.kernel import ClosedFormTail
 from cppgen.ksample import (
     bernoulli_loglikelihood,
     definetti_sample_many,
     full_loglikelihood,
     ksample_loglikelihood,
+    loglik,
 )
 from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
@@ -42,7 +44,7 @@ class TestNegLogLikelihood:
         assert_allclose(got, expect, rtol=1e-12)
 
     def test_bernoulli_matches_per_tree_sum(self):
-        Fy = thinned_inverse_tail(F_STD, 0.3)
+        Fy = F_STD.thinned(0.3)
         trees = _trees(20, 2, Fy)
         expect = -sum(bernoulli_loglikelihood(t, F_STD, 0.3) for t in trees)
         got = neg_log_likelihood(
@@ -215,12 +217,56 @@ def _nelder_mead_optimum(batch, scheme, theta0, oriented=True):
     return res.fun
 
 
+_RATE_GRID = pytest.mark.parametrize(
+    "lam, mu",
+    [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9), (1.0, MU_FLOOR)],
+    ids=["r>0", "r<0", "r=0", "r=+1e-9", "r=-1e-9", "mu=floor"],
+)
+
+
 class TestGradientFit:
+    @_RATE_GRID
+    @pytest.mark.parametrize("y", [1.0, 0.3])
+    @pytest.mark.parametrize("oriented", [True, False])
+    def test_objective_value_is_the_log_likelihood(self, lam, mu, y, oriented):
+        batch = TreeBatch.from_trees(_trees(200, 5))
+        value, _ = _objective(batch, lam, mu, y, 2.0)
+        # The shape term log 2^(n-1-cherries) of unoriented trees is constant.
+        shape = 0.0 if oriented else float((batch.n_tips - 1 - batch.cherries).sum()) * math.log(2.0)
+        F = ClosedFormTail(lam, mu, 2.0).thinned(y)
+        expect = -loglik(batch, F, SamplingScheme.full(), oriented).sum()
+        assert_allclose(value - shape, expect, rtol=1e-12)
+
     @pytest.mark.parametrize(
-        "lam, mu",
-        [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9), (1.0, MU_FLOOR)],
-        ids=["r>0", "r<0", "r=0", "r=+1e-9", "r=-1e-9", "mu=floor"],
+        "scheme", [SamplingScheme.full(), SamplingScheme.bernoulli(0.3)], ids=["full", "bernoulli"]
     )
+    def test_one_tail_per_evaluation(self, monkeypatch, scheme):
+        from cppgen import inference
+
+        counts = dict.fromkeys(["ClosedFormTail", "_objective", "neg_log_likelihood"], 0)
+
+        def counting(name):
+            f = getattr(inference, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(inference, name, counting(name))
+        res = fit_mle(_trees(100, 8), scheme, init={"lam": 0.8, "mu": 0.4})
+        assert res.converged and counts["_objective"] > 0
+        # One tail per evaluation, plus the one of the reported logL.
+        assert counts["neg_log_likelihood"] == 1
+        assert counts["ClosedFormTail"] == counts["_objective"] + 1
+
+    def test_objective_is_inf_past_the_float_range(self):
+        value, grad = _objective(TreeBatch.from_trees(_trees(20, 5)), 400.0, 0.2, 1.0, 2.0)
+        assert value == math.inf and not grad.any()
+
+    @_RATE_GRID
     @pytest.mark.parametrize("y", [1.0, 0.3])
     def test_score_matches_central_differences(self, lam, mu, y):
         batch = TreeBatch.from_trees(_trees(200, 5))
@@ -239,8 +285,8 @@ class TestGradientFit:
             fd.append((-3 * ll(lam, mu, y) + 4 * ll(lam, mu + hm, y) - ll(lam, mu + 2 * hm, y)) / (2 * hm))
         if y < 1.0:  # the free-y component
             fd.append((ll(lam, mu, y * (1 + h)) - ll(lam, mu, y * (1 - h))) / (2 * h * y))
-        score = _score(batch, lam, mu, y, 2.0)[: len(fd)]
-        assert_allclose(score, fd, rtol=1e-6)
+        _, grad = _objective(batch, lam, mu, y, 2.0)
+        assert_allclose(-grad[: len(fd)], fd, rtol=1e-6)
 
     @pytest.mark.parametrize(
         "scheme, y, oriented",
@@ -253,7 +299,7 @@ class TestGradientFit:
         ids=["full", "bernoulli:0.3", "free-y", "unoriented"],
     )
     def test_reaches_nelder_mead_optimum(self, scheme, y, oriented):
-        batch = TreeBatch.from_trees(_trees(300, 12, thinned_inverse_tail(F_STD, y)))
+        batch = TreeBatch.from_trees(_trees(300, 12, F_STD.thinned(y)))
         res = fit_mle(batch, scheme, init={"lam": 0.8, "mu": 0.4}, oriented=oriented)
         assert res.converged
         theta0 = [0.0, math.log(0.5)] + ([0.0] if scheme.y is None and scheme.variant == "bernoulli" else [])
@@ -270,8 +316,7 @@ class TestGradientFit:
         # float range, so its objective is +inf; the other two starts begin
         # far above the truth and still converge.
         trees = _trees(150, 7)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(ClosedFormTail(400.0, 0.2, 2.0).value(2.0))
+        assert not np.isfinite(ClosedFormTail(400.0, 0.2, 2.0).value(2.0))
         res = fit_mle(trees, SamplingScheme.full(), init={"lam": 200.0, "mu": 0.1})
         good = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
         assert res.converged

@@ -683,8 +683,7 @@ class TestOverflowingTail:
     )
     def test_typed_errors_without_warning(self, model):
         F = ClosedFormTail.from_model(model)  # building never warns
-        with np.errstate(over="ignore"):
-            assert F.value(F.T) == math.inf
+        assert F.value(F.T) == math.inf and F.deriv(F.T) == math.inf  # nor evaluating
         # F is finite up to t = 0.8 < 709 / 800, below the first knot (tau = 1),
         # and evaluating it there never touches the pieces past the overflow
         t = np.linspace(0.0, 0.8, 9)
@@ -698,6 +697,16 @@ class TestOverflowingTail:
             simulate_cpp_many(F, 3, RandomStream(1))
         with pytest.raises(DegenerateMixtureError, match="not finite"):
             definetti_sample_many(F, 3, 3, RandomStream(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_at_the_knot_where_the_slope_overflows(self):
+        # With lam = 800, F'(tau) at the knot tau = 1 is built as +inf; a point
+        # on the knot grows by 0 there (not inf * 0), and F is +inf from it on.
+        F = ClosedFormTail.from_model(_two_pieces(800.0))
+        t = np.array([0.5, 1.0, 1.5])
+        assert F.value(1.0) == math.inf and F.deriv(1.0) == math.inf
+        assert np.isfinite(F.value(t)).tolist() == [True, False, False]
+        assert np.all(F.value(t)[1:] == math.inf) and np.all(F.deriv(t)[1:] == math.inf)
 
 
 class TestTailFor:
