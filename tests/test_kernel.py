@@ -79,9 +79,12 @@ def _line_cumhazard(model, birth, s):
     return np.interp(s, knots, cum)
 
 
-def _g_rowwise(model, birth, s):
+def _g_rowwise(model, birth, s, age):
+    """g at death times ``s`` for a birth at ``birth``; ``age`` is s - birth,
+    passed in so that a grid age is exact rather than a difference of two
+    rounded times (an age break on a midpoint age must not flip sides)."""
     s = np.asarray(s, dtype=float)
-    return np.asarray(model.death_rate(s, s - birth)) * np.exp(-_line_cumhazard(model, birth, s))
+    return np.asarray(model.death_rate(s, age)) * np.exp(-_line_cumhazard(model, birth, s))
 
 
 def _solve_F_rowwise(model, step):
@@ -100,12 +103,14 @@ def _solve_F_rowwise(model, step):
             return 0.0
         return step * float(0.5 * (F[:i] + F[1 : i + 1]) @ row)
 
-    row_i = _g_rowwise(model, T, mids[:0])
+    row_i = _g_rowwise(model, T, mids[:0], mids[:0])
     worst_move = 0.0
     for i in range(n):
         rhs_i = lam_cell[i] * (F[i] - memory(i, row_i))
         pred = F[i] + step * rhs_i
-        row_next = _g_rowwise(model, T - ts[i + 1], T - mids[: i + 1])
+        # the age of memory cell j at node t_{i+1} is (i - j + 1/2) step
+        ages = (np.arange(i, -1, -1) + 0.5) * step
+        row_next = _g_rowwise(model, T - ts[i + 1], T - mids[: i + 1], ages)
         F[i + 1] = pred
         rhs_next = lam_cell[i] * (pred - memory(i + 1, row_next))
         F[i + 1] = F[i] + 0.5 * step * (rhs_i + rhs_next)
@@ -295,7 +300,7 @@ class TestDeathDensity:
     def test_matches_line_integral(self, name, birth):
         model = SOLVER_MODELS[name]
         s = np.linspace(birth, model.T, 97)
-        assert_allclose(death_density_g(model, birth, s), _g_rowwise(model, birth, s), rtol=1e-13)
+        assert_allclose(death_density_g(model, birth, s), _g_rowwise(model, birth, s, s - birth), rtol=1e-13)
         assert death_density_g(model, birth, s[5]) == death_density_g(model, birth, s)[5]
 
     def test_death_before_birth_rejected(self):
