@@ -8,7 +8,8 @@ after another with ``--forward``), and its lines are written before the
 next block is drawn, so memory holds about one block at a time.  Every
 block is drawn in this process: each inverse tail inverts exactly, grid
 tails included, so a block of depths costs one vectorized inversion.
-``--workers`` is accepted for old scripts and ignored.
+``--workers`` and ``likelihood --quad-nodes`` are accepted for old scripts
+and ignored.
 
 Each command builds the model's inverse tail F once (``kernel.tail_for``).
 ``solve_F`` is passed to ``tail_for`` under this module's name, so code
@@ -40,9 +41,9 @@ from .cpp import (
     simulate_forward,
 )
 from .errors import CppgenError, DomainError, TailOverflowError
-from .inference import fit_mle, neg_log_likelihood
+from .inference import fit_mle
 from .kernel import solve_F, step_grid, tail_for
-from .ksample import MixtureParams, definetti_sample_many, loglik
+from .ksample import MixtureParams, definetti_sample_many, loglik, trapezoid_nodes
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .cpp import simulate_cpp  # noqa: F401
 from .ksample import bernoulli_loglikelihood, definetti_sample, full_loglikelihood  # noqa: F401
@@ -167,11 +168,11 @@ def cmd_likelihood(args) -> int:
     scheme = parse_scheme(args.scheme)
     trees = read_newick_file(args.tree)
     F = tail_for(model, args.step, solve=solve_F)
-    logl = loglik(trees, F, scheme, not args.unoriented, quad_nodes=args.quad_nodes)
+    logl = loglik(trees, F, scheme, not args.unoriented)
     payload = {
         "logL": float(logl.sum()),
         "scheme": scheme.describe(),
-        "quad_nodes": args.quad_nodes if scheme.variant == "uniform_k" else None,
+        "quad_nodes": trapezoid_nodes(trees, F, scheme.k) if scheme.k else None,
         "n_trees": len(trees),
     }
     _write_lines(args.out, [json.dumps(payload)])
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     lik.add_argument("--model", required=True)
     lik.add_argument("--scheme", required=True)
     lik.add_argument("--unoriented", action="store_true")
-    lik.add_argument("--quad-nodes", type=int, default=64)
+    lik.add_argument("--quad-nodes", type=int, help="ignored; accepted for old scripts")
     lik.add_argument("--step", type=float, default=_DEFAULT_STEP)
     lik.add_argument("--out", default=None)
     lik.set_defaults(func=cmd_likelihood)

@@ -37,9 +37,9 @@ class DomainError(CppgenError):
 
 
 class DegenerateMixtureError(DomainError):
-    """F(T) leaves the k-sample mixture degenerate: not finite, so large that
-    a = 1 - 1/F(T) rounds to 1, or 1 (a = 0).  A fit treats such rates as
-    having zero likelihood."""
+    """F(T) leaves the k-sample mixture degenerate: for the likelihood only
+    F(T) = 1 (every tree has one tip); for the sampler also F(T) not finite
+    or so large that a = 1 - 1/F(T) rounds to 1."""
 
 
 class TailOverflowError(DomainError):
@@ -66,10 +66,6 @@ class TieError(CppgenError):
 
 class SizeGuardError(CppgenError):
     """Combinatorial enumeration would exceed the hard-coded size guard."""
-
-
-class QuadratureError(CppgenError):
-    """Quadrature failed to stabilize under node doubling."""
 
 
 class SchemeError(CppgenError):

@@ -2,12 +2,12 @@
 optionally the Bernoulli sampling probability) from observed trees.
 
 Full and Bernoulli trees form a CPP, whose log-likelihood is a sum over the
-node depths x of log F'_y(x) - 2 log F_y(x), minus log F_y(T) per tree.  For
-constant rates one tail gives that sum and its score (``_objective``), and
-:func:`fit_mle` fits these schemes by L-BFGS-B.  The uniform k-sample
-likelihood is a quadrature over a mixture whose objective is noisy at large
-rT and flat along a (lambda, mu) ridge; it keeps a derivative-free
-Nelder-Mead.  Either way the reported value is :func:`neg_log_likelihood`.
+node depths x of log F'_y(x) - 2 log F_y(x), minus log F_y(T) per tree.  A
+uniform k-sample's likelihood is one integral over the mixing variable, a
+fixed trapezoid sum (``ksample._log_k_mixture``) that also returns its score.
+For constant rates one tail gives either log-likelihood and its score
+(``_objective``), and :func:`fit_mle` fits every scheme by L-BFGS-B.  The
+reported value is :func:`neg_log_likelihood`.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateMixtureError, DomainError, FitError, QuadratureError, TailOverflowError
-)
+from .errors import DomainError, FitError
 from .kernel import ClosedFormTail, solve_F, tail_for
-from .ksample import loglik
+from .ksample import _log_k_mixture, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
 from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch
@@ -137,25 +135,31 @@ def _fit_options(bounds: Optional[dict], init: Optional[dict]):
     return bounds, init
 
 
-def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float):
-    """The oriented negative log-likelihood of full or Bernoulli trees
-    ``batch`` for constant rates, less its constant shape term, and its
-    gradient in (lam, mu, y), from one tail: +inf and 0 where F_y(T) is not
-    finite.  With F'_y = y lam e^{rx}, r = lam - mu, m depths x and n trees,
-    the log-likelihood is m log(y lam) + r sum(x) - 2 sum(log F_y(x)) -
+def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float, k=None):
+    """The oriented negative log-likelihood of ``batch`` for constant rates,
+    less its constant shape term, and its gradient in (lam, mu, y), from one
+    tail: +inf and 0 where F_y(T) is not finite.  With F'_y = y lam e^{rx},
+    r = lam - mu, m depths x and n trees, the log-likelihood of full and
+    Bernoulli trees is m log(y lam) + r sum(x) - 2 sum(log F_y(x)) -
     n log F_y(T), and d log F'_y is (1/lam + x, -x, 1/y); d F_y in (lam, mu)
     comes from ``ClosedFormTail.rate_gradient``, and d F_y / dy = F - 1 =
-    (F_y - 1) / y.
+    (F_y - 1) / y.  For uniform k-samples (``k``; y = 1) the two sums over
+    F_y are ``ksample._log_k_mixture`` at G = F - 1, with its own score.
     """
     F = ClosedFormTail(lam, mu, T, y)
     vT = F.value(T)
     if not math.isfinite(vT):
         return math.inf, np.zeros(3)
     d = batch.depths
+    n, m, x_sum = len(batch), d.size, float(d.sum())
+    if k is not None:
+        at = np.column_stack([np.full(n, T), d.reshape(n, k - 1)])  # as ksample._excess
+        log_mix, (g_lam, g_mu) = _log_k_mixture(F.value(at) - 1.0, F.rate_gradient(at))
+        loglik = m * math.log(lam) + (lam - mu) * x_sum + float(log_mix.sum())
+        return -loglik, -np.array([m / lam + x_sum + g_lam.sum(), -x_sum + g_mu.sum(), 0.0])
     v = F.value(d)
     d_lam, d_mu = F.rate_gradient(d)
     d_lamT, d_muT = F.rate_gradient(T)
-    n, m, x_sum = len(batch), d.size, float(d.sum())
     log_F = float(np.log(v).sum())
     loglik = m * math.log(y * lam) + (lam - mu) * x_sum - 2.0 * log_F - n * math.log(vT)
     score = np.array([
@@ -177,11 +181,6 @@ _FTOL = 1e-15
 # per start: after a line-search step into +inf, L-BFGS-B stops there.
 _LBFGSB_RUNS = 3
 
-_FIT_ERRORS = (
-    ValueError, FloatingPointError, OverflowError, QuadratureError, DegenerateMixtureError,
-    TailOverflowError,
-)
-
 
 def fit_mle(
     trees: Union[TreeBatch, Sequence[OrientedUltrametricTree]],
@@ -198,11 +197,12 @@ def fit_mle(
     start's own status.  The trees are packed into one batch before the
     first start, so an objective evaluation is array work only.
 
-    Full and Bernoulli trees (y fixed or free) are fitted by L-BFGS-B on
-    ``_objective`` inside the box the bounds map to (``_lbfgsb``).  Uniform
-    k-samples keep a derivative-free Nelder-Mead on a clamped objective
-    (``_nelder_mead`` says why).  ``loglik`` is :func:`neg_log_likelihood`
-    at the reported estimate, as CLI ``likelihood`` computes it there.
+    Every scheme (full, Bernoulli with y fixed or free, uniform k) is
+    fitted by L-BFGS-B on ``_objective`` inside the box the bounds map to
+    (``_lbfgsb``).  ``loglik`` is :func:`neg_log_likelihood` at the reported
+    estimate, as CLI ``likelihood`` computes it there.  For k-samples at
+    large rT the likelihood is nearly flat in lambda at fixed lambda - mu,
+    so the estimate of lambda alone is loose there.
     """
     batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
     if not len(batch):
@@ -230,11 +230,8 @@ def fit_mle(
             theta0.append(math.log(y0 / (1.0 - y0)))
         starts.append(np.asarray(theta0))
 
-    if scheme.variant == "uniform_k":
-        fit = _nelder_mead(batch, scheme, T, bounds, oriented, unpack, starts)
-    else:
-        fit = _lbfgsb(batch, T, bounds, unpack, starts, free_y)
-    theta, converged, total_iter = fit
+    k = scheme.k if scheme.variant == "uniform_k" else None
+    theta, converged, total_iter = _lbfgsb(batch, T, k, bounds, unpack, starts, free_y)
 
     lam, mu, y = unpack(theta)
     lam = min(max(lam, bounds["lam"][0]), bounds["lam"][1])
@@ -260,7 +257,7 @@ def fit_mle(
     )
 
 
-def _lbfgsb(batch, T, bounds, unpack, starts, free_y):
+def _lbfgsb(batch, T, k, bounds, unpack, starts, free_y):
     """L-BFGS-B from each start on the per-tree mean of ``_objective``;
     returns the best start's theta and convergence, and the total number of
     iterations.
@@ -297,8 +294,8 @@ def _lbfgsb(batch, T, bounds, unpack, starts, free_y):
         try:
             lam, mu, y = unpack(theta)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value, grad = _objective(batch, lam, mu, y, T)
-        except _FIT_ERRORS:
+                value, grad = _objective(batch, lam, mu, y, T, k)
+        except (ValueError, FloatingPointError, OverflowError):
             return math.inf, np.zeros(len(theta))
         # Chain rule to (log lam, log mu[, logit y]).
         jac = np.array([lam, mu, y * (1.0 - y)])[: len(theta)]
@@ -341,48 +338,4 @@ def _lbfgsb(batch, T, bounds, unpack, starts, free_y):
             total_iter += nit
             if res.fun <= best.fun:
                 best, best_converged = res, converged
-    return best.x, best_converged, total_iter
-
-
-def _nelder_mead(batch, scheme, T, bounds, oriented, unpack, starts):
-    """Nelder-Mead from each start on the clamped negative log-likelihood;
-    returns the best start's theta and convergence, and the total number of
-    iterations.
-
-    Uniform k-samples stay here: it is the one optimizer that fits them
-    today.  At T = 40, a = 1 - 1/F(T) rounds, so their objective is noisy at
-    about 1e-7 relative; on the 80 k:3 trees of the degenerate-rates test,
-    L-BFGS-B reports success with gradients of 2.7 and 1.7.  The (lambda,
-    mu) ridge is also flat there: the negative log-likelihood is
-    392.1779813 at (0.69, 0.21) and 392.1779811 at (1.00, 0.52).
-    Log-space tails, then gradient fits of skyline models (ROADMAP items 2
-    and 3) remove this path.
-    """
-    from scipy.optimize import minimize
-
-    def objective(theta):
-        lam, mu, y = unpack(theta)
-        lam = min(max(lam, bounds["lam"][0]), bounds["lam"][1])
-        mu = min(max(mu, MU_FLOOR), bounds["mu"][1]) if bounds["mu"][1] > 0 else MU_FLOOR
-        try:
-            return neg_log_likelihood(batch, lam, mu, scheme, T, y=y, oriented=oriented)
-        except _FIT_ERRORS:
-            return math.inf
-
-    best, best_converged, total_iter = None, False, 0
-    for theta0 in starts:
-        # A start whose whole simplex scores +inf makes Nelder-Mead's stop
-        # test compute inf - inf; that start is then dropped below.
-        with np.errstate(invalid="ignore"):
-            res = minimize(
-                objective,
-                theta0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-            )
-        total_iter += res.nit
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best, best_converged = res, bool(res.success)
-    if best is None:
-        raise FitError("all optimizer starts failed")
     return best.x, best_converged, total_iter

@@ -275,7 +275,7 @@ class ClosedFormTail(InverseTail):
         else:
             rt = r * tt
             g = np.expm1(rt) / r
-            g_r = (tt * np.exp(rt) - g) / r
+            g_r = (tt * (r * g + 1.0) - g) / r  # e^{rt} = r g + 1
             small = np.abs(rt) < _SERIES_SWITCH
             if small.any():
                 ts = tt[small]

@@ -12,7 +12,8 @@ All likelihoods are computed in log space.  :func:`loglik` evaluates a
 whole :class:`~cppgen.model.TreeBatch` under any scheme; the per-tree
 ``*_loglikelihood`` functions are its batch-of-one wrappers.  There is no
 linear-space likelihood: ``exp`` of a large tree's log-likelihood
-underflows.
+underflows.  The k-sample likelihood is one fixed trapezoid sum over the
+mixing variable (``_log_k_mixture``), which the fitter shares.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .cpp import RandomStream
 from .errors import (
     DegenerateMixtureError,
     DomainError,
-    QuadratureError,
     SizeGuardError,
     TailOverflowError,
     TieError,
@@ -49,6 +49,7 @@ __all__ = [
     "bernoulli_loglikelihood",
     "ksample_loglikelihood",
     "ksample_loglikelihoods",
+    "trapezoid_nodes",
     "joint_df",
     "joint_df_bruteforce",
     "likelihood_with_missing",
@@ -60,15 +61,15 @@ MAX_BRUTE_M = 12
 MAX_BRUTE_K = 8
 # Divided differences below this separation are numerically explosive.
 TIE_TOL = 1e-8
-# Depths integrated together by the k-sample quadrature.  Its arrays hold
-# nodes x depths values; at 64 depths they are about 64 KB at 128 nodes, so
-# peak memory does not grow with the number of trees (2000 k:5 trees: 22 ms
-# and no growth, against 11 ms and +14 MB at 4096 depths).
-QUAD_BLOCK = 64
-# Gauss-Legendre nodes are doubled until each tree's log-integral moves by
-# at most QUAD_RTOL; a tree still moving at QUAD_MAX_NODES fails.
-QUAD_MAX_NODES = 4096
-QUAD_RTOL = 1e-6
+# The k-sample integral is a trapezoid sum in s = logit w at this step.  Its
+# integrand is analytic in the strip |Im s| < pi, so the error falls
+# geometrically in 1/h whatever F(T) is; at 0.25 it is at rounding level.
+TRAPEZOID_STEP = 0.25
+# A tree's nodes cover the s where its log-integrand may lie within this
+# much of its peak.
+_TRAPEZOID_DEPTH = 38.0
+# Trees integrated together, so that memory does not grow with their number.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -183,20 +184,30 @@ def definetti_sample_many(
 # ---------------------------------------------------------------------------
 
 
+def _finite_tail_at_T(F: InverseTail) -> float:
+    """F(T), or :class:`TailOverflowError` where it is not finite."""
+    FT = float(F.value(F.T))
+    if not math.isfinite(FT):
+        raise TailOverflowError(
+            f"F(T) is not finite ({FT}): at these rates the likelihood needs "
+            "log-space tails (ROADMAP item 2)"
+        )
+    return FT
+
+
 def loglik(
     batch: TreeBatch,
     F: InverseTail,
     scheme: SamplingScheme,
     oriented: bool = True,
-    quad_nodes: int = 64,
 ) -> np.ndarray:
     """Log-likelihood of each tree of ``batch`` under ``scheme``.
 
     Full and Bernoulli trees: ``sum(log F' - 2 log F) - log F(T)`` over the
     tree's depths, with the thinned tail ``F_y`` under Bernoulli sampling;
-    all depths are evaluated in one pass and summed per tree.  Raises
-    :class:`TailOverflowError` when F(T) is not finite.  Uniform k-samples:
-    :func:`ksample_loglikelihoods`, starting from ``quad_nodes`` nodes.
+    all depths are evaluated in one pass and summed per tree.  Uniform
+    k-samples: :func:`ksample_loglikelihoods`.  Every scheme raises
+    :class:`TailOverflowError` when F(T) is not finite.
     ``oriented=False`` adds the shape multiplicity ``log 2^(n-1-cherries)``
     of each tree.
     """
@@ -212,18 +223,13 @@ def loglik(
         wrong = np.flatnonzero(n_tips != k)
         if wrong.size:
             raise DomainError(f"tree has {n_tips[wrong[0]]} tips, expected k={k}")
-        out = ksample_loglikelihoods(d.reshape(len(batch), k - 1), F, k, quad_nodes)
+        out = ksample_loglikelihoods(d.reshape(len(batch), k - 1), F, k)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
             F = F.thinned(scheme.y)
-        FT = float(F.value(T))
-        if not math.isfinite(FT):
-            raise TailOverflowError(
-                f"F(T) is not finite ({FT}): at these rates the likelihood needs "
-                "log-space tails (ROADMAP item 2)"
-            )
+        FT = _finite_tail_at_T(F)
         logf = np.log(F.deriv(d)) - 2.0 * np.log(F.value(d))
         out = batch.tree_sums(logf) - math.log(FT)
     if not oriented:
@@ -257,86 +263,129 @@ def bernoulli_loglikelihood(
     return full_loglikelihood(tree, F.thinned(y), oriented, conditional)
 
 
-def _logsumexp0(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over axis 0, as ``scipy.special.logsumexp``: the
-    column maximum is taken out of the sum, which enters through ``log1p``.
-    A column of -inf gives -inf, without a numpy warning."""
-    top = x.max(axis=0)
-    at_top = x == top
-    finite = np.isfinite(top)
-    shift = np.where(finite, top, 0.0)
-    # Columns whose maximum is not finite produce inf/nan here; they are
-    # replaced by that maximum below.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n_top = at_top.sum(axis=0)
-        rest = np.exp(np.where(at_top, -np.inf, x) - shift).sum(axis=0) / n_top
-        out = np.log1p(rest) + np.log(n_top) + shift
-    return np.where(finite, out, top)
+def _log_sigmoid(s):
+    """log w for w = 1 / (1 + e^-s), without overflow."""
+    return np.minimum(s, 0.0) - np.log1p(np.exp(-np.abs(s)))
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes on (0, 1) and their log weights, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    v = 0.5 * (nodes + 1.0)
-    log_w = np.log(0.5 * weights)
-    v.setflags(write=False)
-    log_w.setflags(write=False)
-    return v, log_w
+def _trapezoid_windows(G: np.ndarray):
+    """First lattice index and node count of each row's trapezoid window.
+
+    With s = logit w and G_i = exp(ell_i), the log-integrand
+    phi(s) = (k+1) log w - s - 2 sum_i log(1 + G_i w) lies at most
+    (k-1) log 2 above the piecewise-linear bound
+
+        b(s) = k min(s, 0) - max(s, 0) - 2 sum_i max(0, min(s, 0) + ell_i).
+
+    On s <= 0, b is the lower envelope of the lines (k - 2j) s - 2 (ell_0 +
+    ... + ell_{j-1}) over j = 0..k, ell sorted downwards; past 0 it falls
+    with slope -1.  Its peak lies at s* = min(0, -ell_{floor(k/2)}), and the
+    window is where b reaches ``_TRAPEZOID_DEPTH`` below phi(s*): outside it
+    each node is below e^-_TRAPEZOID_DEPTH of the peak node, and the nodes
+    fall at least geometrically away from it.
+    """
+    R, k = G.shape
+    # G = 0 only where F(x) - 1 rounds to 0; its log is floored.
+    ell = -np.sort(-np.log(np.maximum(G, 1e-300)), axis=1)
+    s_peak = np.minimum(0.0, -ell[:, k // 2])
+    log_w = _log_sigmoid(s_peak)
+    peak = (k + 1) * log_w - s_peak - 2.0 * np.log1p(G * np.exp(log_w)[:, None]).sum(axis=1)
+    level = (peak - _TRAPEZOID_DEPTH - (k - 1) * math.log(2.0))[:, None]
+    slope = k - 2.0 * np.arange(k + 1)
+    icept = -2.0 * np.concatenate([np.zeros((R, 1)), np.cumsum(ell, axis=1)], axis=1)
+    lo = ((level - icept[:, slope > 0]) / slope[slope > 0]).max(axis=1)
+    hi = ((level - icept[:, slope < 0]) / slope[slope < 0]).min(axis=1)
+    at_zero = -2.0 * np.maximum(ell, 0.0).sum(axis=1)
+    hi = np.where(at_zero > level[:, 0], at_zero - level[:, 0], hi)
+    first = np.floor(lo / TRAPEZOID_STEP).astype(np.int64)
+    return first, np.ceil(hi / TRAPEZOID_STEP).astype(np.int64) - first + 1
 
 
-def ksample_loglikelihoods(
-    depths,
-    F: InverseTail,
-    k: int,
-    quad_nodes: int = 64,
-) -> np.ndarray:
+def _log_k_mixture(G: np.ndarray, dG: Sequence[np.ndarray] = ()):
+    """log(k a^{1-k} F(T) I) per row of G, and its derivatives along each of
+    ``dG`` (arrays of G's shape); returns (values, derivatives).
+
+    Row r holds G_0 = F(T) - 1 and G_i = F(x_i) - 1 at the k-1 depths of
+    tree r (:func:`ksample_loglikelihoods`).  log a = -log1p(1/G_0), and
+
+        I = int w^k (1 - w) prod_i (1 + G_i w)^-2 ds,   s = logit w,
+
+    is the trapezoid sum at step ``TRAPEZOID_STEP`` over each row's window
+    (``_trapezoid_windows``) on the one lattice s = j h.  A derivative is
+    the prefactor's, dG_0 (1 + (1-k)/G_0) / F(T), plus the integrand-weighted
+    mean over the nodes of -2 sum_i w dG_i / (1 + G_i w).  Rows are taken
+    ``_BLOCK_ROWS`` at a time, so memory does not grow with their number.
+    """
+    R, k = G.shape
+    out = np.empty(R)
+    grads = [np.empty(R) for _ in dG]
+    for lo in range(0, R, _BLOCK_ROWS):
+        rows = slice(lo, min(lo + _BLOCK_ROWS, R))
+        g = G[rows]
+        first, count = _trapezoid_windows(g)
+        starts = np.concatenate([[0], np.cumsum(count[:-1])])
+        tree = np.repeat(np.arange(len(count)), count)
+        # Each node's lattice index, less the block's first: log w and w are
+        # computed once per lattice point of the block.
+        j = np.arange(count.sum()) - np.repeat(starts - (first - first.min()), count)
+        s = TRAPEZOID_STEP * np.arange(first.min(), (first + count).max())
+        log_w_s = _log_sigmoid(s)
+        log_w, w = log_w_s[j], np.exp(log_w_s)[j]
+        phi = (k + 1) * log_w - s[j]
+        scores = [np.zeros_like(w) for _ in dG]
+        for i in range(k):
+            gw = g[tree, i] * w
+            phi -= 2.0 * np.log1p(gw)
+            u = w / (1.0 + gw) if dG else None
+            for score, d in zip(scores, dG):
+                score -= 2.0 * d[rows][tree, i] * u
+        top = np.maximum.reduceat(phi, starts)
+        weight = np.exp(phi - top[tree])
+        total = np.add.reduceat(weight, starts)
+        G0 = g[:, 0]
+        out[rows] = math.log(k * TRAPEZOID_STEP) + (k - 1) * np.log1p(1.0 / G0) + np.log1p(G0)
+        out[rows] += top + np.log(total)
+        for grad, score, d in zip(grads, scores, dG):
+            grad[rows] = d[rows][:, 0] * (1.0 + (1 - k) / G0) / (1.0 + G0)
+            grad[rows] += np.add.reduceat(weight * score, starts) / total
+    return out, grads
+
+
+def _excess(d: np.ndarray, F: InverseTail, k: int) -> np.ndarray:
+    """G = F - 1 at T and at the k-1 depths of each row of ``d``, row by row."""
+    FT = _finite_tail_at_T(F)
+    if FT <= 1.0:
+        raise DegenerateMixtureError(f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}")
+    return np.asarray(F.value(np.column_stack([np.full(len(d), F.T), d]))) - 1.0
+
+
+def ksample_loglikelihoods(depths, F: InverseTail, k: int) -> np.ndarray:
     """Oriented k-sample log-likelihoods of R trees, from their (R, k-1) depths.
 
-    The mixture integral over y is mapped through y = v(1-a)/(1-av) (the
-    k=1 mixing CDF transform), under which the k-sample likelihood becomes
+    Summed over the number of unsampled tips, :func:`likelihood_with_missing`
+    gives the k-sample likelihood as one integral over the mixing variable w,
 
-        C(tau) * k / a^{k-1} * int_0^1 prod_i f_{y(v)}(x_i) dv,
+        k a^{1-k} F(T) prod_i F'(x_i) int_0^1 w^{k-1} prod_{i=0}^{k-1} (1 + G_i w)^-2 dw,
 
-    with an O(1) integrand at both endpoints.  Gauss-Legendre nodes are
-    doubled from ``quad_nodes``, for each tree separately, until its
-    log-integral moves by at most ``QUAD_RTOL``; a tree still moving at
-    ``QUAD_MAX_NODES`` raises :class:`QuadratureError`.  Trees are
-    integrated in blocks of ``QUAD_BLOCK`` depths.  Depths are not range-checked here.
+    with G_0 = F(T) - 1 and G_i = F(x_i) - 1: a fixed trapezoid sum in
+    logit w (``_log_k_mixture``), whose error falls geometrically in the
+    step however large F(T) is (Trefethen & Weideman 2014).  Raises
+    :class:`TailOverflowError` when F(T) is not finite and
+    :class:`DegenerateMixtureError` when F(T) = 1.  Depths are not
+    range-checked here.
     """
     if k == 1:
         return np.zeros(len(depths))
-    a = MixtureParams.from_tail(F, k).a
     d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
-    base = math.log(k) - (k - 1) * math.log(a)
-    Fv = np.asarray(F.value(d))
-    log_dF = np.log(F.deriv(d))
+    return _log_k_mixture(_excess(d, F, k))[0] + np.log(F.deriv(d)).sum(axis=1)
 
-    def log_integrals(n: int, rows: np.ndarray) -> np.ndarray:
-        v, log_w = _gauss_legendre(n)
-        y = (v * (1.0 - a) / (1.0 - a * v))[:, None, None]
-        FY = 1.0 - y + y * Fv[rows][None]
-        logf = np.log(y) + log_dF[rows][None] - 2.0 * np.log(FY)
-        return _logsumexp0(logf.sum(axis=2) + log_w[:, None])
 
-    out = np.empty(len(d))
-    block = max(1, QUAD_BLOCK // (k - 1))
-    for start in range(0, len(d), block):
-        rows = np.arange(start, min(start + block, len(d)))
-        n = quad_nodes
-        prev = log_integrals(n, rows)
-        while rows.size:
-            if n >= QUAD_MAX_NODES:
-                raise QuadratureError(
-                    f"k-sample quadrature not stable to {QUAD_RTOL} relative "
-                    f"at {QUAD_MAX_NODES} nodes"
-                )
-            n *= 2
-            cur = log_integrals(n, rows)
-            done = np.abs(cur - prev) <= QUAD_RTOL
-            out[rows[done]] = cur[done]
-            rows, prev = rows[~done], cur[~done]
-    return base + out
+def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:
+    """Nodes the k-sample trapezoid evaluates on ``batch``, summed over trees."""
+    if k == 1:
+        return 0
+    G = _excess(batch.depths.reshape(len(batch), k - 1), F, k)
+    return int(_trapezoid_windows(G)[1].sum())
 
 
 def ksample_loglikelihood(
@@ -344,12 +393,11 @@ def ksample_loglikelihood(
     F: InverseTail,
     k: int,
     oriented: bool = True,
-    quad_nodes: int = 64,
 ) -> float:
     """Log-likelihood of a k-tip tree under the uniform k-sampling scheme;
     the batch-of-one case of :func:`loglik`."""
     batch = TreeBatch.from_trees([tree])
-    return float(loglik(batch, F, SamplingScheme.uniform_k(k), oriented, quad_nodes)[0])
+    return float(loglik(batch, F, SamplingScheme.uniform_k(k), oriented)[0])
 
 
 # ---------------------------------------------------------------------------

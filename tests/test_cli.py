@@ -16,8 +16,10 @@ import cppgen
 from cppgen import cli
 from cppgen.cli import main
 from cppgen.kernel import ClosedFormTail, closed_form_F, step_grid, tail_for
-from cppgen.ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood
-from cppgen.model import newick_to_tree, rate_model_from_json
+from cppgen.ksample import (
+    bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood, trapezoid_nodes,
+)
+from cppgen.model import TreeBatch, newick_to_tree, rate_model_from_json
 
 TV_JSON = {
     "kind": "time_varying",
@@ -324,7 +326,13 @@ class TestLikelihood:
         F = ClosedFormTail(1.0, 0.5, 2.0)
         tree = newick_to_tree("(0:0.5,1:0.5):1.5;")
         assert_allclose(payload["logL"], ksample_loglikelihood(tree, F, 2), rtol=1e-9)
-        assert payload["quad_nodes"] == 64
+        # the nodes the fixed trapezoid evaluated; --quad-nodes is ignored
+        assert payload["quad_nodes"] == trapezoid_nodes(TreeBatch.from_trees([tree]), F, 2)
+        code, again, _ = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", model_path,
+            "--scheme", "k:2", "--quad-nodes", "16",
+        )
+        assert code == 0 and again == out
 
 
 class TestKSampleOverflow:

@@ -1,7 +1,6 @@
 """Likelihoods and the mixture representation of uniform k-samples."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +14,11 @@ from cppgen.cpp import RandomStream
 from cppgen.errors import (
     DegenerateMixtureError,
     DomainError,
-    QuadratureError,
     SizeGuardError,
     TailOverflowError,
     TieError,
 )
-from cppgen.kernel import ClosedFormTail, node_depth_density_f, survival_a
+from cppgen.kernel import ClosedFormTail, invert_tail, node_depth_density_f, survival_a
 from cppgen.ksample import (
     MixtureParams,
     _log_series_coef,
@@ -38,11 +36,35 @@ from cppgen.ksample import (
     mixing_density,
     power_sum_identity,
     sample_mixing,
+    trapezoid_nodes,
 )
 from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 A_STD = survival_a(F_STD)
+
+# 40-digit k-sample log-likelihoods at lambda = 1, mu = 0.5 (rT = 1, 15 and
+# 100), written by tests/data/make_ksample_refs.py.
+KSAMPLE_REFS = [  # (k, T, depths, log-likelihood)
+    (3, 2.0, (0.04, 0.1), -0.50265548597674407),  # shallow
+    (3, 2.0, (0.5, 1.4), -1.4427295206221039),  # spread
+    (3, 2.0, (1.92, 1.98), -2.0632334987311002),  # deep
+    (5, 2.0, (0.02, 0.06, 0.1, 0.16), -0.47602987125866427),  # shallow
+    (5, 2.0, (0.2, 0.7, 1.2, 1.8), -2.9725927134286621),  # spread
+    (5, 2.0, (1.91, 1.94, 1.96, 1.99), -4.4744033442388354),  # deep
+    (3, 30.0, (0.6, 1.5), -15.053589161910004),  # shallow
+    (3, 30.0, (7.5, 21.0), -11.622658749213806),  # spread
+    (3, 30.0, (28.8, 29.7), -3.7305191304265123),  # deep
+    (5, 30.0, (0.3, 0.9, 1.5, 2.4), -18.039854723022998),  # shallow
+    (5, 30.0, (3.0, 10.5, 18.0, 27.0), -23.133468540106181),  # spread
+    (5, 30.0, (28.65, 29.1, 29.4, 29.85), -7.677641954137218),  # deep
+    (3, 200.0, (4.0, 10.0), -98.468131718200977),  # shallow
+    (3, 200.0, (50.0, 140.0), -75.287682072457115),  # spread
+    (3, 200.0, (192.0, 198.0), -5.3140208290267564),  # deep
+    (5, 200.0, (2.0, 6.0, 10.0, 16.0), -105.84593094273944),  # shallow
+    (5, 200.0, (20.0, 70.0, 120.0, 180.0), -146.16315081046375),  # spread
+    (5, 200.0, (191.0, 194.0, 196.0, 199.0), -10.27856051273484),  # deep
+]
 
 
 def _F(t):
@@ -134,14 +156,23 @@ class TestMixing:
     )
     def test_from_tail_rejects_degenerate_F(self, F, message):
         # F(T) = inf overflows in expm1, F(T) = 1e174 rounds a to 1, and at
-        # lambda = 0 no tree has 3 tips: typed errors naming F(T), without a
-        # numpy warning
+        # lambda = 0 no tree has 3 tips: the sampler raises typed errors
+        # naming F(T), without a numpy warning
         with pytest.raises(DegenerateMixtureError, match=message):
             MixtureParams.from_tail(F, 3)
         with pytest.raises(DegenerateMixtureError, match=message):
             definetti_sample_many(F, 3, 2, RandomStream(1))
-        with pytest.raises(DegenerateMixtureError, match=message):
-            ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+        # the likelihood needs only log a = -log1p(1/G_0): it fails where
+        # F(T) is not finite, as the full scheme does, and where F(T) = 1
+        FT = F.value(F.T)
+        if not np.isfinite(FT):
+            with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
+                ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+        elif FT == 1.0:
+            with pytest.raises(DegenerateMixtureError, match="F\\(T\\) = 1: every tree"):
+                ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+        else:
+            assert np.isfinite(ksample_loglikelihoods([(0.3, 0.6), (790.0, 799.0)], F, 3)).all()
         # a one-tip tree is certain whatever F(T): its likelihood needs no a
         assert_allclose(ksample_loglikelihoods(np.empty((2, 0)), F, 1), [0.0, 0.0])
 
@@ -259,54 +290,39 @@ class TestKSampleLikelihood:
         one = [ksample_loglikelihood(t, F_STD, 4) for t in trees]
         assert_allclose(batch, one, rtol=1e-13)
 
-    def test_logsumexp_matches_scipy(self):
-        from scipy.special import logsumexp
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, T, depths, expect", KSAMPLE_REFS)
+    def test_matches_40_digit_references(self, k, T, depths, expect):
+        # rT = 1, 15 and 100 on shallow, spread and deep trees; at rT = 100,
+        # F(T) = 5e43 and a = 1 - 1/F(T) rounds to 1
+        batch = TreeBatch([T], [0, k - 1], depths)
+        got = loglik(batch, ClosedFormTail(1.0, 0.5, T), SamplingScheme.uniform_k(k))
+        assert_allclose(got, [expect], rtol=1e-10)
 
-        from cppgen.ksample import _logsumexp0
-
-        rng = np.random.default_rng(8)
-        for scale in (1.0, 30.0, 300.0):
-            x = rng.normal(-40.0, scale, size=(128, 64))
-            x[:, 3] = -np.inf  # an all -inf column
-            x[:64, 5] = -np.inf
-            x[:, 7] = x[:, 7].max()  # a column of ties at its maximum
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = _logsumexp0(x)
-            expect = logsumexp(x, axis=0)
-            assert got[3] == -np.inf
-            finite = np.isfinite(expect)
-            assert np.array_equal(np.isfinite(got), finite)
-            assert_allclose(got[finite], expect[finite], rtol=1e-15, atol=0)
-
-    def test_batch_raises_past_node_cap(self, monkeypatch):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k, rT", [(2, 1.0), (3, 4.0), (5, 15.0), (5, 100.0)])
+    def test_fixed_trapezoid_is_converged(self, monkeypatch, k, rT):
+        # the fixed step and windows against a 4x finer step over windows
+        # 32 units deeper, on depths drawn uniformly in F
         from cppgen import ksample
 
-        monkeypatch.setattr(ksample, "QUAD_MAX_NODES", 128)
-        monkeypatch.setattr(ksample, "QUAD_RTOL", 1e-300)
-        depths = [(0.3, 0.6), (1.9999, 1e-4)]
-        with pytest.raises(QuadratureError, match="at 128 nodes"):
-            ksample_loglikelihoods(depths, F_STD, 3)
+        T = rT / 0.5
+        F = ClosedFormTail(1.0, 0.5, T)
+        u = np.random.default_rng(3).random((300, k - 1))
+        depths = invert_tail(F, 1.0 + (F.value(T) - 1.0) * u)
+        got = ksample_loglikelihoods(depths, F, k)
+        monkeypatch.setattr(ksample, "TRAPEZOID_STEP", ksample.TRAPEZOID_STEP / 4)
+        monkeypatch.setattr(ksample, "_TRAPEZOID_DEPTH", ksample._TRAPEZOID_DEPTH + 32)
+        assert_allclose(got, ksample_loglikelihoods(depths, F, k), rtol=0, atol=1e-13)
 
-    def test_nodes_computed_once_per_size(self, monkeypatch):
-        import numpy.polynomial.legendre as legendre
-
-        from cppgen import ksample
-
-        calls = []
-        leggauss = legendre.leggauss
-
-        def counting(n):
-            calls.append(n)
-            return leggauss(n)
-
-        monkeypatch.setattr(legendre, "leggauss", counting)
-        ksample._gauss_legendre.cache_clear()
-        tree = OrientedUltrametricTree(2.0, (0.3, 0.6))
-        for _ in range(3):
-            ksample_loglikelihood(tree, F_STD, 3)
-        assert calls and sorted(calls) == sorted(set(calls))
-        ksample._gauss_legendre.cache_clear()
+    def test_node_count_is_per_tree(self):
+        # each tree's window depends on that tree alone, so counts add up
+        F = ClosedFormTail(1.0, 0.5, 30.0)
+        _, trees = definetti_sample_many(F, 4, 700, RandomStream(6))
+        nodes = trapezoid_nodes(trees, F, 4)
+        assert 50 * len(trees) < nodes < 300 * len(trees)
+        assert nodes == sum(trapezoid_nodes(TreeBatch.from_trees([t]), F, 4) for t in trees)
+        assert trapezoid_nodes(trees, F, 1) == 0
 
 
 def _ragged_trees(draw, tips):
