@@ -43,8 +43,8 @@ class DegenerateMixtureError(DomainError):
 
 
 class TailOverflowError(DomainError):
-    """F(T) is not finite in floating point, so the full and Bernoulli
-    likelihoods cannot be evaluated.  A fit scores such rates +inf."""
+    """F(T) is not finite in floating point, so no likelihood (full,
+    Bernoulli or k-sample) can be evaluated.  A fit scores such rates +inf."""
 
 
 class PopulationCapError(CppgenError):

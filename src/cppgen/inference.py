@@ -6,8 +6,9 @@ node depths x of log F'_y(x) - 2 log F_y(x), minus log F_y(T) per tree.  A
 uniform k-sample's likelihood is one integral over the mixing variable, a
 fixed trapezoid sum (``ksample._log_k_mixture``) that also returns its score.
 For constant rates one tail gives either log-likelihood and its score
-(``_objective``), and :func:`fit_mle` fits every scheme by L-BFGS-B.  The
-reported value is :func:`neg_log_likelihood`.
+(``_objective``), and :func:`fit_mle` fits every scheme by L-BFGS-B in
+(lambda T, mu T[, y]), inside the box the bounds give, so the Yule boundary
+mu = 0 is a face of the box.  The reported value is :func:`neg_log_likelihood`.
 """
 
 from __future__ import annotations
@@ -21,17 +22,12 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .kernel import ClosedFormTail, solve_F, tail_for
-from .ksample import _log_k_mixture, loglik
+from .ksample import _k_rows, _log_k_mixture, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
 from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch
 
 __all__ = ["FitResult", "neg_log_likelihood", "fit_mle"]
-
-# Internal floor for mu: the Yule boundary mu = 0 is admitted by optimizing
-# log mu down to this floor and reporting 0 below the reporting threshold.
-MU_FLOOR = 1e-12
-MU_REPORT_ZERO = 1e-9
 
 _DEFAULT_SOLVER_STEP = 1e-3
 
@@ -102,8 +98,9 @@ _DEFAULT_INIT = {"lam": 1.0, "mu": 0.1, "y": 0.5}
 def _fit_options(bounds: Optional[dict], init: Optional[dict]):
     """``bounds`` and ``init`` merged over the defaults, after checking them:
     known keys only, each bound a pair (lower, upper) with lower <= upper
-    inside lam >= 0, mu >= 0 and y in [0, 1], and an upper end > 0 for lam
-    and y; an init with lam > 0, mu >= 0 and y in (0, 1]."""
+    inside lam > 0, mu >= 0 and y in (0, 1]; an init with lam > 0, mu >= 0
+    and y in (0, 1].  The fit may evaluate the ends of the box, and lam = 0
+    or y = 0 explains no node depth."""
     for what, given in (("bounds", bounds), ("init", init)):
         if given is not None and not isinstance(given, dict):
             raise DomainError(f"{what} must map lam, mu or y to values")
@@ -119,12 +116,12 @@ def _fit_options(bounds: Optional[dict], init: Optional[dict]):
         if not lo <= hi:
             raise DomainError(f"bound of {key}: lower end {lo} exceeds upper end {hi}")
         bounds[key] = (lo, hi)
-    if not (bounds["lam"][0] >= 0 and bounds["lam"][1] > 0):
-        raise DomainError(f"bound of lam must lie in [0, inf) with upper end > 0: {bounds['lam']}")
+    if not bounds["lam"][0] > 0:
+        raise DomainError(f"bound of lam must lie in (0, inf): {bounds['lam']}")
     if not bounds["mu"][0] >= 0:
         raise DomainError(f"bound of mu must lie in [0, inf): {bounds['mu']}")
-    if not (bounds["y"][0] >= 0 and 0 < bounds["y"][1] <= 1):
-        raise DomainError(f"bound of y must lie in [0, 1] with upper end > 0: {bounds['y']}")
+    if not (bounds["y"][0] > 0 and bounds["y"][1] <= 1):
+        raise DomainError(f"bound of y must lie in (0, 1]: {bounds['y']}")
     init = {**_DEFAULT_INIT, **(init or {})}
     if not init["lam"] > 0:
         raise DomainError(f"initial lam must be > 0, not {init['lam']}")
@@ -141,25 +138,25 @@ def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float, k=No
     tail: +inf and 0 where F_y(T) is not finite.  With F'_y = y lam e^{rx},
     r = lam - mu, m depths x and n trees, the log-likelihood of full and
     Bernoulli trees is m log(y lam) + r sum(x) - 2 sum(log F_y(x)) -
-    n log F_y(T), and d log F'_y is (1/lam + x, -x, 1/y); d F_y in (lam, mu)
-    comes from ``ClosedFormTail.rate_gradient``, and d F_y / dy = F - 1 =
-    (F_y - 1) / y.  For uniform k-samples (``k``; y = 1) the two sums over
-    F_y are ``ksample._log_k_mixture`` at G = F - 1, with its own score.
+    n log F_y(T), and d log F'_y is (1/lam + x, -x, 1/y); F_y and its
+    derivatives in (lam, mu) come from one ``ClosedFormTail.rate_gradient``
+    pass, and d F_y / dy = F - 1 = (F_y - 1) / y.  For uniform k-samples
+    (``k``; y = 1) the two sums over F_y are ``ksample._log_k_mixture`` at
+    G = F - 1, with its own score.
     """
     F = ClosedFormTail(lam, mu, T, y)
-    vT = F.value(T)
+    vT, d_lamT, d_muT = F.rate_gradient(T)
     if not math.isfinite(vT):
         return math.inf, np.zeros(3)
     d = batch.depths
     n, m, x_sum = len(batch), d.size, float(d.sum())
     if k is not None:
         at = np.column_stack([np.full(n, T), d.reshape(n, k - 1)])  # as ksample._excess
-        log_mix, (g_lam, g_mu) = _log_k_mixture(F.value(at) - 1.0, F.rate_gradient(at))
+        v, d_lam, d_mu = F.rate_gradient(at)
+        log_mix, (g_lam, g_mu) = _log_k_mixture(v - 1.0, (d_lam, d_mu))
         loglik = m * math.log(lam) + (lam - mu) * x_sum + float(log_mix.sum())
         return -loglik, -np.array([m / lam + x_sum + g_lam.sum(), -x_sum + g_mu.sum(), 0.0])
-    v = F.value(d)
-    d_lam, d_mu = F.rate_gradient(d)
-    d_lamT, d_muT = F.rate_gradient(T)
+    v, d_lam, d_mu = F.rate_gradient(d)
     log_F = float(np.log(v).sum())
     loglik = m * math.log(y * lam) + (lam - mu) * x_sum - 2.0 * log_F - n * math.log(vT)
     score = np.array([
@@ -191,18 +188,22 @@ def fit_mle(
 ) -> FitResult:
     """Bounded MLE of (lambda, mu[, y]) for constant rates.
 
-    The parameters are log-rates (and logit-y when y is free), multi-started
-    from a 3-point lattice around the init (scales 1/2, 1, 2); the start
-    with the lowest negative log-likelihood wins, and ``converged`` is that
-    start's own status.  The trees are packed into one batch before the
+    Every scheme (full, Bernoulli with y fixed or free, uniform k) is
+    fitted by L-BFGS-B on ``_objective`` in the coordinates (lambda T,
+    mu T[, y]), inside the box the bounds give (``_lbfgsb``).  lambda T and
+    mu T do not depend on the time unit, so a step and ``PGRAD_TOL`` mean
+    the same at any rate scale; the box holds the Yule boundary mu = 0 and
+    y = 1, where L-BFGS-B stops by projection.  The fit is multi-started
+    from a 3-point lattice around the init (rates scaled by 1/2, 1, 2); the
+    start with the lowest negative log-likelihood wins, and ``converged`` is
+    that start's own status.  The trees are packed into one batch before the
     first start, so an objective evaluation is array work only.
 
-    Every scheme (full, Bernoulli with y fixed or free, uniform k) is
-    fitted by L-BFGS-B on ``_objective`` inside the box the bounds map to
-    (``_lbfgsb``).  ``loglik`` is :func:`neg_log_likelihood` at the reported
-    estimate, as CLI ``likelihood`` computes it there.  For k-samples at
-    large rT the likelihood is nearly flat in lambda at fixed lambda - mu,
-    so the estimate of lambda alone is loose there.
+    The estimate is clipped into the bounds (the round trip through T can
+    leave 1 ulp), and ``loglik`` is :func:`neg_log_likelihood` there, as
+    CLI ``likelihood`` computes it.  For k-samples at large rT the
+    likelihood is nearly flat in lambda at fixed lambda - mu, so the
+    estimate of lambda alone is loose there.
     """
     batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
     if not len(batch):
@@ -211,45 +212,41 @@ def fit_mle(
     T = float(batch.heights[0])
     if np.any(np.abs(batch.heights - T) > 1e-9 * T):
         raise DomainError("all trees must share the same height T")
-    free_y = scheme.variant == "bernoulli" and scheme.y is None
-
-    def unpack(theta):
-        lam = math.exp(theta[0])
-        mu = math.exp(theta[1])
-        y = 1.0 / (1.0 + math.exp(-theta[2])) if free_y else scheme.y or 1.0
-        return lam, mu, y
-
-    starts = []
-    for scale in (0.5, 1.0, 2.0):
-        theta0 = [
-            math.log(init["lam"] * scale),
-            math.log(max(init["mu"] * scale, MU_FLOOR)),
-        ]
-        if free_y:
-            y0 = min(max(init["y"], 1e-6), 1 - 1e-6)
-            theta0.append(math.log(y0 / (1.0 - y0)))
-        starts.append(np.asarray(theta0))
-
     k = scheme.k if scheme.variant == "uniform_k" else None
-    theta, converged, total_iter = _lbfgsb(batch, T, k, bounds, unpack, starts, free_y)
+    if k is not None:
+        _k_rows(batch, k)  # the tip counts, once, before the first start
+    keys = ["lam", "mu"] + (["y"] if scheme.variant == "bernoulli" and scheme.y is None else [])
+    unit = np.array([T, T, 1.0])[: len(keys)]
+    lower, upper = (np.array([bounds[key][end] for key in keys]) * unit for end in (0, 1))
+    starts = [np.array([init["lam"] * scale, init["mu"] * scale, init["y"]][: len(keys)]) * unit
+              for scale in (0.5, 1.0, 2.0)]
+    n, y_fixed = len(batch), scheme.y or 1.0
 
-    lam, mu, y = unpack(theta)
-    lam = min(max(lam, bounds["lam"][0]), bounds["lam"][1])
-    mu = min(max(mu, MU_FLOOR), bounds["mu"][1])
+    def objective(theta):
+        # The mean, not the sum: on the summed objective L-BFGS-B can stop
+        # after one iteration, still at its start, and report success.
+        lam, mu = theta[:2] / T
+        y = theta[2] if len(theta) == 3 else y_fixed
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            value, grad = _objective(batch, lam, mu, y, T, k)
+        return value / n, grad[: len(theta)] / unit / n
+
+    theta, converged, total_iter = _lbfgsb(objective, starts, lower, upper)
+    est = {key: min(max(float(v), bounds[key][0]), bounds[key][1])
+           for key, v in zip(keys, theta / unit)}
+    lam, mu, y = est["lam"], est["mu"], est.get("y", y_fixed)
     bound_hits = {
         "lam_lower": lam <= bounds["lam"][0] * (1 + 1e-6),
         "lam_upper": lam >= bounds["lam"][1] * (1 - 1e-6),
-        "mu_lower": mu < MU_REPORT_ZERO,
+        "mu_lower": mu <= bounds["mu"][0] * (1 + 1e-6),
         "mu_upper": bounds["mu"][1] > 0 and mu >= bounds["mu"][1] * (1 - 1e-6),
     }
-    if free_y:
-        bound_hits["y_upper"] = y >= 1.0 - 1e-9
-    if mu < MU_REPORT_ZERO:
-        mu = 0.0
+    if "y" in est:
+        bound_hits["y_upper"] = y >= bounds["y"][1] * (1 - 1e-6)
     return FitResult(
         lam=lam,
         mu=mu,
-        y=y if free_y else None,
+        y=est.get("y"),
         loglik=-neg_log_likelihood(batch, lam, mu, scheme, T, y=y, oriented=oriented),
         n_iter=total_iter,
         converged=converged,
@@ -257,49 +254,19 @@ def fit_mle(
     )
 
 
-def _lbfgsb(batch, T, k, bounds, unpack, starts, free_y):
-    """L-BFGS-B from each start on the per-tree mean of ``_objective``;
-    returns the best start's theta and convergence, and the total number of
-    iterations.
+def _lbfgsb(objective, starts, lower, upper):
+    """L-BFGS-B from each start (clipped into the box [lower, upper]) on
+    ``objective``, which returns a value and its gradient; returns the best
+    start's point and convergence, and the total number of iterations.
 
-    The box is (log lam, log mu[, logit y]) of the bounds, with mu's lower
-    end at ``MU_FLOOR`` and no bound where y may reach 0 or 1.  A start
-    whose objective is not finite is skipped.  A start converges when its
-    value is finite and the max-norm of its projected gradient is at most
-    ``PGRAD_TOL``: L-BFGS-B's own success flag is also set after a
+    A start whose objective is not finite is skipped.  A start converges
+    when its value is finite and the max-norm of its projected gradient is
+    at most ``PGRAD_TOL``: L-BFGS-B's own success flag is also set after a
     line-search step into +inf, at the last finite point.
     """
     from scipy.optimize import minimize  # here, so that importing cppgen loads no scipy
 
-    n = len(batch)
-    # The bounds as a box in theta; None where it is unbounded.
-    lam_lo, lam_hi = bounds["lam"]
-    mu_lo = max(bounds["mu"][0], MU_FLOOR)
-    box = [
-        (math.log(lam_lo) if lam_lo > 0 else None, math.log(lam_hi)),
-        (math.log(mu_lo), math.log(max(bounds["mu"][1], mu_lo))),
-    ]
-    if free_y:
-        y_lo, y_hi = bounds["y"]
-        box.append((
-            math.log(y_lo / (1.0 - y_lo)) if 0 < y_lo < 1 else None,
-            math.log(y_hi / (1.0 - y_hi)) if y_hi < 1 else None,
-        ))
-    lower = np.array([-np.inf if lo is None else lo for lo, _ in box])
-    upper = np.array([np.inf if hi is None else hi for _, hi in box])
-
-    def objective(theta):
-        # The mean, not the sum: on the summed objective L-BFGS-B can stop
-        # after one iteration, still at its start, and report success.
-        try:
-            lam, mu, y = unpack(theta)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value, grad = _objective(batch, lam, mu, y, T, k)
-        except (ValueError, FloatingPointError, OverflowError):
-            return math.inf, np.zeros(len(theta))
-        # Chain rule to (log lam, log mu[, logit y]).
-        jac = np.array([lam, mu, y * (1.0 - y)])[: len(theta)]
-        return value / n, grad[: len(theta)] * jac / n
+    box = list(zip(lower, upper))
 
     def descend(theta):
         """L-BFGS-B runs from theta: (result, converged, iterations).  A
@@ -327,15 +294,4 @@ def _lbfgsb(batch, T, k, bounds, unpack, starts, free_y):
             best, best_converged = res, converged
     if best is None:
         raise FitError("all optimizer starts failed")
-    # On log mu, the Yule boundary mu = 0 is flat: the gradient mu df/dmu
-    # vanishes before mu reaches its floor.  Where the objective still falls
-    # toward mu = 0, mu is put on its floor and the fit run once more.
-    if best.x[1] > lower[1] and best.jac[1] > 0:
-        theta = best.x.copy()
-        theta[1] = lower[1]
-        if objective(theta)[0] <= best.fun:
-            res, converged, nit = descend(theta)
-            total_iter += nit
-            if res.fun <= best.fun:
-                best, best_converged = res, converged
     return best.x, best_converged, total_iter

@@ -253,16 +253,19 @@ class ClosedFormTail(InverseTail):
         return out if out.ndim else float(out)
 
     def rate_gradient(self, t):
-        """(dF/dlam, dF/dmu) of ``value`` at t for constant rates (one piece);
-        dF_y/dy is the unthinned F - 1.
+        """(F, dF/dlam, dF/dmu) at t for constant rates (one piece), from one
+        ``expm1`` pass: F is ``value`` to the bit, and dF_y/dy is the
+        unthinned F - 1.
 
         With F - 1 = y lam g(r, t), g = (e^{rt} - 1) / r and r = lam - mu,
         dF/dlam = y (g + lam g_r) and dF/dmu = -y lam g_r, where
         g_r = dg/dr = (t e^{rt} - g) / r.  The branches are those of
         ``closed_form_F``: at r taken as 0, g = t and g_r = t^2 / 2; where
-        |rt| < ``_SERIES_SWITCH``, g = t + r t^2 / 2 and g_r = t^2 / 2 + r t^3 / 3.
-        Just past the switch, the cancellation in t e^{rt} - g leaves g_r good
-        to a few 1e-8 relative.  Raises ``DomainError`` for more than one piece.
+        |rt| < ``_SERIES_SWITCH``, the derivatives take g = t + r t^2 / 2 and
+        g_r = t^2 / 2 + r t^3 / 3.  Just past the switch, the cancellation in
+        t e^{rt} - g leaves g_r good to a few 1e-8 relative.  Where F leaves
+        the float range it is +inf, without a warning, as in ``value``.
+        Raises ``DomainError`` for more than one piece.
         """
         if len(self.breaks) > 1:
             raise DomainError("rate_gradient needs constant rates (one piece)")
@@ -272,10 +275,13 @@ class ClosedFormTail(InverseTail):
         r = lam - mu
         if _is_critical(lam, mu):
             g, g_r = tt, tt * tt / 2.0
+            v = 1.0 + self.y * (lam * g)
         else:
             rt = r * tt
-            g = np.expm1(rt) / r
-            g_r = (tt * (r * g + 1.0) - g) / r  # e^{rt} = r g + 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = np.expm1(rt) / r
+                v = 1.0 + self.y * (lam * g)  # as ``value`` forms it
+                g_r = (tt * (r * g + 1.0) - g) / r  # e^{rt} = r g + 1
             small = np.abs(rt) < _SERIES_SWITCH
             if small.any():
                 ts = tt[small]
@@ -284,8 +290,8 @@ class ClosedFormTail(InverseTail):
         d_lam = self.y * (g + lam * g_r)
         d_mu = -self.y * lam * g_r
         if t.ndim:
-            return d_lam, d_mu
-        return float(d_lam[0]), float(d_mu[0])
+            return v, d_lam, d_mu
+        return float(v[0]), float(d_lam[0]), float(d_mu[0])
 
     def _thinned(self, y: float) -> "ClosedFormTail":
         return ClosedFormTail(self.lam, self.mu, self.T, self.y * y, self.breaks)

@@ -195,6 +195,16 @@ def _finite_tail_at_T(F: InverseTail) -> float:
     return FT
 
 
+def _k_rows(batch: TreeBatch, k: int) -> np.ndarray:
+    """The depths of ``batch``, one row of k - 1 per tree, after checking
+    that every tree has k tips."""
+    n_tips = batch.n_tips
+    wrong = np.flatnonzero(n_tips != k)
+    if wrong.size:
+        raise DomainError(f"tree has {n_tips[wrong[0]]} tips, expected k={k}")
+    return batch.depths.reshape(len(batch), k - 1)
+
+
 def loglik(
     batch: TreeBatch,
     F: InverseTail,
@@ -218,12 +228,7 @@ def loglik(
     if d.size and (d.min() <= 0.0 or d.max() >= T):
         raise DomainError("node depths must lie strictly in (0, T)")
     if scheme.variant == "uniform_k":
-        k = scheme.k
-        n_tips = batch.n_tips
-        wrong = np.flatnonzero(n_tips != k)
-        if wrong.size:
-            raise DomainError(f"tree has {n_tips[wrong[0]]} tips, expected k={k}")
-        out = ksample_loglikelihoods(d.reshape(len(batch), k - 1), F, k)
+        out = ksample_loglikelihoods(_k_rows(batch, scheme.k), F, scheme.k)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:

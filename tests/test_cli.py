@@ -677,6 +677,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and "Is a directory" in err
 
+    def test_ksample_fit_of_other_trees(self, capsys, trees_path):
+        # 3 + 1 depths reshape into rows of k - 1 = 2, but the trees have 4 and 2 tips
+        code, out, err = _run(capsys, "fit", "--trees", trees_path, "--scheme", "k:3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: tree has 4 tips, expected k=3")
+
     def test_malformed_bounds_json(self, capsys, tmp_path, trees_path):
         path = tmp_path / "bounds.json"
         path.write_text('{"lam": [0.1, ')

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from cppgen.cpp import RandomStream, simulate_cpp_many
 from cppgen.errors import DomainError
-from cppgen.inference import MU_FLOOR, FitResult, _objective, fit_mle, neg_log_likelihood
+from cppgen.inference import FitResult, _objective, fit_mle, neg_log_likelihood
 from cppgen.kernel import ClosedFormTail
 from cppgen.ksample import (
     bernoulli_loglikelihood,
@@ -180,6 +180,8 @@ class TestFitMle:
             ({"bounds": {"lam": (0.0, 0.0)}}, "bound of lam"),
             ({"bounds": {"mu": (-0.1, 1.0)}}, "bound of mu"),
             ({"bounds": {"y": (0.5, 1.5)}}, "bound of y"),
+            ({"bounds": {"lam": (0.0, 1.0)}}, "bound of lam"),
+            ({"bounds": {"y": (0.0, 1.0)}}, "bound of y"),
         ],
     )
     def test_rejects_bad_init_and_bounds(self, options, message):
@@ -205,6 +207,51 @@ class TestFitMle:
         assert res.lam == pytest.approx(0.6, rel=1e-9) and res.bound_hits["lam_upper"]
         assert 0.05 <= res.mu <= 5.0
 
+    def test_yule_start_reaches_the_mle(self):
+        # mu = 0 is a face of the box, not a floor of log mu, so a start on
+        # it leaves it for the interior optimum.
+        trees = _trees(300, 1)
+        yule = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.0})
+        ref = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
+        assert yule.converged and ref.converged and yule.mu > 0.4
+        assert yule.loglik == pytest.approx(ref.loglik, rel=1e-9)
+
+    def test_estimates_follow_the_time_unit(self):
+        # lam T and mu T do not depend on the time unit: the same trees in a
+        # unit 500 times longer give rates 500 times higher.
+        batch = TreeBatch.from_trees(_trees(300, 2))
+        short = TreeBatch(batch.heights / 500, batch.offsets, batch.depths / 500)
+        res = fit_mle(batch, SamplingScheme.full(), init={"lam": 0.8, "mu": 0.4})
+        fast = fit_mle(short, SamplingScheme.full(), init={"lam": 400.0, "mu": 200.0})
+        assert res.converged and fast.converged
+        assert_allclose([fast.lam, fast.mu], [500 * res.lam, 500 * res.mu], rtol=1e-6)
+
+    def test_mu_on_a_lower_bound_above_zero(self):
+        trees = _trees(300, 9, ClosedFormTail(1.0, 0.0, 1.0))
+        res = fit_mle(
+            trees, SamplingScheme.full(), init={"lam": 1.0, "mu": 0.2},
+            bounds={"mu": (0.05, 5.0)},
+        )
+        assert res.converged and res.mu == 0.05 and res.bound_hits["mu_lower"]
+
+    @pytest.mark.parametrize(
+        "batch, tips",
+        [
+            (_trees(20, 3), 1),  # 61 depths: no rows of k - 1 = 2
+            (TreeBatch([2.0, 2.0], [0, 1, 4], [0.5, 0.1, 0.2, 0.3]), 2),  # 4 depths: 2 rows
+        ],
+        ids=["full-trees", "divisible"],
+    )
+    def test_ksample_fit_checks_tip_counts_first(self, monkeypatch, batch, tips):
+        from cppgen import inference
+
+        def never(*args, **kwargs):
+            raise AssertionError("_objective called")
+
+        monkeypatch.setattr(inference, "_objective", never)
+        with pytest.raises(DomainError, match=f"tree has {tips} tips, expected k=3"):
+            fit_mle(batch, SamplingScheme.uniform_k(3))
+
 
 def _nelder_mead_optimum(batch, scheme, theta0, oriented=True):
     """The minimum negative log-likelihood found by a tightly converged
@@ -227,7 +274,8 @@ def _nelder_mead_optimum(batch, scheme, theta0, oriented=True):
 
 _RATE_GRID = pytest.mark.parametrize(
     "lam, mu",
-    [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9), (1.0, MU_FLOOR)],
+    [(1.0, 0.5), (0.5, 1.0), (0.7, 0.7), (1.0, 1.0 - 1e-9), (1.0, 1.0 + 1e-9), (1.0, 0.0)],
+    # "mu=floor": mu on the floor of its range, the Yule boundary mu = 0
     ids=["r>0", "r<0", "r=0", "r=+1e-9", "r=-1e-9", "mu=floor"],
 )
 
@@ -291,7 +339,7 @@ class TestGradientFit:
 
         h = 1e-5
         fd = [(ll(lam * (1 + h), mu, y) - ll(lam * (1 - h), mu, y)) / (2 * h * lam)]
-        if mu > MU_FLOOR:
+        if mu > 0:
             fd.append((ll(lam, mu * (1 + h), y) - ll(lam, mu * (1 - h), y)) / (2 * h * mu))
         else:
             # mu - h < 0: a one-sided difference of second order instead.
@@ -318,7 +366,7 @@ class TestGradientFit:
         assert_allclose(value, -ll(lam, mu), rtol=1e-12)
         h = 1e-5
         fd = [(ll(lam * (1 + h), mu) - ll(lam * (1 - h), mu)) / (2 * h * lam)]
-        if mu > MU_FLOOR:
+        if mu > 0:
             fd.append((ll(lam, mu * (1 + h)) - ll(lam, mu * (1 - h))) / (2 * h * mu))
         else:
             hm = 1e-4
@@ -369,7 +417,7 @@ class TestGradientFit:
 
     @pytest.mark.parametrize("seed", [9, 3])
     def test_yule_boundary_is_reached(self, seed):
-        # On log mu the Yule boundary is flat; the fit still puts mu on it.
+        # mu = 0 is a face of the box, where L-BFGS-B stops by projection.
         F = ClosedFormTail(1.0, 0.0, 1.0)
         batch = TreeBatch.from_trees(_trees(300, seed, F))
         res = fit_mle(batch, SamplingScheme.full(), init={"lam": 1.0, "mu": 0.2})
@@ -395,7 +443,7 @@ class TestConvergedIsTheWinners:
             # The scale-1 start wins with the lowest value; the other two
             # converge at higher values.
             x0 = np.asarray(x0, dtype=float)
-            wins = abs(x0[0] - math.log(init["lam"])) < 1e-12
+            wins = abs(x0[0] - init["lam"] * 2.0) < 1e-12  # lam T, T = 2
             ok = winner_converges or not wins
             return OptimizeResult(
                 x=x0, fun=1.0 if wins else 2.0, nit=5, success=ok,

@@ -190,7 +190,8 @@ class TestRateGradient:
         def value(lam, mu):
             return ClosedFormTail(lam, mu, 2.0, y).value(t)
 
-        d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, y).rate_gradient(t)
+        v, d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, y).rate_gradient(t)
+        assert_allclose(v, value(lam, mu), rtol=1e-15)
         fd_lam = (value(lam + h, mu) - value(lam - h, mu)) / (2 * h)
         assert_allclose(d_lam, fd_lam, rtol=1e-7)
         if mu > 0:
@@ -203,16 +204,34 @@ class TestRateGradient:
         # dF/dmu = -lam (t^2 / 2 + r t^3 / 3 + O(t^4)): exact to rounding at
         # t = 1e-9, with no cancellation.
         t, r = 1e-9, lam - mu
-        d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, 0.3).rate_gradient(t)
+        _, d_lam, d_mu = ClosedFormTail(lam, mu, 2.0, 0.3).rate_gradient(t)
         g, g_r = t + r * t * t / 2, t * t / 2 + r * t**3 / 3
         assert_allclose(d_lam, 0.3 * (g + lam * g_r), rtol=1e-15)
         assert_allclose(d_mu, -0.3 * lam * g_r, rtol=1e-15)
 
     def test_scalar_in_scalar_out(self):
         F = ClosedFormTail(1.0, 0.5, 2.0)
-        d_lam, d_mu = F.rate_gradient(1.0)
-        assert isinstance(d_lam, float) and isinstance(d_mu, float)
-        assert (d_lam, d_mu) == tuple(float(v[0]) for v in F.rate_gradient([1.0]))
+        out = F.rate_gradient(1.0)
+        assert all(isinstance(v, float) for v in out) and len(out) == 3
+        assert out == tuple(float(v[0]) for v in F.rate_gradient([1.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lam, mu, y",
+        [
+            (1.0, 0.5, 1.0), (0.5, 1.0, 0.3), (0.7, 0.7, 1.0), (1.0, 1.0 - 1e-9, 0.3),
+            (400.0, 0.2, 1.0),
+        ],
+        ids=["r>0", "r<0", "r=0", "series", "overflow"],
+    )
+    def test_value_is_the_tails_value(self, lam, mu, y):
+        # one expm1 pass gives F as ``value`` forms it, +inf past the float
+        # range without a warning
+        F = ClosedFormTail(lam, mu, 2.0, y)
+        t = np.array([[1e-10, 0.4], [1.0, 2.0]])
+        v, _, _ = F.rate_gradient(t)
+        assert np.array_equal(v, F.value(t))
+        assert F.rate_gradient(2.0)[0] == F.value(2.0)
 
 
 class TestTailObjects:
