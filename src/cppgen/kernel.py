@@ -26,7 +26,10 @@ that dies at s in cell q, at age a = s - b, has
 where C_q(b), the hazard the life line collects before it enters cell q
 minus H_q(max(start_q - b, 0)), does not depend on s.  On the solver grid the
 age factor is one vector per time cell and the birth factor one table, so
-``solve_F`` evaluates no kernel inside its step loop.
+the memory integral is, per time cell, a Toeplitz product scaled by row.
+``solve_F`` solves its steps in blocks: the history before a block enters as
+one convolution per time cell, and the block's own steps are one triangular
+system built from Toeplitz tiles computed once, with no per-step Python loop.
 """
 
 from __future__ import annotations
@@ -320,12 +323,18 @@ _NEWTON_TOL = 4 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridTail(InverseTail):
-    """Grid-backed F with shape-preserving (monotone cubic) interpolation."""
+    """Grid-backed F with shape-preserving (monotone cubic) interpolation.
 
-    ts: tuple
-    values: tuple
+    ``ts`` and ``values`` may be given as any sequences and are stored as
+    read-only float arrays; ``values`` is clamped to F(0) = 1 and made
+    nondecreasing.  A grid that already is a read-only array is shared, so
+    ``thinned`` reuses its parent's.
+    """
+
+    ts: np.ndarray
+    values: np.ndarray
     T: float
 
     def __post_init__(self):
@@ -334,12 +343,14 @@ class GridTail(InverseTail):
         from scipy.interpolate import PchipInterpolator
 
         ts = np.asarray(self.ts, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        if ts.flags.writeable:
+            ts = ts.copy()
+            ts.flags.writeable = False
+        vals = np.array(self.values, dtype=float)
         if ts[0] != 0.0 or abs(ts[-1] - self.T) > 1e-12 * max(self.T, 1.0):
             raise DomainError("grid must span [0, T]")
         if abs(vals[0] - 1.0) > 1e-12:
             raise SolverError("F(0) must be 1")
-        vals = vals.copy()
         vals[0] = 1.0
         # Tiny decreases are numerical noise and get clamped; anything larger
         # means the tail 1/F is not a survival function and is a hard failure.
@@ -349,13 +360,11 @@ class GridTail(InverseTail):
             raise SolverError(
                 f"F decreases by {rel.max():.3g} relative; solver output invalid"
             )
-        vals = np.maximum.accumulate(vals)
-        object.__setattr__(self, "ts", tuple(ts))
-        object.__setattr__(self, "values", tuple(vals))
+        np.maximum.accumulate(vals, out=vals)
+        vals.flags.writeable = False
         interp = PchipInterpolator(ts, vals, extrapolate=False)
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_dinterp", interp.derivative())
-        object.__setattr__(self, "_vals", vals)
+        # The dataclass is frozen, so the fields are normalized in __dict__.
+        self.__dict__.update(ts=ts, values=vals, _interp=interp, _dinterp=interp.derivative())
 
     def value(self, t):
         out = self._interp(np.asarray(t, dtype=float))
@@ -368,8 +377,7 @@ class GridTail(InverseTail):
         return out if out.ndim else float(out)
 
     def _thinned(self, y: float) -> "GridTail":
-        vals = 1.0 - y + y * np.asarray(self.values)
-        return GridTail(self.ts, tuple(vals), self.T)
+        return GridTail(self.ts, 1.0 - y + y * self.values, self.T)
 
     def inverse(self, targets):
         """Exact inverse of the interpolant ``value`` evaluates; clipped to [0, T].
@@ -384,7 +392,7 @@ class GridTail(InverseTail):
         few ulps of T after about three steps.
         """
         u = np.asarray(targets, dtype=float)
-        x, c, v = self._interp.x, self._interp.c, self._vals
+        x, c, v = self._interp.x, self._interp.c, self.values
         i = np.clip(np.searchsorted(v, u, side="left") - 1, 0, len(x) - 2)
         c0, c1, c2, c3 = c[:, i]
         h = x[i + 1] - x[i]
@@ -467,6 +475,11 @@ def step_grid(T: float, step: float) -> np.ndarray:
 _MAX_CELL_HAZARD = 700.0
 
 
+# Steps per block of ``solve_F``: below about 64 the ~25 numpy calls each
+# block makes set the cost, above it the B x B tiles and their solve.
+_BLOCK = 64
+
+
 def solve_F(model: RateModel, step: float) -> GridTail:
     """Solve the Volterra equation for F on [0, T] with grid spacing ``step``.
 
@@ -482,11 +495,30 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     (``_entry_hazard``).  So each time cell has one vector
     K_q[m] = h_q((m + 1/2) step) e^{-H_q((m + 1/2) step)} of length n, and
     there is one (n + 1) x P table e^{-C}; the cell's deaths are one
-    contiguous range of j.  A step is then one dot per time cell against a
-    reversed slice of K_q: memory O(n P), no kernel evaluated in the loop.
-    Raises ``SolverError`` when a cell's age hazard over [0, T] exceeds
-    ``_MAX_CELL_HAZARD``, where e^{-H} and e^{-C} leave the float range.
+    contiguous range of j.  The memory W_i = sum_{j<i} F(mid_j) g(T - t_i,
+    T - mid_j) is then, per time cell, a Toeplitz product in i - j times a
+    row scale e^{-C_q}.
+
+    Each step is linear in F, so the increment d_i = F_{i+1} - F_i is
+    alpha_i F_i - beta_i W_i - gamma_i O_i, where O_i is the memory at
+    t_{i+1} without its newest term j = i, which the corrector takes at the
+    average of F_i and the predictor.  The steps are solved in blocks of
+    ``_BLOCK`` (Hairer, Lubich & Schlichte 1985).  The history before a block
+    enters its rows as one ``np.convolve`` per time cell, and the block's
+    own steps are one unit-lower-triangular system in d, built from per-cell
+    Toeplitz tiles of K_q that are computed once.  F is the running sum of d
+    from the block's first node, which keeps each step's rounding relative
+    to its increment, as in a step-by-step loop.  The corrector moves come
+    from the solved F and each block's memory (one tile product per block)
+    in one vectorized pass.  With B = ``_BLOCK``, memory is O(n P + P B^2)
+    and there are n / B Python iterations.  Raises ``SolverError`` when a cell's
+    age hazard over [0, T] exceeds ``_MAX_CELL_HAZARD``, where e^{-H} and
+    e^{-C} leave the float range.
     """
+    # scipy is imported here, as in GridTail, so that models with an exact
+    # tail never load it.
+    from scipy.linalg import solve_triangular
+
     T = model.T
     ts = step_grid(T, step)
     n = len(ts) - 1
@@ -500,7 +532,7 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     # break whenever T - t_i misses the break by a rounding error, and one
     # wrong cell per break drops the scheme to first order; a break strictly
     # inside a cell costs only O(step^2) locally.
-    lam_cell = np.asarray(model.lam(T - mids), dtype=float).tolist()
+    lam = np.asarray(model.lam(T - mids), dtype=float)
 
     cells = model.death_cells()
     for cell in cells:
@@ -510,11 +542,13 @@ def solve_F(model: RateModel, step: float) -> GridTail:
                 f"death hazard {total:.4g} over ages [0, T] in the time cell at "
                 f"{cell.start:g} is past the solver's range ({_MAX_CELL_HAZARD:g})"
             )
+    B = min(_BLOCK, n)
     ages = (np.arange(n) + 0.5) * step
     cell_of_mid = _cell_of(cells, T - mids)  # nonincreasing in j
     exp_C = np.exp(-_entry_hazard(cells, T - ts))
-    # (first j, last j + 1, K_q reversed, e^{-C_q} per node) for each cell
-    # holding a midpoint; K_q[m] sits at K_rev[n - 1 - m].
+    lag = np.subtract.outer(np.arange(B + 1), np.arange(B)) - 1  # m - 1 - u
+    # (first j, last j + 1, K_q, e^{-C_q} per node, tile) for each cell
+    # holding a midpoint; tile[m, u] = K_q[m - 1 - u] for u < m, else 0.
     pieces = []
     newest = np.empty(n)  # g(T - t_{i+1}, T - mid_i) = K_q[0] e^{-C_q(T - t_{i+1})}
     for q, cell in enumerate(cells):
@@ -523,34 +557,69 @@ def solve_F(model: RateModel, step: float) -> GridTail:
             lo, hi = int(js[0]), int(js[-1]) + 1
             K = cell.by_age(ages) * np.exp(-cell.by_age.integral(0.0, ages))
             newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
-            pieces.append((lo, hi, K[::-1].copy(), exp_C[:, q].tolist()))
-    newest = newest.tolist()
+            tile = np.where(lag >= 0, K[np.maximum(lag, 0)], 0.0)
+            pieces.append((lo, hi, K, exp_C[:, q], tile))
 
-    F = [1.0] * (n + 1)
-    f_mid = np.zeros(n)  # F at the midpoints, the average of its two nodes
-    memory = 0.0  # int_0^{t_i} F(s) g(T - t_i, T - s) ds by the midpoint rule
-    worst_move = 0.0
-    for i in range(n):
-        rhs_i = lam_cell[i] * (F[i] - memory)
-        pred = F[i] + step * rhs_i
-        # The memory at t_{i+1} without its newest term, which needs F[i+1].
-        older = 0.0
-        for lo, hi, K_rev, eC in pieces:
-            top = min(hi, i)
-            if top > lo:
-                shift = n - 1 - i
-                older += eC[i + 1] * float(f_mid[lo:top] @ K_rev[shift + lo : shift + top])
-        rhs_next = lam_cell[i] * (pred - step * (older + 0.5 * (F[i] + pred) * newest[i]))
-        F[i + 1] = F[i] + 0.5 * step * (rhs_i + rhs_next)
-        f_mid[i] = mid = 0.5 * (F[i] + F[i + 1])
-        memory = step * (older + mid * newest[i])
-        move = abs(F[i + 1] - pred) / max(abs(pred), 1.0)
-        worst_move = max(worst_move, move)
+    # One step, with rhs_i = lam_i (F_i - step W_i), the predictor
+    # p = F_i + step rhs_i and the corrector
+    # F_{i+1} = F_i + step/2 (rhs_i + lam_i (p - step (O_i + (F_i + p)/2 newest_i))),
+    # is d_i = alpha_i F_i - beta_i W_i - gamma_i O_i with these coefficients.
+    hl = step * lam
+    damp = 1.0 - 0.5 * step * newest
+    alpha = 0.5 * hl * (2.0 + hl) * damp
+    beta = 0.5 * step * hl * (1.0 + hl * damp)
+    gamma = 0.5 * step * hl
+
+    # [1 | S]: S[j, k] = 1 for k < j and 1/2 at k = j, so that S d sums the
+    # increments of a block up to its midpoint j; S0 is S less its diagonal.
+    ones_sum = np.hstack([np.ones((B, 1)), np.tril(np.ones((B, B)), -1) + 0.5 * np.eye(B)])
+    F = np.empty(n + 1)
+    F[0] = 1.0
+    f_mid = np.empty(n)  # F at the midpoints, the average of its two nodes
+    W = np.empty(n)  # W_i, for the corrector moves
+    # Past the float range F is +inf and its corrector move +inf, which is
+    # reported as a SolverError below, without a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, B):
+            e = min(s + B, n)
+            b = e - s
+            # Rows i = s..e: the memory sum over j < s, and the kernel over the
+            # block's own j < i.
+            hist = np.zeros(b + 1)
+            G = np.empty((b + 1, b))
+            for lo, hi, K, eC, tile in pieces:
+                top = min(hi, s)
+                if top > lo:
+                    hist += eC[s : e + 1] * np.convolve(f_mid[lo:top], K[s - top : e - lo], "valid")
+                c0, c1 = max(lo, s) - s, min(hi, e) - s
+                if c1 > c0:
+                    G[:, c0:c1] = eC[s : e + 1, None] * tile[: b + 1, c0:c1]
+            a, be, ga = alpha[s:e], beta[s:e], gamma[s:e]
+            # beta W + gamma O over the block's own j; O_i leaves out j = i.
+            M = be[:, None] * G[:-1] + ga[:, None] * G[1:]
+            M.ravel()[:: b + 1] = 0.0
+            # With F_i = F_s + (S0 d)_i and f_mid_j = F_s + (S d)_j, the block is
+            # (I - diag(alpha) S0 + M S) d = (alpha - M 1) F_s - beta, gamma times
+            # the history; one product with [1 | S] gives M 1 and M S.
+            MS = M @ ones_sum[:b, : b + 1]
+            r = a - MS[:, 0]
+            rhs = F[s] * r - be * hist[:-1] - ga * hist[1:]
+            A = MS[:, 1:] - a[:, None]  # its diagonal and upper part are not read
+            F[s + 1 : e + 1] = solve_triangular(
+                A, rhs, lower=True, unit_diagonal=True, check_finite=False
+            )
+            np.cumsum(F[s : e + 1], out=F[s : e + 1])  # d, summed from F_s
+            f_mid[s:e] = 0.5 * (F[s:e] + F[s + 1 : e + 1])
+            W[s:e] = hist[:-1] + G[:-1] @ f_mid[s:e]
+        pred = F[:-1] + step * (lam * (F[:-1] - step * W))
+        move = np.abs(F[1:] - pred) / np.maximum(np.abs(pred), 1.0)
+        # A move past the float range (inf, or inf - inf) counts as infinite.
+        worst_move = float(np.nan_to_num(move, nan=np.inf).max())
     if worst_move > 1e-3:
         raise SolverError(
             f"step {step} too large: corrector moved values by {worst_move:.3g} relative"
         )
-    return GridTail(tuple(ts), tuple(F), T)
+    return GridTail(ts, F, T)
 
 
 def tail_for(model: RateModel, step: float = 1e-3, solve=None) -> InverseTail:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import time
 import tracemalloc
 
@@ -14,13 +15,17 @@ from numpy.testing import assert_allclose
 from cppgen.cpp import RandomStream, simulate_cpp_many
 from cppgen.errors import DegenerateMixtureError, DomainError, SolverError, TailOverflowError
 from cppgen.kernel import (
+    _BLOCK,
     ClosedFormTail,
     GridTail,
+    _cell_of,
+    _entry_hazard,
     closed_form_F,
     death_density_g,
     invert_tail,
     node_depth_density_f,
     solve_F,
+    step_grid,
     survival_a,
     tail_for,
 )
@@ -119,6 +124,57 @@ def _solve_F_rowwise(model, step):
     if worst_move > 1e-3:
         raise SolverError(f"corrector moved values by {worst_move:.3g} relative")
     return F
+
+
+def _solve_F_longdouble(model, step):
+    """The scheme's per-step loop in np.longdouble, on the float64 kernel
+    tables that solve_F builds: it checks the recurrence's rounding alone."""
+    ld = np.longdouble
+    T = model.T
+    ts = step_grid(T, step)
+    n = len(ts) - 1
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    lam = np.asarray(model.lam(T - mids), dtype=float).astype(ld)
+    cells = model.death_cells()
+    ages = (np.arange(n) + 0.5) * step
+    cell_of_mid = _cell_of(cells, T - mids)
+    exp_C = np.exp(-_entry_hazard(cells, T - ts)).astype(ld)
+    pieces, newest = [], np.empty(n, dtype=ld)
+    for q, cell in enumerate(cells):
+        js = np.flatnonzero(cell_of_mid == q)
+        if js.size:
+            lo, hi = int(js[0]), int(js[-1]) + 1
+            K = (cell.by_age(ages) * np.exp(-cell.by_age.integral(0.0, ages))).astype(ld)
+            newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
+            pieces.append((lo, hi, K[::-1].copy(), exp_C[:, q]))
+    h = ld(step)
+    F = np.ones(n + 1, dtype=ld)
+    f_mid = np.zeros(n, dtype=ld)
+    memory = ld(0)
+    for i in range(n):
+        rhs_i = lam[i] * (F[i] - memory)
+        pred = F[i] + h * rhs_i
+        older = ld(0)  # the memory at t_{i+1} without its newest term j = i
+        for lo, hi, K_rev, eC in pieces:
+            top = min(hi, i)
+            if top > lo:
+                shift = n - 1 - i
+                older += eC[i + 1] * (f_mid[lo:top] @ K_rev[shift + lo : shift + top])
+        rhs_next = lam[i] * (pred - h * (older + (F[i] + pred) / 2 * newest[i]))
+        F[i + 1] = F[i] + h / 2 * (rhs_i + rhs_next)
+        f_mid[i] = (F[i] + F[i + 1]) / 2
+        memory = h * (older + f_mid[i] * newest[i])
+    return F
+
+
+def _reported_move(solve, model, step):
+    """The worst corrector move ``solve`` reports in its ``SolverError``, as
+    printed; None when it returns."""
+    try:
+        solve(model, step)
+    except SolverError as err:
+        return re.search(r"by (\S+) relative", str(err)).group(1)
+    return None
 
 
 def _closed_form_both_branches(lam, mu, t):
@@ -421,6 +477,15 @@ SOLVER_MODELS = {
 }
 
 
+# a hazard of 340 in the later time cell, inside the solver's range
+LARGE_HAZARD = RateModel.age_dependent(
+    lam=PiecewiseConstant.constant(1.0),
+    mu=AgeDependentRate((0.0, 1.0), (0.0, 0.5), ((0.5, 0.2), (1.0, 340.0))),
+    T=2.0,
+)
+EDGE_MODELS = dict(SOLVER_MODELS, large_hazard=LARGE_HAZARD)
+
+
 @st.composite
 def _age_models(draw):
     """A random small (time x age) death grid, with zero rates, and a lambda break."""
@@ -468,14 +533,53 @@ class TestFactorizedSolver:
             solve_F(model, 1e-3)
 
     def test_large_hazard_inside_range(self):
-        model = RateModel.age_dependent(
-            lam=PiecewiseConstant.constant(1.0),
-            mu=AgeDependentRate((0.0, 1.0), (0.0, 0.5), ((0.5, 0.2), (1.0, 340.0))),
-            T=2.0,
-        )
-        F = solve_F(model, 1e-3)
+        F = solve_F(LARGE_HAZARD, 1e-3)
         assert np.all(np.isfinite(F.values))
-        assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, 1e-3), rtol=1e-13, atol=0)
+        expect = _solve_F_rowwise(LARGE_HAZARD, 1e-3)
+        assert_allclose(np.asarray(F.values), expect, rtol=1e-13, atol=0)
+
+    # n < B, n = B and n = 3B + 13 steps, where the step is not too coarse
+    # for the model; the blocks of three_cells and zero_cells straddle their
+    # mu time breaks and their lambda break.
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, _BLOCK - 13) for name in ("age_dependent", "constant", "critical")]
+        + [(name, n) for name in sorted(SOLVER_MODELS) for n in (_BLOCK, 3 * _BLOCK + 13)]
+        + [("large_hazard", _BLOCK)],
+    )
+    def test_block_edges_match_oracle(self, name, n):
+        model = EDGE_MODELS[name]
+        step = model.T / n
+        F = solve_F(model, step)
+        assert len(F.values) == n + 1
+        assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, step), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
+    @pytest.mark.parametrize("step", [0.5, 0.1, 0.04, 2e-2, 1e-2])
+    def test_corrector_move_parity(self, name, step):
+        # SolverError on the same (model, step) pairs as the oracle, with the
+        # same reported worst move.
+        model = EDGE_MODELS[name]
+        assert _reported_move(solve_F, model, step) == _reported_move(_solve_F_rowwise, model, step)
+
+    @pytest.mark.parametrize(
+        "name, step, worst", [("large_hazard", 1e-2, "0.00123"), ("constant", 0.5, "0.0374")]
+    )
+    def test_reported_corrector_move(self, name, step, worst):
+        assert _reported_move(solve_F, EDGE_MODELS[name], step) == worst
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="longdouble is float64 here"
+    )
+    @pytest.mark.parametrize("name", sorted(SOLVER_MODELS))
+    @pytest.mark.parametrize("step", [1e-3, 5e-4])
+    def test_matches_extended_precision_recurrence(self, name, step):
+        # Summing the increments keeps the float64 rounding near the loop's
+        # (within 6e-15); forming F_{i+1} = A_i F_i + ... with A_i = 1 + O(step)
+        # lost two digits.
+        model = SOLVER_MODELS[name]
+        expect = _solve_F_longdouble(model, step).astype(float)
+        assert_allclose(np.asarray(solve_F(model, step).values), expect, rtol=1e-14, atol=0)
 
     def test_fine_step_time_and_memory(self):
         start = time.perf_counter()
@@ -731,6 +835,15 @@ class TestOverflowingTail:
         assert F.value(1.0) == math.inf and F.deriv(1.0) == math.inf
         assert np.isfinite(F.value(t)).tolist() == [True, False, False]
         assert np.all(F.value(t)[1:] == math.inf) and np.all(F.deriv(t)[1:] == math.inf)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step", [1e-3, 1e-4])
+    def test_solver_reports_an_infinite_move(self, step):
+        # lam = 400 with age-dependent death: the grid F passes the float range
+        # inside a block, and its corrector move is reported as inf.
+        model = RateModel.age_dependent(PiecewiseConstant.constant(400.0), AD_MODEL.mu, 2.0)
+        with pytest.raises(SolverError, match="by inf relative"):
+            solve_F(model, step)
 
 
 class TestTailFor:
