@@ -157,9 +157,6 @@ def _rate_at(rate: PiecewiseConstant):
 def _death_rate_at(model: RateModel):
     """Scalar (t, x) -> model.death_rate(t, x) for t, x >= 0."""
     mu = model.mu
-    if isinstance(mu, PiecewiseConstant):
-        at = _rate_at(mu)
-        return lambda t, x: at(t)
     t_breaks, x_breaks, values = mu.t_breaks, mu.x_breaks, mu.values
     return lambda t, x: values[bisect_right(t_breaks, t) - 1][bisect_right(x_breaks, x) - 1]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,14 +31,6 @@ __all__ = ["FitResult", "neg_log_likelihood", "fit_mle"]
 _DEFAULT_SOLVER_STEP = 1e-3
 
 
-@lru_cache(maxsize=32)
-def _cached_solve_F(model: RateModel, step: float):
-    # RateModel is hashable (frozen dataclass of tuples); quantization of the
-    # cache key is unnecessary because callers construct identical models for
-    # identical parameter values.
-    return solve_F(model, step)
-
-
 def neg_log_likelihood(
     trees: Union[TreeBatch, Sequence[OrientedUltrametricTree]],
     lam: float,
@@ -54,13 +45,14 @@ def neg_log_likelihood(
 
     Constant-rate evaluation by default (closed-form F); pass ``model`` to
     evaluate a non-constant rate model instead (exact F where death does not
-    depend on age, else a Volterra grid solved once and cached).  A free
+    depend on age, else a Volterra grid solved by ``solve_F``).  A free
     Bernoulli ``y`` (``scheme.y is None``) is taken from ``y``.
     """
     if model is None:
         F = ClosedFormTail(lam, mu, T)  # DomainError for negative rates
     else:
-        F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=_cached_solve_F)
+        # this module's solve_F, so that patching ``inference.solve_F`` sees the solve
+        F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=solve_F)
     if scheme.variant == "bernoulli" and scheme.y is None:
         if y is None:
             raise DomainError("Bernoulli scheme needs y (fixed or free)")
@@ -140,23 +132,26 @@ def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float, k=No
     Bernoulli trees is m log(y lam) + r sum(x) - 2 sum(log F_y(x)) -
     n log F_y(T), and d log F'_y is (1/lam + x, -x, 1/y); F_y and its
     derivatives in (lam, mu) come from one ``ClosedFormTail.rate_gradient``
-    pass, and d F_y / dy = F - 1 = (F_y - 1) / y.  For uniform k-samples
-    (``k``; y = 1) the two sums over F_y are ``ksample._log_k_mixture`` at
-    G = F - 1, with its own score.
+    pass over the depths and T, and d F_y / dy = F - 1 = (F_y - 1) / y.  For
+    uniform k-samples (``k``; y = 1) the two sums over F_y are
+    ``ksample._log_k_mixture`` at G = F - 1, with its own score.
     """
     F = ClosedFormTail(lam, mu, T, y)
-    vT, d_lamT, d_muT = F.rate_gradient(T)
-    if not math.isfinite(vT):
-        return math.inf, np.zeros(3)
     d = batch.depths
     n, m, x_sum = len(batch), d.size, float(d.sum())
     if k is not None:
         at = np.column_stack([np.full(n, T), d.reshape(n, k - 1)])  # as ksample._excess
         v, d_lam, d_mu = F.rate_gradient(at)
+        if not math.isfinite(v[0, 0]):  # F(T), in column 0
+            return math.inf, np.zeros(3)
         log_mix, (g_lam, g_mu) = _log_k_mixture(v - 1.0, (d_lam, d_mu))
         loglik = m * math.log(lam) + (lam - mu) * x_sum + float(log_mix.sum())
         return -loglik, -np.array([m / lam + x_sum + g_lam.sum(), -x_sum + g_mu.sum(), 0.0])
-    v, d_lam, d_mu = F.rate_gradient(d)
+    v, d_lam, d_mu = F.rate_gradient(np.append(d, T))  # F(T) last
+    vT, d_lamT, d_muT = float(v[-1]), float(d_lam[-1]), float(d_mu[-1])
+    if not math.isfinite(vT):
+        return math.inf, np.zeros(3)
+    v, d_lam, d_mu = v[:-1], d_lam[:-1], d_mu[:-1]
     log_F = float(np.log(v).sum())
     loglik = m * math.log(y * lam) + (lam - mu) * x_sum - 2.0 * log_F - n * math.log(vT)
     score = np.array([

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .model import PiecewiseConstant, RateModel
+from .model import RateModel
 
 __all__ = [
     "InverseTail",
@@ -213,12 +213,13 @@ class ClosedFormTail(InverseTail):
 
     @classmethod
     def from_model(cls, model: RateModel) -> "ClosedFormTail":
-        """The exact F of a model whose death rate does not depend on age."""
-        if not isinstance(model.mu, PiecewiseConstant):
+        """The exact F of a model whose death rate does not depend on age: one
+        piece per lambda or mu time break, with mu read at age 0."""
+        if model.mu.depends_on_age:
             raise DomainError("the exact tail needs age-independent death")
-        breaks = np.union1d(model.lam.breaks, model.mu.breaks)
+        breaks = np.union1d(model.lam.breaks, model.mu.t_breaks)
         lam = np.atleast_1d(model.lam(breaks)).tolist()
-        mu = np.atleast_1d(model.mu(breaks)).tolist()
+        mu = np.atleast_1d(model.mu(breaks, 0.0)).tolist()
         return cls(lam, mu, model.T, breaks=breaks.tolist())
 
     def _piece(self, t):
@@ -625,12 +626,12 @@ def solve_F(model: RateModel, step: float) -> GridTail:
 def tail_for(model: RateModel, step: float = 1e-3, solve=None) -> InverseTail:
     """F of ``model``: exact wherever death does not depend on age.
 
-    Piecewise-constant lambda(t) and mu(t), constant rates included, get the
-    exact ``ClosedFormTail``, and age-dependent death gets the Volterra grid
-    ``solve(model, step)`` (``solve_F`` by default; callers pass their own
-    binding to cache the solve or to observe it).
+    A death rate that does not depend on age (``mu.depends_on_age``), constant
+    rates included, gets the exact ``ClosedFormTail``, and age-dependent
+    death gets the Volterra grid ``solve(model, step)`` (``solve_F`` by
+    default; callers pass their own binding to observe the solve).
     """
-    if isinstance(model.mu, PiecewiseConstant):
+    if not model.mu.depends_on_age:
         return ClosedFormTail.from_model(model)
     return (solve or solve_F)(model, step)
 

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -144,7 +144,10 @@ class PiecewiseConstant:
 
 @dataclass(frozen=True)
 class AgeDependentRate:
-    """A death rate piecewise constant on a rectangular (time, age) grid."""
+    """A death rate piecewise constant on a rectangular (time, age) grid;
+    every death rate is one.  Age breaks across which no time cell's rate
+    changes are dropped, so death that does not depend on age has one age
+    piece per time cell (``of_time``, ``depends_on_age``)."""
 
     t_breaks: tuple
     x_breaks: tuple
@@ -157,9 +160,6 @@ class AgeDependentRate:
             vals = tuple(_numbers(row, "rate values") for row in self.values)
         except TypeError:
             raise ModelError(f"rate values must be a list of rows, not {self.values!r}") from None
-        object.__setattr__(self, "t_breaks", tb)
-        object.__setattr__(self, "x_breaks", xb)
-        object.__setattr__(self, "values", vals)
         if not tb or not xb or tb[0] != 0.0 or xb[0] != 0.0:
             raise ModelError("time and age grids must start at 0")
         _check_breaks(tb)
@@ -167,6 +167,24 @@ class AgeDependentRate:
         if len(vals) != len(tb) or any(len(row) != len(xb) for row in vals):
             raise ModelError("values grid shape must match breakpoints")
         _check_rates(v for row in vals for v in row)
+        keep = [0] + [j for j in range(1, len(xb)) if any(row[j] != row[j - 1] for row in vals)]
+        object.__setattr__(self, "t_breaks", tb)
+        object.__setattr__(self, "x_breaks", tuple(xb[j] for j in keep))
+        object.__setattr__(self, "values", tuple(tuple(row[j] for j in keep) for row in vals))
+
+    @classmethod
+    def of_time(cls, rate: PiecewiseConstant) -> "AgeDependentRate":
+        """The grid of a rate of time alone: one age piece per time cell."""
+        return cls(rate.breaks, (0.0,), tuple((v,) for v in rate.values))
+
+    @property
+    def depends_on_age(self) -> bool:
+        """Does some time cell's rate differ across ages?  The one test of it."""
+        return len(self.x_breaks) > 1
+
+    @property
+    def is_constant(self) -> bool:
+        return len(self.t_breaks) == 1 and not self.depends_on_age
 
     @property
     def max(self) -> float:
@@ -179,9 +197,6 @@ class AgeDependentRate:
         xi = np.clip(np.searchsorted(self.x_breaks, x, side="right") - 1, 0, None)
         out = np.asarray(self.values)[ti, xi]
         return out if out.ndim else float(out)
-
-
-DeathRate = Union[PiecewiseConstant, AgeDependentRate]
 
 
 class DeathCell(NamedTuple):
@@ -200,45 +215,39 @@ class DeathCell(NamedTuple):
 class RateModel:
     """Birth rate lambda(t), death rate mu(t, x), and horizon T.
 
-    ``kind`` is one of ``constant``, ``time_varying``, ``age_dependent`` and
-    only records how the model was specified; evaluation always goes through
-    the piecewise-constant machinery.
+    The death rate is always a time x age grid.  ``kind`` (``constant``,
+    ``time_varying`` or ``age_dependent``) is derived from the rates, so it
+    cannot disagree with them; evaluation always goes through the
+    piecewise-constant machinery.
     """
 
-    kind: str
     lam: PiecewiseConstant
-    mu: DeathRate
+    mu: AgeDependentRate
     T: float
 
     def __post_init__(self):
-        if self.kind not in ("constant", "time_varying", "age_dependent"):
-            raise ModelError(f"unknown model kind {self.kind!r}")
         if not (0 < self.T < math.inf):
             raise ModelError("T must be finite and > 0")
-        for breaks in self._all_breaks():
-            if breaks[-1] >= self.T:
-                raise ModelError("breakpoints must lie strictly inside [0, T)")
-
-    def _all_breaks(self):
-        yield self.lam.breaks
-        if isinstance(self.mu, PiecewiseConstant):
-            yield self.mu.breaks
-        else:
-            yield self.mu.t_breaks
+        if max(self.lam.breaks[-1], self.mu.t_breaks[-1]) >= self.T:
+            raise ModelError("breakpoints must lie strictly inside [0, T)")
 
     @classmethod
     def constant(cls, lam: float, mu: float, T: float) -> "RateModel":
-        return cls(
-            "constant", PiecewiseConstant.constant(lam), PiecewiseConstant.constant(mu), T
-        )
+        return cls.time_varying(PiecewiseConstant.constant(lam), PiecewiseConstant.constant(mu), T)
 
     @classmethod
     def time_varying(cls, lam: PiecewiseConstant, mu: PiecewiseConstant, T: float):
-        return cls("time_varying", lam, mu, T)
+        return cls(lam, AgeDependentRate.of_time(mu), T)
 
     @classmethod
     def age_dependent(cls, lam: PiecewiseConstant, mu: AgeDependentRate, T: float):
-        return cls("age_dependent", lam, mu, T)
+        return cls(lam, mu, T)
+
+    @property
+    def kind(self) -> str:
+        if self.mu.depends_on_age:
+            return "age_dependent"
+        return "constant" if self.lam.is_constant and self.mu.is_constant else "time_varying"
 
     # -- accessors ---------------------------------------------------------
 
@@ -250,9 +259,9 @@ class RateModel:
 
     @property
     def mu_constant(self) -> float:
-        if not (isinstance(self.mu, PiecewiseConstant) and self.mu.is_constant):
+        if not self.mu.is_constant:
             raise ModelError("death rate is not constant")
-        return self.mu.values[0]
+        return self.mu.values[0][0]
 
     @property
     def net_rate(self) -> float:
@@ -267,8 +276,6 @@ class RateModel:
         return self.lam.max
 
     def death_rate(self, t, x):
-        if isinstance(self.mu, PiecewiseConstant):
-            return self.mu(t)
         return self.mu(t, x)
 
     @property
@@ -279,14 +286,11 @@ class RateModel:
         """The death rate as one age hazard per time cell; the last cell ends
         at T.  Age-independent death has one age piece per cell."""
         mu = self.mu
-        if isinstance(mu, PiecewiseConstant):
-            starts = mu.breaks
-            by_age = [PiecewiseConstant.constant(v) for v in mu.values]
-        else:
-            starts = mu.t_breaks
-            by_age = [PiecewiseConstant(mu.x_breaks, row) for row in mu.values]
-        ends = starts[1:] + (self.T,)
-        return tuple(DeathCell(*cell) for cell in zip(starts, ends, by_age))
+        ends = mu.t_breaks[1:] + (self.T,)
+        return tuple(
+            DeathCell(start, end, PiecewiseConstant(mu.x_breaks, row))
+            for start, end, row in zip(mu.t_breaks, ends, mu.values)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1000,31 +1004,29 @@ def rate_model_from_json(obj: dict) -> RateModel:
         if not isinstance(mu_obj, dict):
             raise ModelError("age-dependent mu must be a grid object")
         _require_keys(mu_obj, {"t_breaks", "x_breaks", "values"}, "mu grid")
-        mu: DeathRate = AgeDependentRate(
-            mu_obj["t_breaks"], mu_obj["x_breaks"], mu_obj["values"]
-        )
+        mu = AgeDependentRate(mu_obj["t_breaks"], mu_obj["x_breaks"], mu_obj["values"])
     else:
-        mu = _rate_from_json(mu_obj, "mu")
-    if kind == "constant" and not (
-        lam.is_constant and isinstance(mu, PiecewiseConstant) and mu.is_constant
-    ):
-        raise ModelError("kind 'constant' requires scalar lambda and mu")
-    return RateModel(kind, lam, mu, T)
+        by_time = _rate_from_json(mu_obj, "mu")
+        if kind == "constant" and not (lam.is_constant and by_time.is_constant):
+            raise ModelError("kind 'constant' requires scalar lambda and mu")
+        mu = AgeDependentRate.of_time(by_time)
+    if kind not in ("constant", "time_varying", "age_dependent"):
+        raise ModelError(f"unknown model kind {kind!r}")
+    return RateModel(lam, mu, T)
 
 
 def rate_model_to_json(model: RateModel) -> dict:
-    def rate(r):
-        if isinstance(r, PiecewiseConstant):
-            if r.is_constant:
-                return r.values[0]
-            return {"breaks": list(r.breaks), "values": list(r.values)}
-        return {
-            "t_breaks": list(r.t_breaks),
-            "x_breaks": list(r.x_breaks),
-            "values": [list(row) for row in r.values],
-        }
+    def by_time(breaks, values):
+        return values[0] if len(values) == 1 else {"breaks": list(breaks), "values": list(values)}
 
-    return {"kind": model.kind, "lambda": rate(model.lam), "mu": rate(model.mu), "T": model.T}
+    mu = model.mu
+    if mu.depends_on_age:
+        grid = [list(row) for row in mu.values]
+        mu_json = {"t_breaks": list(mu.t_breaks), "x_breaks": list(mu.x_breaks), "values": grid}
+    else:
+        mu_json = by_time(mu.t_breaks, [row[0] for row in mu.values])
+    lam_json = by_time(model.lam.breaks, model.lam.values)
+    return {"kind": model.kind, "lambda": lam_json, "mu": mu_json, "T": model.T}
 
 
 def read_newick_file(path) -> TreeBatch:

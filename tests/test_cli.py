@@ -43,6 +43,29 @@ AD_JSON = {
     "mu": {"t_breaks": [0.0], "x_breaks": [0.0, 0.5], "values": [[0.2, 0.7]]},
     "T": 2.0,
 }
+# Death that does not depend on age, spelled as a time x age grid in two
+# ways and as a time-varying rate.
+AGE_FREE_LAMBDA = {"breaks": [0.0, 1.3], "values": [1.0, 1.5]}
+AGE_FREE_JSON = {
+    "one-age-piece": {
+        "kind": "age_dependent",
+        "lambda": AGE_FREE_LAMBDA,
+        "mu": {"t_breaks": [0.0, 0.8], "x_breaks": [0.0], "values": [[0.5], [0.3]]},
+        "T": 2.0,
+    },
+    "rows-constant-across-ages": {
+        "kind": "age_dependent",
+        "lambda": AGE_FREE_LAMBDA,
+        "mu": {"t_breaks": [0.0, 0.8], "x_breaks": [0.0, 0.5], "values": [[0.5, 0.5], [0.3, 0.3]]},
+        "T": 2.0,
+    },
+    "time_varying": {
+        "kind": "time_varying",
+        "lambda": AGE_FREE_LAMBDA,
+        "mu": {"breaks": [0.0, 0.8], "values": [0.5, 0.3]},
+        "T": 2.0,
+    },
+}
 
 
 @pytest.fixture
@@ -534,6 +557,36 @@ class TestDumpF:
         code, _, err = _run(capsys, "dump-f", "--model", tv_path, "--step", "3e-3")
         assert code == 2
         assert "step must divide T" in err
+
+
+class TestAgeIndependentGrid:
+    @pytest.mark.parametrize("grid", ["one-age-piece", "rows-constant-across-ages"])
+    def test_same_bytes_as_time_varying_spelling(self, capsys, tmp_path, solve_calls, grid):
+        paths = {}
+        for name in (grid, "time_varying"):
+            paths[name] = str(tmp_path / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(AGE_FREE_JSON[name]))
+        trees = {}
+        for scheme in ("full", "k:3"):
+            trees[scheme] = str(tmp_path / f"{scheme}.nwk")
+            code, _, err = _run(
+                capsys, "simulate", "--model", paths["time_varying"], "--scheme", scheme,
+                "--reps", "40", "--seed", "13", "--out", trees[scheme],
+            )
+            assert code == 0, err
+        commands = [["dump-f"]] + [
+            ["likelihood", "--tree", trees["k:3" if scheme == "k:3" else "full"], "--scheme", scheme]
+            for scheme in ("full", "bernoulli:0.4", "k:3")
+        ]
+        for command in commands:
+            outputs = []
+            for name in (grid, "time_varying"):
+                code, out, err = _run(capsys, *command, "--model", paths[name])
+                assert code == 0, err
+                outputs.append(out)
+            same = outputs[0] == outputs[1]  # no diff of thousands of lines on failure
+            assert same, command
+        assert solve_calls == []
 
 
 class TestExitCodes:

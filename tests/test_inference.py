@@ -14,8 +14,9 @@ from numpy.testing import assert_allclose
 
 from cppgen.cpp import RandomStream, simulate_cpp_many
 from cppgen.errors import DomainError
+from cppgen import inference
 from cppgen.inference import FitResult, _objective, fit_mle, neg_log_likelihood
-from cppgen.kernel import ClosedFormTail
+from cppgen.kernel import ClosedFormTail, solve_F
 from cppgen.ksample import (
     bernoulli_loglikelihood,
     definetti_sample_many,
@@ -23,7 +24,10 @@ from cppgen.ksample import (
     ksample_loglikelihood,
     loglik,
 )
-from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
+from cppgen.model import (
+    AgeDependentRate, OrientedUltrametricTree, PiecewiseConstant, RateModel, SamplingScheme,
+    TreeBatch,
+)
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
 # The summed negative log-likelihood of the 80 k:3 trees of
@@ -72,6 +76,22 @@ class TestNegLogLikelihood:
             trees, 1.0, 0.5, SamplingScheme.full(), 2.0, oriented=False
         ) - neg_log_likelihood(trees, 1.0, 0.5, SamplingScheme.full(), 2.0)
         assert_allclose(d, -math.log(2.0), rtol=1e-12)
+
+    def test_model_solves_through_the_module_binding(self, monkeypatch):
+        calls = []
+
+        def counting(model, step):
+            calls.append(step)
+            return solve_F(model, step)
+
+        monkeypatch.setattr(inference, "solve_F", counting)
+        mu = AgeDependentRate((0.0,), (0.0, 0.5), ((0.2, 0.7),))
+        model = RateModel.age_dependent(PiecewiseConstant.constant(1.0), mu, 2.0)
+        trees, full = _trees(5, 4), SamplingScheme.full()
+        values = [neg_log_likelihood(trees, 1.0, 0.5, full, 2.0, model=model) for _ in range(2)]
+        assert calls == [1e-3, 1e-3] and values[0] == values[1]  # no cache between calls
+        neg_log_likelihood(trees, 1.0, 0.5, full, 2.0, model=RateModel.constant(1.0, 0.5, 2.0))
+        assert len(calls) == 2  # an age-independent model needs no solve
 
     def test_negative_rates_rejected(self):
         with pytest.raises(DomainError):

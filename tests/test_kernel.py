@@ -70,8 +70,6 @@ def _line_cumhazard(model, birth, s):
     knots of the life line (the time breaks and birth + the age breaks)."""
     mu = model.mu
     s = np.asarray(s, dtype=float)
-    if isinstance(mu, PiecewiseConstant):
-        return mu.integral(birth, s)
     upto = max(float(np.max(s)) if s.size else birth, birth)
     knots = {birth, upto}
     knots.update(b for b in mu.t_breaks if birth < b < upto)
@@ -582,6 +580,9 @@ class TestFactorizedSolver:
         assert_allclose(np.asarray(solve_F(model, step).values), expect, rtol=1e-14, atol=0)
 
     def test_fine_step_time_and_memory(self):
+        # a coarse solve first, so that the timed one excludes the lazy
+        # scipy.linalg and scipy.interpolate imports
+        solve_F(AD_MODEL, 1e-2)
         start = time.perf_counter()
         solve_F(AD_MODEL, 1e-4)
         assert time.perf_counter() - start < 1.0
@@ -846,11 +847,39 @@ class TestOverflowingTail:
             solve_F(model, step)
 
 
+def _no_solve(model, step):
+    raise AssertionError("an age-independent model needs no Volterra solve")
+
+
 class TestTailFor:
     def test_dispatch(self):
         assert isinstance(tail_for(RateModel.constant(1.0, 0.5, 2.0)), ClosedFormTail)
         assert isinstance(tail_for(TV_MODEL), ClosedFormTail)
         assert isinstance(tail_for(AD_MODEL, 1e-2), GridTail)
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            AgeDependentRate((0.0, 0.8), (0.0,), ((0.5,), (0.3,))),
+            AgeDependentRate((0.0, 0.8), (0.0, 0.4, 0.9), ((0.5,) * 3, (0.3,) * 3)),
+        ],
+        ids=["one-age-piece", "rows-constant-across-ages"],
+    )
+    def test_age_independent_grid_gets_exact_tail(self, mu):
+        lam = PiecewiseConstant((0.0, 1.3), (1.0, 1.5))
+        model = RateModel.age_dependent(lam, mu, 2.0)
+        F = tail_for(model, 1e-2, solve=_no_solve)
+        assert isinstance(F, ClosedFormTail)
+        spelled = RateModel.time_varying(lam, PiecewiseConstant((0.0, 0.8), (0.5, 0.3)), 2.0)
+        assert model == spelled and F == tail_for(spelled)
+        assert F.breaks == (0.0, 0.8, 1.3) and F.mu == (0.5, 0.3, 0.3)
+
+    def test_one_row_varying_across_ages_gets_grid(self):
+        mu = AgeDependentRate((0.0, 0.8), (0.0, 0.4), ((0.5, 0.5), (0.3, 0.31)))
+        model = RateModel.age_dependent(PiecewiseConstant.constant(1.0), mu, 2.0)
+        assert mu.depends_on_age and isinstance(tail_for(model, 1e-2), GridTail)
+        with pytest.raises(DomainError, match="age-independent"):
+            ClosedFormTail.from_model(model)
 
     def test_solver_only_for_age_dependent(self):
         calls = []

@@ -686,6 +686,41 @@ class TestRates:
         assert m.birth_rate_max == 1.0
         assert m.death_rate(1.7, 0.3) == 0.4
 
+    def test_death_is_always_a_grid(self):
+        m = RateModel.time_varying(
+            PiecewiseConstant.constant(1.0), PiecewiseConstant((0.0, 0.8), (0.5, 0.3)), 2.0
+        )
+        assert m.mu == AgeDependentRate((0.0, 0.8), (0.0,), ((0.5,), (0.3,)))
+        assert not m.mu.depends_on_age
+        assert RateModel.constant(1.0, 0.4, 2.0).mu == AgeDependentRate((0.0,), (0.0,), ((0.4,),))
+
+    def test_age_breaks_without_a_rate_change_are_dropped(self):
+        mu = AgeDependentRate((0.0, 1.0), (0.0, 0.3, 0.5, 0.9), ((1, 1, 2, 2), (3, 3, 3, 4)))
+        assert mu.x_breaks == (0.0, 0.5, 0.9)
+        assert mu.values == ((1.0, 2.0, 2.0), (3.0, 3.0, 4.0))
+        assert mu.depends_on_age
+        flat = AgeDependentRate((0.0, 1.0), (0.0, 0.5), ((1.0, 1.0), (2.0, 2.0)))
+        assert flat == AgeDependentRate((0.0, 1.0), (0.0,), ((1.0,), (2.0,)))
+        assert not flat.depends_on_age
+
+    @pytest.mark.parametrize(
+        "lam, mu, kind",
+        [
+            ((1.0,), ((0.0,), (0.0,), ((0.4,),)), "constant"),
+            ((1.0,), ((0.0,), (0.0, 0.5), ((0.4, 0.4),)), "constant"),
+            ((1.0, 2.0), ((0.0,), (0.0,), ((0.4,),)), "time_varying"),
+            ((1.0,), ((0.0, 1.0), (0.0,), ((0.4,), (0.2,))), "time_varying"),
+            ((1.0,), ((0.0,), (0.0, 0.5), ((0.4, 0.2),)), "age_dependent"),
+            ((1.0, 2.0), ((0.0, 1.0), (0.0, 0.5), ((0.4, 0.4), (0.2, 0.3))), "age_dependent"),
+        ],
+    )
+    def test_kind_is_derived_from_the_rates(self, lam, mu, kind):
+        lam = PiecewiseConstant((0.0, 1.0)[: len(lam)], lam)
+        model = RateModel(lam, AgeDependentRate(*mu), 2.0)
+        assert model.kind == kind
+        with pytest.raises(AttributeError):
+            model.kind = "constant"
+
 
 class TestModelJson:
     def test_round_trip_constant(self):
@@ -715,6 +750,44 @@ class TestModelJson:
         }
         m = rate_model_from_json(payload)
         assert m.birth_rate(1.5) == 2.0
+        assert rate_model_from_json(rate_model_to_json(m)) == m
+
+    def test_time_varying_rates_cannot_be_labelled_constant(self):
+        lam = {"breaks": [0, 1], "values": [1.0, 2.0]}
+        with pytest.raises(ModelError, match="kind 'constant' requires scalar lambda and mu"):
+            rate_model_from_json({"kind": "constant", "lambda": lam, "mu": 0.5, "T": 2.0})
+        # the model stores no kind to set
+        mu = RateModel.constant(1.0, 0.5, 2.0).mu
+        with pytest.raises(TypeError):
+            RateModel("constant", PiecewiseConstant((0.0, 1.0), (1.0, 2.0)), mu, 2.0)
+        assert RateModel(PiecewiseConstant((0.0, 1.0), (1.0, 2.0)), mu, 2.0).kind == "time_varying"
+
+    @pytest.mark.parametrize(
+        "payload, kind",
+        [
+            ({"kind": "time_varying", "lambda": 1.0, "mu": 0.5, "T": 2.0}, "constant"),
+            (
+                {"kind": "age_dependent", "lambda": 1.0, "T": 2.0,
+                 "mu": {"t_breaks": [0.0], "x_breaks": [0.0, 0.5], "values": [[0.5, 0.5]]}},
+                "constant",
+            ),
+            (
+                {"kind": "age_dependent", "lambda": 1.0, "T": 2.0,
+                 "mu": {"t_breaks": [0.0, 0.8], "x_breaks": [0.0], "values": [[0.5], [0.3]]}},
+                "time_varying",
+            ),
+            (
+                {"kind": "age_dependent", "lambda": {"breaks": [0.0, 1.3], "values": [1.0, 1.5]},
+                 "mu": {"t_breaks": [0.0, 0.8], "x_breaks": [0.0, 0.5],
+                        "values": [[0.2, 0.7], [0.4, 0.1]]},
+                 "T": 2.0},
+                "age_dependent",
+            ),
+        ],
+    )
+    def test_kind_read_from_the_rates_and_round_trip(self, payload, kind):
+        m = rate_model_from_json(payload)
+        assert m.kind == kind == rate_model_to_json(m)["kind"]
         assert rate_model_from_json(rate_model_to_json(m)) == m
 
     def test_age_dependent_grid(self):
