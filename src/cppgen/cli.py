@@ -21,7 +21,8 @@ no per-replicate tree object is built.
 Importing this module loads no scipy, so a command pays only for what it
 uses.  scipy is imported on first use, once per process: ``scipy.optimize``
 by ``fit``, ``scipy.stats`` and ``scipy.integrate`` by ``validate``, and
-``scipy.interpolate`` by age-dependent models (``kernel.GridTail``).
+``scipy.linalg`` and ``scipy.interpolate`` by age-dependent models
+(``kernel.solve_F`` and ``kernel.GridTail``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import json
 import math
 import sys
 from typing import Iterator, List, Optional
+
+import numpy as np
 
 from . import __version__
 from .cpp import (
@@ -203,8 +206,11 @@ def cmd_dump_f(args) -> int:
     values = F.value(ts)
     if not math.isfinite(values[-1]):
         raise TailOverflowError(f"F(T) is not finite ({values[-1]}): F leaves the float range")
-    lines = ["t,F"] + [f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, values)]
-    _write_lines(args.out, lines)
+    # One template for the whole grid, as in model.csv_chunks; '%.12g' % x
+    # is format(x, '.12g') for every float.
+    rows = np.column_stack((ts, values)).ravel().tolist()
+    with _output(args.out) as fh:
+        fh.write("t,F\n" + "%.12g,%.12g\n" * len(ts) % tuple(rows))
     return 0
 
 

@@ -30,6 +30,10 @@ the memory integral is, per time cell, a Toeplitz product scaled by row.
 ``solve_F`` solves its steps in blocks: the history before a block enters as
 one convolution per time cell, and the block's own steps are one triangular
 system built from Toeplitz tiles computed once, with no per-step Python loop.
+That system does not depend on F, so a full block whose coefficient rows and
+cell columns equal the previous block's, as away from the rate breaks,
+reuses the previous block's system: rebuilding it would give the same bits,
+so F is unchanged.
 """
 
 from __future__ import annotations
@@ -476,9 +480,42 @@ def step_grid(T: float, step: float) -> np.ndarray:
 _MAX_CELL_HAZARD = 700.0
 
 
-# Steps per block of ``solve_F``: below about 64 the ~25 numpy calls each
-# block makes set the cost, above it the B x B tiles and their solve.
+# Steps per block of ``solve_F``: below about 64 the numpy calls each block
+# makes set the cost, above it the B x B tiles and their solve.
 _BLOCK = 64
+
+
+def _last_change(rows, B: int) -> list:
+    """For each row i of the 2-d ``rows``, the last row j <= i that differs
+    from row j - B in some column; the first B rows count as changed, and NaN
+    differs from itself."""
+    changed = np.ones(len(rows), bool)
+    changed[B:] = (rows[B:] != rows[:-B]).any(axis=1)
+    return np.maximum.accumulate(np.where(changed, np.arange(len(rows)), 0)).tolist()
+
+
+def _block_system(pieces, cols, coef, s, ones_sum):
+    """The system of ``solve_F``'s block of rows s..e, e = s + b, for the
+    coefficient rows ``coef`` = (alpha, beta, gamma) of its b steps: the
+    kernel G[m, u] = g(T - t_{s+m}, T - mid_{s+u}) over its own columns, set
+    piece by piece from ``cols`` (piece, c0, c1), and r and A of
+    A d = F_s r - beta, gamma times the history.  Nothing here depends on F.
+    """
+    a, be, ga = coef
+    b = len(a)
+    G = np.empty((b + 1, b))
+    for k, c0, c1 in cols:
+        _, _, _, eC, tile = pieces[k]
+        G[:, c0:c1] = eC[s : s + b + 1, None] * tile[: b + 1, c0:c1]
+    # beta W + gamma O over the block's own j; O_i leaves out j = i.
+    M = be[:, None] * G[:-1] + ga[:, None] * G[1:]
+    M.ravel()[:: b + 1] = 0.0
+    # With F_i = F_s + (S0 d)_i and f_mid_j = F_s + (S d)_j, the block is
+    # (I - diag(alpha) S0 + M S) d = (alpha - M 1) F_s - beta, gamma times
+    # the history; one product with [1 | S] gives M 1 and M S.
+    MS = M @ ones_sum[:b, : b + 1]
+    # A's diagonal and upper part are not read.
+    return G, a - MS[:, 0], MS[:, 1:] - a[:, None]
 
 
 def solve_F(model: RateModel, step: float) -> GridTail:
@@ -507,18 +544,30 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     ``_BLOCK`` (Hairer, Lubich & Schlichte 1985).  The history before a block
     enters its rows as one ``np.convolve`` per time cell, and the block's
     own steps are one unit-lower-triangular system in d, built from per-cell
-    Toeplitz tiles of K_q that are computed once.  F is the running sum of d
-    from the block's first node, which keeps each step's rounding relative
-    to its increment, as in a step-by-step loop.  The corrector moves come
-    from the solved F and each block's memory (one tile product per block)
-    in one vectorized pass.  With B = ``_BLOCK``, memory is O(n P + P B^2)
-    and there are n / B Python iterations.  Raises ``SolverError`` when a cell's
-    age hazard over [0, T] exceeds ``_MAX_CELL_HAZARD``, where e^{-H} and
-    e^{-C} leave the float range.
+    Toeplitz tiles of K_q that are computed once, and solved by LAPACK
+    ``dtrtrs``.  F is the running sum of d from the block's first node, which
+    keeps each step's rounding relative to its increment, as in a
+    step-by-step loop.  The corrector moves come from the solved F and each
+    block's memory (one tile product per block) in one vectorized pass.
+    With B = ``_BLOCK``, memory is O(n P + P B^2) and there are n / B Python
+    iterations.
+
+    A block's system (``_block_system``) does not depend on F: it is a
+    function of the block's alpha, beta, gamma and e^{-C_q} rows and of the
+    columns each time cell's deaths take in it.  A full block whose rows and
+    columns equal the previous block's (compared exactly, once per solve by
+    ``_last_change``, so NaN rows never match) reuses that block's system,
+    which rebuilding would give bit for bit; so F does not change.  Away
+    from the breaks of lambda and mu the rows repeat, so a constant lambda
+    with a one-cell mu builds two systems at any step, the first block's and
+    the partial last block's.  Nothing is kept across calls.
+
+    Raises ``SolverError`` when a cell's age hazard over [0, T] exceeds
+    ``_MAX_CELL_HAZARD``, where e^{-H} and e^{-C} leave the float range.
     """
     # scipy is imported here, as in GridTail, so that models with an exact
     # tail never load it.
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
 
     T = model.T
     ts = step_grid(T, step)
@@ -574,41 +623,46 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     # [1 | S]: S[j, k] = 1 for k < j and 1/2 at k = j, so that S d sums the
     # increments of a block up to its midpoint j; S0 is S less its diagonal.
     ones_sum = np.hstack([np.ones((B, 1)), np.tril(np.ones((B, B)), -1) + 0.5 * np.eye(B)])
+    coef = np.stack([alpha, beta, gamma])
+    # A full block repeats the previous block's rows when no row of it
+    # changed from the row B before: for alpha, beta and gamma, and for the
+    # e^{-C_q} of each cell whose deaths it holds.
+    coef_changed = _last_change(coef.T, B)
+    cell_changed = [_last_change(eC[:, None], B) for _, _, _, eC, _ in pieces]
     F = np.empty(n + 1)
     F[0] = 1.0
     f_mid = np.empty(n)  # F at the midpoints, the average of its two nodes
     W = np.empty(n)  # W_i, for the corrector moves
+    layout = None  # (piece, c0, c1) of each piece in the block of G, r and A
     # Past the float range F is +inf and its corrector move +inf, which is
     # reported as a SolverError below, without a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, B):
             e = min(s + B, n)
-            b = e - s
-            # Rows i = s..e: the memory sum over j < s, and the kernel over the
-            # block's own j < i.
-            hist = np.zeros(b + 1)
-            G = np.empty((b + 1, b))
-            for lo, hi, K, eC, tile in pieces:
+            # Rows i = s..e: the memory sum over j < s, and the block's own
+            # columns j of each piece.
+            hist = np.zeros(e - s + 1)
+            cols = []
+            for k, (lo, hi, K, eC, _) in enumerate(pieces):
                 top = min(hi, s)
                 if top > lo:
                     hist += eC[s : e + 1] * np.convolve(f_mid[lo:top], K[s - top : e - lo], "valid")
                 c0, c1 = max(lo, s) - s, min(hi, e) - s
                 if c1 > c0:
-                    G[:, c0:c1] = eC[s : e + 1, None] * tile[: b + 1, c0:c1]
-            a, be, ga = alpha[s:e], beta[s:e], gamma[s:e]
-            # beta W + gamma O over the block's own j; O_i leaves out j = i.
-            M = be[:, None] * G[:-1] + ga[:, None] * G[1:]
-            M.ravel()[:: b + 1] = 0.0
-            # With F_i = F_s + (S0 d)_i and f_mid_j = F_s + (S d)_j, the block is
-            # (I - diag(alpha) S0 + M S) d = (alpha - M 1) F_s - beta, gamma times
-            # the history; one product with [1 | S] gives M 1 and M S.
-            MS = M @ ones_sum[:b, : b + 1]
-            r = a - MS[:, 0]
+                    cols.append((k, c0, c1))
+            # A block with the previous block's columns and rows reuses its
+            # system; the partial last block's columns never equal a full one's.
+            if not (
+                cols == layout
+                and coef_changed[e - 1] < s
+                and all(cell_changed[k][e] < s for k, _, _ in cols)
+            ):
+                G, r, A = _block_system(pieces, cols, coef[:, s:e], s, ones_sum)
+                layout = cols
+            be, ga = coef[1:, s:e]
             rhs = F[s] * r - be * hist[:-1] - ga * hist[1:]
-            A = MS[:, 1:] - a[:, None]  # its diagonal and upper part are not read
-            F[s + 1 : e + 1] = solve_triangular(
-                A, rhs, lower=True, unit_diagonal=True, check_finite=False
-            )
+            # A is C-ordered: LAPACK solves with A.T, upper and transposed.
+            F[s + 1 : e + 1] = dtrtrs(A.T, rhs, lower=0, trans=1, unitdiag=1)[0]
             np.cumsum(F[s : e + 1], out=F[s : e + 1])  # d, summed from F_s
             f_mid[s:e] = 0.5 * (F[s:e] + F[s + 1 : e + 1])
             W[s:e] = hist[:-1] + G[:-1] @ f_mid[s:e]

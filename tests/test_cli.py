@@ -553,6 +553,21 @@ class TestDumpF:
         expect = ["t,F"] + [f"{t:.12g},{v:.12g}" for t, v in zip(ts, F.value(ts))]
         assert out.strip().splitlines() == expect
 
+    @pytest.mark.parametrize("model", [TV_JSON, AD_JSON])
+    @pytest.mark.parametrize("step", ["1e-2", "4e-4"])
+    def test_same_bytes_as_per_line_format(self, capsys, tmp_path, model, step):
+        # the grid is formatted by one '%.12g' template, as it was line by
+        # line with format(x, '.12g')
+        path, out = tmp_path / "model.json", tmp_path / "f.csv"
+        path.write_text(json.dumps(model))
+        code, _, err = _run(capsys, "dump-f", "--model", str(path), "--step", step, "--out", str(out))
+        assert code == 0, err
+        m = rate_model_from_json(model)
+        ts = step_grid(m.T, float(step))
+        values = tail_for(m, float(step)).value(ts)
+        lines = ["t,F"] + [f"{format(t, '.12g')},{format(v, '.12g')}" for t, v in zip(ts, values)]
+        assert out.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
     def test_step_must_divide_horizon(self, capsys, tv_path):
         code, _, err = _run(capsys, "dump-f", "--model", tv_path, "--step", "3e-3")
         assert code == 2

@@ -98,6 +98,6 @@ def test_fit_and_age_dependent_models_load_scipy_when_used(tmp_path):
     ]
     result = _fresh_run(commands, tmp_path)
     assert result["codes"] == [0, 0, 0]
-    assert {"scipy.optimize", "scipy.interpolate"} <= set(result["scipy"])
+    assert {"scipy.optimize", "scipy.linalg", "scipy.interpolate"} <= set(result["scipy"])
     assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
     assert len((tmp_path / "ad.nwk").read_text().splitlines()) == 50

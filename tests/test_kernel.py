@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cppgen import kernel
 from cppgen.cpp import RandomStream, simulate_cpp_many
 from cppgen.errors import DegenerateMixtureError, DomainError, SolverError, TailOverflowError
 from cppgen.kernel import (
@@ -484,6 +485,50 @@ LARGE_HAZARD = RateModel.age_dependent(
 EDGE_MODELS = dict(SOLVER_MODELS, large_hazard=LARGE_HAZARD)
 
 
+# 5 full blocks and a partial one, for the reuse of block systems.
+REUSE_N = 5 * _BLOCK + 13
+
+
+def _lambda_break_at(steps):
+    """AD_MODEL's mu with lambda 1 -> 1.5 at reverse time ``steps`` solver steps."""
+    T = AD_MODEL.T
+    return RateModel.age_dependent(
+        lam=PiecewiseConstant((0.0, T - steps * T / REUSE_N), (1.0, 1.5)),
+        mu=AD_MODEL.mu,
+        T=T,
+    )
+
+
+REUSE_MODELS = {
+    "homogeneous": AD_MODEL,
+    "lambda_break_on_block_edge": _lambda_break_at(2 * _BLOCK),
+    "lambda_break_in_block": _lambda_break_at(2 * _BLOCK + 20.3),
+    # Only the last row of the second block is born before the mu break, so
+    # only its e^{-C} row differs from the first block's: the later cell's
+    # hazard is 0 below an age of one step, so the coefficient rows do not
+    # see the break.
+    "mu_break_in_last_row": RateModel.age_dependent(
+        lam=PiecewiseConstant.constant(1.0),
+        mu=AgeDependentRate(
+            (0.0, 2.0 - (2 * _BLOCK - 0.4) * 2.0 / REUSE_N),
+            (0.0, 2.0 / REUSE_N),
+            ((0.5, 0.2), (0.0, 0.7)),
+        ),
+        T=2.0,
+    ),
+    # a mu time break every 0.3, under a block's width of 0.38
+    "mu_breaks_in_every_block": RateModel.age_dependent(
+        lam=PiecewiseConstant.constant(1.0),
+        mu=AgeDependentRate(
+            (0.0, 0.3, 0.6, 0.9, 1.2, 1.5, 1.8),
+            (0.0, 0.5),
+            ((0.2, 0.7), (0.4, 0.1), (0.3, 0.9), (0.6, 0.2), (0.1, 0.5), (0.8, 0.3), (0.5, 0.6)),
+        ),
+        T=2.0,
+    ),
+}
+
+
 @st.composite
 def _age_models(draw):
     """A random small (time x age) death grid, with zero rates, and a lambda break."""
@@ -550,6 +595,32 @@ class TestFactorizedSolver:
         step = model.T / n
         F = solve_F(model, step)
         assert len(F.values) == n + 1
+        assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, step), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "name, builds",
+        [("homogeneous", 2), ("lambda_break_on_block_edge", 3), ("lambda_break_in_block", 4),
+         ("mu_break_in_last_row", 4), ("mu_breaks_in_every_block", 6)],
+    )
+    def test_repeated_block_systems_match_oracle(self, monkeypatch, name, builds):
+        # 5 full blocks and a partial one.  A full block whose coefficient
+        # rows equal the previous block's reuses its system.  A lambda break
+        # on a block edge changes the rows of the block it starts; one inside
+        # a block, those of that block and the next.  Mu time breaks closer
+        # than a block apart change every block's cells.
+        model = REUSE_MODELS[name]
+        step = model.T / REUSE_N
+        built = []
+        build = kernel._block_system
+
+        def counting(pieces, cols, coef, s, ones_sum):
+            built.append(s)
+            return build(pieces, cols, coef, s, ones_sum)
+
+        monkeypatch.setattr(kernel, "_block_system", counting)
+        F = solve_F(model, step)
+        assert len(built) == builds
+        assert built[0] == 0 and built[-1] == 5 * _BLOCK  # the partial block rebuilds
         assert_allclose(np.asarray(F.values), _solve_F_rowwise(model, step), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("name", sorted(EDGE_MODELS))
