@@ -45,7 +45,7 @@ from .cpp import (
 )
 from .errors import CppgenError, DomainError, TailOverflowError
 from .inference import fit_mle
-from .kernel import solve_F, step_grid, tail_for
+from .kernel import DEFAULT_STEP, solve_F, step_grid, tail_for
 from .ksample import MixtureParams, definetti_sample_many, loglik, trapezoid_nodes
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .cpp import simulate_cpp  # noqa: F401
@@ -61,8 +61,6 @@ from .model import (
     rate_model_from_json,
     read_newick_file,
 )
-
-_DEFAULT_STEP = 1e-3
 
 
 def _read_json(path: str):
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", default=None, help="output path (default stdout)")
     sim.add_argument("--format", choices=("newick", "csv"), default="newick")
-    sim.add_argument("--step", type=float, default=_DEFAULT_STEP, help="solver grid step")
+    sim.add_argument("--step", type=float, default=DEFAULT_STEP, help="solver grid step")
     sim.add_argument(
         "--forward",
         action="store_true",
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     lik.add_argument("--scheme", required=True)
     lik.add_argument("--unoriented", action="store_true")
     lik.add_argument("--quad-nodes", type=int, help="ignored; accepted for old scripts")
-    lik.add_argument("--step", type=float, default=_DEFAULT_STEP)
+    lik.add_argument("--step", type=float, default=DEFAULT_STEP)
     lik.add_argument("--out", default=None)
     lik.set_defaults(func=cmd_likelihood)
 
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump = sub.add_parser("dump-f", help="dump F on the --step grid as CSV")
     dump.add_argument("--model", required=True)
-    dump.add_argument("--step", type=float, default=_DEFAULT_STEP)
+    dump.add_argument("--step", type=float, default=DEFAULT_STEP)
     dump.add_argument("--out", default=None)
     dump.set_defaults(func=cmd_dump_f)
     return parser

@@ -155,7 +155,7 @@ def _rate_at(rate: PiecewiseConstant):
 
 
 def _death_rate_at(model: RateModel):
-    """Scalar (t, x) -> model.death_rate(t, x) for t, x >= 0."""
+    """Scalar (t, x) -> model.mu(t, x) for t, x >= 0."""
     mu = model.mu
     t_breaks, x_breaks, values = mu.t_breaks, mu.x_breaks, mu.values
     return lambda t, x: values[bisect_right(t_breaks, t) - 1][bisect_right(x_breaks, x) - 1]
@@ -203,8 +203,8 @@ def _simulate_attempt(model: RateModel, rng: RandomStream) -> Tuple[list, int]:
     consumed in that order.
     """
     T = model.T
-    death_at, mu_max = _death_rate_at(model), model.death_rate_max
-    birth_at, lam_max = _rate_at(model.lam), model.birth_rate_max
+    death_at, mu_max = _death_rate_at(model), model.mu.max
+    birth_at, lam_max = _rate_at(model.lam), model.lam.max
     created = 0
 
     def born(birth: float) -> list:

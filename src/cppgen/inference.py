@@ -20,15 +20,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, FitError
-from .kernel import ClosedFormTail, solve_F, tail_for
+from .kernel import DEFAULT_STEP, ClosedFormTail, solve_F, tail_for
 from .ksample import _k_rows, _log_k_mixture, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
 from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch
 
 __all__ = ["FitResult", "neg_log_likelihood", "fit_mle"]
-
-_DEFAULT_SOLVER_STEP = 1e-3
 
 
 def neg_log_likelihood(
@@ -52,7 +50,7 @@ def neg_log_likelihood(
         F = ClosedFormTail(lam, mu, T)  # DomainError for negative rates
     else:
         # this module's solve_F, so that patching ``inference.solve_F`` sees the solve
-        F = tail_for(model, _DEFAULT_SOLVER_STEP, solve=solve_F)
+        F = tail_for(model, DEFAULT_STEP, solve=solve_F)
     if scheme.variant == "bernoulli" and scheme.y is None:
         if y is None:
             raise DomainError("Bernoulli scheme needs y (fixed or free)")

@@ -16,10 +16,11 @@ monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
 every tail inverts exactly what its ``value`` evaluates.  ``tail_for`` picks
 the right one for a model.
 
-The death rate is piecewise constant on time cells, and on each time cell q
-a piecewise-constant function h_q of age with exact integral H_q
-(``RateModel.death_cells``).  So the kernel factorizes: a particle born at b
-that dies at s in cell q, at age a = s - b, has
+The death rate is piecewise constant on a time x age grid: on each time
+cell q, a piecewise-constant function h_q of age with exact integral H_q,
+both read from the grid (``AgeDependentRate.hazard``).  So the kernel
+factorizes: a particle born at b that dies at s in cell q, at age a = s - b,
+has
 
     g(b, s) = h_q(a) e^{-H_q(a)} * e^{-C_q(b)},
 
@@ -59,6 +60,10 @@ __all__ = [
     "survival_a",
     "invert_tail",
 ]
+
+# The solver grid step wherever none is given: ``tail_for``, the CLI's
+# ``--step`` and the fitter's non-constant models.
+DEFAULT_STEP = 1e-3
 
 # Relative scale below which r = lambda - mu is treated as exactly 0.
 _R_SWITCH = 1e-12
@@ -419,7 +424,7 @@ class GridTail(InverseTail):
         return np.clip(x[i] + s, 0.0, self.T)
 
 
-def _entry_hazard(cells, births) -> np.ndarray:
+def _entry_hazard(model: RateModel, births) -> np.ndarray:
     """C[..., q] for life lines born at ``births``: the hazard a line collects
     before it enters time cell q, minus H_q(max(start_q - birth, 0)).
 
@@ -427,21 +432,16 @@ def _entry_hazard(cells, births) -> np.ndarray:
     collected H_q(a) + C_q(b): the cell's age hazard integrates from the age
     at which the line enters the cell.
     """
+    mu = model.mu
     births = np.asarray(births, dtype=float)
-    C = np.empty(births.shape + (len(cells),))
-    collected = np.zeros(births.shape)
-    for q, cell in enumerate(cells):
-        entered = cell.by_age.integral(0.0, np.maximum(cell.start - births, 0.0))
+    ends = mu.t_breaks[1:] + (model.T,)
+    C = np.empty(births.shape + (len(ends),))
+    collected = np.zeros(births.shape)  # a running sum over the cells before q
+    for q, (start, end) in enumerate(zip(mu.t_breaks, ends)):
+        entered = mu.hazard(q, np.maximum(start - births, 0.0))[1]
         C[..., q] = collected - entered
-        left = cell.by_age.integral(0.0, np.maximum(cell.end - births, 0.0))
-        collected = collected + (left - entered)
+        collected = collected + (mu.hazard(q, np.maximum(end - births, 0.0))[1] - entered)
     return C
-
-
-def _cell_of(cells, s) -> np.ndarray:
-    """Index of the time cell holding each time s (cells are right-open)."""
-    starts = [cell.start for cell in cells]
-    return np.clip(np.searchsorted(starts, s, side="right") - 1, 0, None)
 
 
 def death_density_g(model: RateModel, t: float, s):
@@ -449,20 +449,14 @@ def death_density_g(model: RateModel, t: float, s):
 
     g(t, s) = mu(s, s - t) exp(-int_t^s mu(u, u - t) du).  With s in time
     cell q and age a = s - t, this is h_q(a) e^{-H_q(a)} e^{-C_q(t)}, exact
-    over the piecewise-constant pieces (see ``model.RateModel.death_cells``).
+    over the pieces of the death grid (``AgeDependentRate.hazard``).
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < t):
         raise DomainError("death time must be >= birth time")
-    cells = model.death_cells()
-    C = _entry_hazard(cells, t)
-    q = _cell_of(cells, s_arr)
-    age = s_arr - t
-    out = np.empty(s_arr.shape)
-    for k, cell in enumerate(cells):
-        here = q == k
-        a = age[here]
-        out[here] = cell.by_age(a) * np.exp(-(cell.by_age.integral(0.0, a) + C[k]))
+    q = model.mu.time_cell(s_arr)
+    h, H = model.mu.hazard(q, s_arr - t)
+    out = h * np.exp(-(H + _entry_hazard(model, t)[q]))
     return out if out.ndim else float(out)
 
 
@@ -529,8 +523,9 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     The memory kernel factorizes.  A birth at b = T - t_i and a death at
     s = T - mid_j in time cell q of mu have the age a = (i - j - 1/2) step,
     and g(b, s) = h_q(a) e^{-H_q(a)} e^{-C_q(b)}, where h_q, H_q are the
-    cell's age hazard and its integral and C_q(b) depends on b alone
-    (``_entry_hazard``).  So each time cell has one vector
+    cell's age hazard and its integral, read from the death grid for all
+    cells at once (``AgeDependentRate.hazard``), and C_q(b) depends on b
+    alone (``_entry_hazard``).  So each time cell has one vector
     K_q[m] = h_q((m + 1/2) step) e^{-H_q((m + 1/2) step)} of length n, and
     there is one (n + 1) x P table e^{-C}; the cell's deaths are one
     contiguous range of j.  The memory W_i = sum_{j<i} F(mid_j) g(T - t_i,
@@ -584,28 +579,29 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     # inside a cell costs only O(step^2) locally.
     lam = np.asarray(model.lam(T - mids), dtype=float)
 
-    cells = model.death_cells()
-    for cell in cells:
-        total = cell.by_age.integral(0.0, T)
+    mu = model.mu
+    # H_q(T) of each time cell q
+    for start, total in zip(mu.t_breaks, mu.hazard(slice(None), T)[1].tolist()):
         if total > _MAX_CELL_HAZARD:
             raise SolverError(
                 f"death hazard {total:.4g} over ages [0, T] in the time cell at "
-                f"{cell.start:g} is past the solver's range ({_MAX_CELL_HAZARD:g})"
+                f"{start:g} is past the solver's range ({_MAX_CELL_HAZARD:g})"
             )
     B = min(_BLOCK, n)
-    ages = (np.arange(n) + 0.5) * step
-    cell_of_mid = _cell_of(cells, T - mids)  # nonincreasing in j
-    exp_C = np.exp(-_entry_hazard(cells, T - ts))
+    # K_q at the midpoint ages, one row per time cell
+    h, H = mu.hazard(slice(None), (np.arange(n) + 0.5) * step)
+    K_cells = h * np.exp(-H)
+    cell_of_mid = mu.time_cell(T - mids)  # nonincreasing in j
+    exp_C = np.exp(-_entry_hazard(model, T - ts))
     lag = np.subtract.outer(np.arange(B + 1), np.arange(B)) - 1  # m - 1 - u
     # (first j, last j + 1, K_q, e^{-C_q} per node, tile) for each cell
     # holding a midpoint; tile[m, u] = K_q[m - 1 - u] for u < m, else 0.
     pieces = []
     newest = np.empty(n)  # g(T - t_{i+1}, T - mid_i) = K_q[0] e^{-C_q(T - t_{i+1})}
-    for q, cell in enumerate(cells):
+    for q, K in enumerate(K_cells):
         js = np.flatnonzero(cell_of_mid == q)
         if js.size:
             lo, hi = int(js[0]), int(js[-1]) + 1
-            K = cell.by_age(ages) * np.exp(-cell.by_age.integral(0.0, ages))
             newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
             tile = np.where(lag >= 0, K[np.maximum(lag, 0)], 0.0)
             pieces.append((lo, hi, K, exp_C[:, q], tile))
@@ -677,7 +673,7 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     return GridTail(ts, F, T)
 
 
-def tail_for(model: RateModel, step: float = 1e-3, solve=None) -> InverseTail:
+def tail_for(model: RateModel, step: float = DEFAULT_STEP, solve=None) -> InverseTail:
     """F of ``model``: exact wherever death does not depend on age.
 
     A death rate that does not depend on age (``mu.depends_on_age``), constant

@@ -195,6 +195,13 @@ def _finite_tail_at_T(F: InverseTail) -> float:
     return FT
 
 
+def _log_deriv(F: InverseTail, d) -> np.ndarray:
+    """log F' at the depths ``d``: -inf, without a warning, where F' = 0 (a
+    piece with lambda = 0), so that a tree with such a depth has likelihood 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(F.deriv(d))
+
+
 def _k_rows(batch: TreeBatch, k: int) -> np.ndarray:
     """The depths of ``batch``, one row of k - 1 per tree, after checking
     that every tree has k tips."""
@@ -215,7 +222,8 @@ def loglik(
 
     Full and Bernoulli trees: ``sum(log F' - 2 log F) - log F(T)`` over the
     tree's depths, with the thinned tail ``F_y`` under Bernoulli sampling;
-    all depths are evaluated in one pass and summed per tree.  Uniform
+    all depths are evaluated in one pass and summed per tree, and a tree
+    with a depth where F' = 0 (lambda = 0 there) gets -inf.  Uniform
     k-samples: :func:`ksample_loglikelihoods`.  Every scheme raises
     :class:`TailOverflowError` when F(T) is not finite.
     ``oriented=False`` adds the shape multiplicity ``log 2^(n-1-cherries)``
@@ -235,7 +243,7 @@ def loglik(
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
             F = F.thinned(scheme.y)
         FT = _finite_tail_at_T(F)
-        logf = np.log(F.deriv(d)) - 2.0 * np.log(F.value(d))
+        logf = _log_deriv(F, d) - 2.0 * np.log(F.value(d))
         out = batch.tree_sums(logf) - math.log(FT)
     if not oriented:
         out = out + (batch.n_tips - 1 - batch.cherries) * math.log(2.0)
@@ -382,7 +390,7 @@ def ksample_loglikelihoods(depths, F: InverseTail, k: int) -> np.ndarray:
     if k == 1:
         return np.zeros(len(depths))
     d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
-    return _log_k_mixture(_excess(d, F, k))[0] + np.log(F.deriv(d)).sum(axis=1)
+    return _log_k_mixture(_excess(d, F, k))[0] + _log_deriv(F, d).sum(axis=1)
 
 
 def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:

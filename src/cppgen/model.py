@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
 __all__ = [
     "PiecewiseConstant",
     "AgeDependentRate",
-    "DeathCell",
     "RateModel",
     "OrientedUltrametricTree",
     "TreeBatch",
@@ -120,27 +119,6 @@ class PiecewiseConstant:
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
 
-    def integral(self, t0, t1):
-        """Exact integral over [t0, t1] (t1 may be an array)."""
-        cum = self._cumulative()
-        return self._cum_at(cum, t1) - self._cum_at(cum, t0)
-
-    def _cumulative(self):
-        breaks = np.asarray(self.breaks)
-        vals = np.asarray(self.values)
-        cum = np.zeros(len(breaks))
-        if len(breaks) > 1:
-            cum[1:] = np.cumsum(vals[:-1] * np.diff(breaks))
-        return cum
-
-    def _cum_at(self, cum, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, None)
-        breaks = np.asarray(self.breaks)
-        vals = np.asarray(self.values)
-        out = cum[idx] + vals[idx] * (t - breaks[idx])
-        return out if out.ndim else float(out)
-
 
 @dataclass(frozen=True)
 class AgeDependentRate:
@@ -190,25 +168,40 @@ class AgeDependentRate:
     def max(self) -> float:
         return max(v for row in self.values for v in row)
 
+    @cached_property
+    def _table(self):
+        """(age breaks, rates, cumulative hazard at each age break) as arrays,
+        built once per grid; not a field, so ``==``, ``hash`` and ``repr``
+        do not see it."""
+        x_breaks = np.asarray(self.x_breaks)
+        values = np.asarray(self.values)
+        cum = np.zeros(values.shape)
+        cum[:, 1:] = np.cumsum(values[:, :-1] * np.diff(x_breaks), axis=1)
+        return x_breaks, values, cum
+
+    def time_cell(self, t):
+        """Index of the time cell holding each t (cells are right-open)."""
+        return np.clip(np.searchsorted(self.t_breaks, t, side="right") - 1, 0, None)
+
+    def _age_piece(self, x):
+        return np.clip(np.searchsorted(self._table[0], x, side="right") - 1, 0, None)
+
     def __call__(self, t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        ti = np.clip(np.searchsorted(self.t_breaks, t, side="right") - 1, 0, None)
-        xi = np.clip(np.searchsorted(self.x_breaks, x, side="right") - 1, 0, None)
-        out = np.asarray(self.values)[ti, xi]
+        out = self._table[1][self.time_cell(t), self._age_piece(x)]
         return out if out.ndim else float(out)
 
-
-class DeathCell(NamedTuple):
-    """The death rate on one time cell [start, end) as a function of age.
-
-    ``by_age`` is the age hazard h(x) of the cell; its ``integral(0, x)`` is
-    the exact cumulative hazard H(x).
-    """
-
-    start: float
-    end: float
-    by_age: PiecewiseConstant
+    def hazard(self, q, a):
+        """h_q(a) and H_q(a) = int_0^a h_q, exact, for time cells ``q`` at
+        ages ``a`` >= 0.  ``q`` indexes the rows of the grid (an int, an
+        int array broadcast against ``a``, or a slice, giving one row per
+        cell); the age pieces are found once for all cells."""
+        a = np.asarray(a, dtype=float)
+        j = self._age_piece(a)
+        x_breaks, values, cum = self._table
+        h = values[q, j]
+        return h, cum[q, j] + h * (a - x_breaks[j])
 
 
 @dataclass(frozen=True)
@@ -248,49 +241,6 @@ class RateModel:
         if self.mu.depends_on_age:
             return "age_dependent"
         return "constant" if self.lam.is_constant and self.mu.is_constant else "time_varying"
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def lambda_constant(self) -> float:
-        if not self.lam.is_constant:
-            raise ModelError("birth rate is not constant")
-        return self.lam.values[0]
-
-    @property
-    def mu_constant(self) -> float:
-        if not self.mu.is_constant:
-            raise ModelError("death rate is not constant")
-        return self.mu.values[0][0]
-
-    @property
-    def net_rate(self) -> float:
-        """r = lambda - mu, defined for constant models only."""
-        return self.lambda_constant - self.mu_constant
-
-    def birth_rate(self, t):
-        return self.lam(t)
-
-    @property
-    def birth_rate_max(self) -> float:
-        return self.lam.max
-
-    def death_rate(self, t, x):
-        return self.mu(t, x)
-
-    @property
-    def death_rate_max(self) -> float:
-        return self.mu.max
-
-    def death_cells(self) -> Tuple[DeathCell, ...]:
-        """The death rate as one age hazard per time cell; the last cell ends
-        at T.  Age-independent death has one age piece per cell."""
-        mu = self.mu
-        ends = mu.t_breaks[1:] + (self.T,)
-        return tuple(
-            DeathCell(start, end, PiecewiseConstant(mu.x_breaks, row))
-            for start, end, row in zip(mu.t_breaks, ends, mu.values)
-        )
 
 
 # ---------------------------------------------------------------------------

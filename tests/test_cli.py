@@ -357,6 +357,31 @@ class TestLikelihood:
         )
         assert code == 0 and again == out
 
+    @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.4", "k:3"])
+    def test_zero_birth_piece_under_warnings_as_errors(self, tmp_path, scheme):
+        # lambda = 0 on [0, 1): the tree with a depth past 1 has likelihood
+        # 0, so logL is -inf, written as json.dumps writes it, with exit 0
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "kind": "time_varying", "lambda": {"breaks": [0.0, 1.0], "values": [0.0, 1.0]},
+            "mu": 0.5, "T": 2.0,
+        }))
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((0:0.3,1:0.3):0.4,2:0.7):1.3;\n((0:0.4,1:0.4):1.1,2:1.5):0.5;\n")
+        src = str(Path(cppgen.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "cppgen.cli", "likelihood",
+             "--tree", str(trees), "--model", str(model), "--scheme", scheme],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["logL"] == -math.inf and payload["n_trees"] == 2
+        assert proc.stdout.startswith('{"logL": -Infinity, ')
+
 
 class TestKSampleOverflow:
     @pytest.mark.filterwarnings("error")

@@ -248,7 +248,7 @@ def _forward_recursive(model, rng):
     """The forward simulator as it was, recursing once per generation."""
 
     def sample_death(birth):
-        mu_max = model.death_rate_max
+        mu_max = model.mu.max
         if mu_max == 0.0:
             return math.inf
         u = birth
@@ -256,11 +256,11 @@ def _forward_recursive(model, rng):
             u += rng.exponential(mu_max)
             if u >= model.T:
                 return math.inf
-            if rng.uniform() * mu_max <= model.death_rate(u, u - birth):
+            if rng.uniform() * mu_max <= model.mu(u, u - birth):
                 return u
 
     def birth_times(birth, until):
-        lam_max = model.birth_rate_max
+        lam_max = model.lam.max
         out = []
         if lam_max == 0.0:
             return out
@@ -269,7 +269,7 @@ def _forward_recursive(model, rng):
             u += rng.exponential(lam_max)
             if u >= until:
                 return out
-            if rng.uniform() * lam_max <= model.birth_rate(u):
+            if rng.uniform() * lam_max <= model.lam(u):
                 out.append(u)
 
     def recurse(birth):

@@ -19,7 +19,6 @@ from cppgen.kernel import (
     _BLOCK,
     ClosedFormTail,
     GridTail,
-    _cell_of,
     _entry_hazard,
     closed_form_F,
     death_density_g,
@@ -88,7 +87,7 @@ def _g_rowwise(model, birth, s, age):
     passed in so that a grid age is exact rather than a difference of two
     rounded times (an age break on a midpoint age must not flip sides)."""
     s = np.asarray(s, dtype=float)
-    return np.asarray(model.death_rate(s, age)) * np.exp(-_line_cumhazard(model, birth, s))
+    return np.asarray(model.mu(s, age)) * np.exp(-_line_cumhazard(model, birth, s))
 
 
 def _solve_F_rowwise(model, step):
@@ -134,16 +133,16 @@ def _solve_F_longdouble(model, step):
     n = len(ts) - 1
     mids = 0.5 * (ts[:-1] + ts[1:])
     lam = np.asarray(model.lam(T - mids), dtype=float).astype(ld)
-    cells = model.death_cells()
     ages = (np.arange(n) + 0.5) * step
-    cell_of_mid = _cell_of(cells, T - mids)
-    exp_C = np.exp(-_entry_hazard(cells, T - ts)).astype(ld)
+    cell_of_mid = model.mu.time_cell(T - mids)
+    exp_C = np.exp(-_entry_hazard(model, T - ts)).astype(ld)
     pieces, newest = [], np.empty(n, dtype=ld)
-    for q, cell in enumerate(cells):
+    for q in range(len(model.mu.t_breaks)):
         js = np.flatnonzero(cell_of_mid == q)
         if js.size:
             lo, hi = int(js[0]), int(js[-1]) + 1
-            K = (cell.by_age(ages) * np.exp(-cell.by_age.integral(0.0, ages))).astype(ld)
+            h, H = model.mu.hazard(q, ages)
+            K = (h * np.exp(-H)).astype(ld)
             newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
             pieces.append((lo, hi, K[::-1].copy(), exp_C[:, q]))
     h = ld(step)
@@ -529,13 +528,22 @@ REUSE_MODELS = {
 }
 
 
+# the step of the random-grid property
+GRID_STEP = 1e-2
+
+
 @st.composite
 def _age_models(draw):
-    """A random small (time x age) death grid, with zero rates, and a lambda break."""
+    """A random small (time x age) death grid, with zero rates, and a lambda
+    break.  A time break may lie on a node of the ``GRID_STEP`` solver grid
+    and an age break on one of its midpoint ages."""
     T = draw(st.sampled_from([1.0, 1.5]))
+    n = round(T / GRID_STEP)
     inner = st.floats(0.01, T - 0.01, allow_nan=False)
-    t_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(inner, max_size=3)))))
-    x_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(inner, max_size=3)))))
+    on_node = st.integers(1, n - 1).map(lambda i: float(T - step_grid(T, GRID_STEP)[i]))
+    on_age = st.integers(0, n - 1).map(lambda m: (m + 0.5) * GRID_STEP)
+    t_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(st.one_of(inner, on_node), max_size=3)))))
+    x_breaks = (0.0,) + tuple(sorted(set(draw(st.lists(st.one_of(inner, on_age), max_size=3)))))
     rate = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
     values = tuple(
         tuple(draw(rate) for _ in x_breaks) for _ in t_breaks
@@ -557,13 +565,30 @@ class TestFactorizedSolver:
     @given(_age_models())
     @settings(max_examples=40, deadline=None)
     def test_random_grids_match_oracle(self, model):
+        # The grid's cumulative hazard H_q(a) + C_q(b) and g along life lines
+        # born on the time breaks and on solver nodes, against the line
+        # integral; the deaths include the breaks and the solver midpoints.
+        mu, T = model.mu, model.T
+        ts = step_grid(T, GRID_STEP)
+        deaths = T - 0.5 * (ts[:-1] + ts[1:])
+        n = len(ts) - 1
+        for birth in mu.t_breaks + tuple(T - ts[[1, n // 3, n // 2]]) + (T / math.pi,):
+            s = np.concatenate(
+                [np.linspace(birth, T, 29), mu.t_breaks, birth + np.asarray(mu.x_breaks), deaths]
+            )
+            s = s[(s >= birth) & (s <= T)]
+            q = mu.time_cell(s)
+            hazard = mu.hazard(q, s - birth)[1] + _entry_hazard(model, birth)[q]
+            assert_allclose(hazard, _line_cumhazard(model, birth, s), rtol=1e-13, atol=1e-13)
+            g = death_density_g(model, birth, s)
+            assert_allclose(g, _g_rowwise(model, birth, s, s - birth), rtol=1e-13, atol=0)
         try:
-            expect = _solve_F_rowwise(model, 1e-2)
+            expect = _solve_F_rowwise(model, GRID_STEP)
         except SolverError:
             with pytest.raises(SolverError):
-                solve_F(model, 1e-2)
+                solve_F(model, GRID_STEP)
             return
-        assert_allclose(np.asarray(solve_F(model, 1e-2).values), expect, rtol=1e-13, atol=0)
+        assert_allclose(np.asarray(solve_F(model, GRID_STEP).values), expect, rtol=1e-13, atol=0)
 
     def test_hazard_past_float_range_rejected(self):
         # a hazard of 1000 in the later time cell: e^{-H} underflows

@@ -394,6 +394,24 @@ class TestBatchLikelihood:
             loglik(TreeBatch([1.5], [0, 1], [0.5]), F, scheme)
         assert type(err.value) is DomainError
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scheme",
+        [SamplingScheme.full(), SamplingScheme.bernoulli(0.4), SamplingScheme.uniform_k(3)],
+        ids=["full", "bernoulli", "k3"],
+    )
+    def test_depth_where_F_is_flat_has_likelihood_zero(self, scheme):
+        # lambda = 0 on model times [0, 1), so F' = 0 at depths past 1: a
+        # tree with such a depth gets -inf, without a numpy warning, and the
+        # other trees keep their values.
+        F = ClosedFormTail((0.0, 1.0), (0.5, 0.5), 2.0, breaks=(0.0, 1.0))
+        good = TreeBatch([2.0, 2.0], [0, 2, 4], [0.3, 0.7, 0.9, 0.2])
+        mixed = TreeBatch([2.0, 2.0, 2.0], [0, 2, 4, 6], [0.3, 0.7, 0.4, 1.5, 0.9, 0.2])
+        got = loglik(mixed, F, scheme)
+        assert got[1] == -math.inf
+        assert np.array_equal(got[[0, 2]], loglik(good, F, scheme))
+        assert np.all(np.isfinite(got[[0, 2]]))
+
     def test_tip_count_must_match_k(self):
         batch = TreeBatch([2.0, 2.0], [0, 2, 3], [0.5, 0.7, 0.2])
         with pytest.raises(DomainError, match="tree has 2 tips, expected k=3"):

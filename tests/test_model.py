@@ -644,7 +644,11 @@ class TestRates:
         assert pc(0.5) == 1.0
         assert pc(1.0) == 2.0
         assert pc(1.0, side="left") == 1.0
-        assert pc.integral(0.5, 1.5) == pytest.approx(0.5 + 1.0)
+        # the same rate as an age hazard on the grid, and its exact integral
+        by_age = AgeDependentRate((0.0,), (0.0, 1.0), ((1.0, 2.0),))
+        (h0, h1), (H0, H1) = by_age.hazard(0, [0.5, 1.5])
+        assert (h0, h1) == (1.0, 2.0)
+        assert H1 - H0 == pytest.approx(0.5 + 1.0)
 
     def test_invalid_breaks(self):
         with pytest.raises(ModelError):
@@ -682,9 +686,9 @@ class TestRates:
 
     def test_constant_accessors(self):
         m = RateModel.constant(1.0, 0.4, 2.0)
-        assert m.net_rate == pytest.approx(0.6)
-        assert m.birth_rate_max == 1.0
-        assert m.death_rate(1.7, 0.3) == 0.4
+        assert m.lam(0.0) - m.mu(0.0, 0.0) == pytest.approx(0.6)
+        assert m.lam.max == 1.0
+        assert m.mu(1.7, 0.3) == 0.4
 
     def test_death_is_always_a_grid(self):
         m = RateModel.time_varying(
@@ -729,7 +733,7 @@ class TestModelJson:
 
     def test_example_payload(self):
         m = rate_model_from_json({"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": 2.0})
-        assert m.lambda_constant == 1.0 and m.mu_constant == 0.5 and m.T == 2.0
+        assert m == RateModel.constant(1.0, 0.5, 2.0) and m.kind == "constant"
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ModelError):
@@ -749,7 +753,7 @@ class TestModelJson:
             "T": 2.0,
         }
         m = rate_model_from_json(payload)
-        assert m.birth_rate(1.5) == 2.0
+        assert m.lam(1.5) == 2.0
         assert rate_model_from_json(rate_model_to_json(m)) == m
 
     def test_time_varying_rates_cannot_be_labelled_constant(self):
@@ -798,8 +802,34 @@ class TestModelJson:
             "T": 2.0,
         }
         m = rate_model_from_json(payload)
-        assert m.death_rate(0.5, 0.1) == 0.1
-        assert m.death_rate(1.5, 0.9) == 0.4
+        assert m.mu(0.5, 0.1) == 0.1
+        assert m.mu(1.5, 0.9) == 0.4
+
+
+    def test_grid_tables_leave_repr_eq_and_json_alone(self):
+        # the cumulative hazard table is built on first use and is not a
+        # field: repr (which keys traced solves), ==, hash and the JSON of a
+        # model are the same before and after it exists
+        payload = {
+            "kind": "age_dependent",
+            "lambda": 1.0,
+            "mu": {"t_breaks": [0.0, 1.0], "x_breaks": [0.0, 0.5], "values": [[0.1, 0.2], [0.3, 0.4]]},
+            "T": 2.0,
+        }
+        m = rate_model_from_json(payload)
+        text = (
+            "RateModel(lam=PiecewiseConstant(breaks=(0.0,), values=(1.0,)), "
+            "mu=AgeDependentRate(t_breaks=(0.0, 1.0), x_breaks=(0.0, 0.5), "
+            "values=((0.1, 0.2), (0.3, 0.4))), T=2.0)"
+        )
+        assert repr(m) == text
+        before = hash(m)
+        m.mu.hazard(slice(None), [0.3, 1.7])
+        assert repr(m) == text and hash(m) == before
+        fresh = rate_model_from_json(payload)
+        assert m == fresh and fresh == m and hash(fresh) == before
+        assert rate_model_to_json(m) == payload
+        assert rate_model_from_json(rate_model_to_json(m)) == m
 
 
 class TestSchemeParsing:
