@@ -36,7 +36,6 @@ from .ksample import (
     joint_df,
     joint_df_bruteforce,
     ksample_loglikelihood,
-    ksample_loglikelihoods,
     likelihood_with_missing,
     loglik,
     mixing_density,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from typing import Iterator, List, Optional
 
@@ -43,10 +42,10 @@ from .cpp import (
     simulate_cpp_many,
     simulate_forward,
 )
-from .errors import CppgenError, DomainError, TailOverflowError
+from .errors import CppgenError, DomainError
 from .inference import fit_mle
-from .kernel import DEFAULT_STEP, solve_F, step_grid, tail_for
-from .ksample import MixtureParams, definetti_sample_many, loglik, trapezoid_nodes
+from .kernel import DEFAULT_STEP, solve_F, step_grid, tail_at_T, tail_for
+from .ksample import check_k_sample, definetti_sample_many, loglik, trapezoid_nodes
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .cpp import simulate_cpp  # noqa: F401
 from .ksample import bernoulli_loglikelihood, definetti_sample, full_loglikelihood  # noqa: F401
@@ -131,7 +130,8 @@ def cmd_simulate(args) -> int:
         if scheme.variant == "bernoulli":
             F = F.thinned(scheme.y)
         if scheme.variant == "uniform_k":
-            MixtureParams.from_tail(F, scheme.k)  # DomainError for a degenerate F(T)
+            # the first block's checks, before the output is opened
+            check_k_sample(F, scheme.k, min(args.reps, SIM_BLOCK))
 
             def draw(n, rng):
                 return definetti_sample_many(F, scheme.k, n, rng)[1]
@@ -201,9 +201,8 @@ def cmd_dump_f(args) -> int:
     model = _load_model(args.model)
     F = tail_for(model, args.step, solve=solve_F)
     ts = step_grid(model.T, args.step)
+    tail_at_T(F)
     values = F.value(ts)
-    if not math.isfinite(values[-1]):
-        raise TailOverflowError(f"F(T) is not finite ({values[-1]}): F leaves the float range")
     # One template for the whole grid, as in model.csv_chunks; '%.12g' % x
     # is format(x, '.12g') for every float.
     rows = np.column_stack((ts, values)).ravel().tolist()

@@ -18,12 +18,13 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, InsufficientTipsError, PopulationCapError
-from .kernel import InverseTail, invert_tail
+from .kernel import InverseTail, invert_tail, tail_at_T
 from .model import OrientedUltrametricTree, PiecewiseConstant, RateModel, TreeBatch
 
 __all__ = [
     "RandomStream",
     "check_expected_tips",
+    "check_tip_budget",
     "simulate_cpp",
     "simulate_cpp_many",
     "simulate_forward",
@@ -73,19 +74,21 @@ class RandomStream:
         return self.rng.exponential(1.0 / rate)
 
 
-def check_expected_tips(F: InverseTail, reps: int) -> float:
-    """F(T), after checking that ``reps`` CPP trees from F fit in memory.
-
-    A tree has F(T) tips on average; raises ``DomainError`` when F(T) is not
-    finite or ``reps`` trees would hold more than ``MAX_EXPECTED_TIPS`` tips.
-    """
-    FT = float(F.value(F.T))
-    expected = reps * FT
-    if not (math.isfinite(expected) and expected <= MAX_EXPECTED_TIPS):
+def check_tip_budget(tips: float, reps: int, per_tree: str):
+    """Raise ``DomainError`` where ``reps`` trees, ``per_tree`` tips each and
+    ``tips`` in all, would hold more than ``MAX_EXPECTED_TIPS`` tips."""
+    if tips > MAX_EXPECTED_TIPS:
         raise DomainError(
-            f"expected {expected:.4g} tips in {reps} tree(s) (F(T) = {FT:.4g} per tree); "
+            f"expected {tips:.4g} tips in {reps} tree(s) ({per_tree} per tree); "
             f"more than {MAX_EXPECTED_TIPS:.0e} do not fit in memory"
         )
+
+
+def check_expected_tips(F: InverseTail, reps: int) -> float:
+    """F(T) (:func:`~cppgen.kernel.tail_at_T`), after checking that ``reps``
+    CPP trees from F, F(T) tips each on average, fit in memory."""
+    FT = tail_at_T(F)
+    check_tip_budget(reps * FT, reps, f"F(T) = {FT:.4g}")
     return FT
 
 

@@ -38,13 +38,14 @@ class DomainError(CppgenError):
 
 class DegenerateMixtureError(DomainError):
     """F(T) leaves the k-sample mixture degenerate: for the likelihood only
-    F(T) = 1 (every tree has one tip); for the sampler also F(T) not finite
-    or so large that a = 1 - 1/F(T) rounds to 1."""
+    F(T) = 1 (every tree has one tip); for the sampler also F(T) so large
+    that a = 1 - 1/F(T) rounds to 1."""
 
 
 class TailOverflowError(DomainError):
-    """F(T) is not finite in floating point, so no likelihood (full,
-    Bernoulli or k-sample) can be evaluated.  A fit scores such rates +inf."""
+    """F(T) is not finite in floating point (``kernel.tail_at_T``), so no
+    sampler can draw and no likelihood can be evaluated (full, Bernoulli or
+    k-sample).  A fit scores such rates +inf."""
 
 
 class PopulationCapError(CppgenError):

@@ -24,7 +24,7 @@ from .kernel import DEFAULT_STEP, ClosedFormTail, solve_F, tail_for
 from .ksample import _k_rows, _log_k_mixture, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
-from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch
+from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch, _is_number
 
 __all__ = ["FitResult", "neg_log_likelihood", "fit_mle"]
 
@@ -100,9 +100,12 @@ def _fit_options(bounds: Optional[dict], init: Optional[dict]):
     bounds = {**_DEFAULT_BOUNDS, **(bounds or {})}
     for key, pair in bounds.items():
         try:
-            lo, hi = (float(v) for v in pair)
+            lo, hi = pair
+            if not (_is_number(lo) and _is_number(hi)):
+                raise TypeError
         except (TypeError, ValueError):
             raise DomainError(f"bound of {key} must be a pair (lower, upper), not {pair!r}") from None
+        lo, hi = float(lo), float(hi)
         if not lo <= hi:
             raise DomainError(f"bound of {key}: lower end {lo} exceeds upper end {hi}")
         bounds[key] = (lo, hi)
@@ -113,12 +116,14 @@ def _fit_options(bounds: Optional[dict], init: Optional[dict]):
     if not (bounds["y"][0] > 0 and bounds["y"][1] <= 1):
         raise DomainError(f"bound of y must lie in (0, 1]: {bounds['y']}")
     init = {**_DEFAULT_INIT, **(init or {})}
-    if not init["lam"] > 0:
-        raise DomainError(f"initial lam must be > 0, not {init['lam']}")
-    if not init["mu"] >= 0:
-        raise DomainError(f"initial mu must be >= 0, not {init['mu']}")
-    if not 0 < init["y"] <= 1:
-        raise DomainError(f"initial y must lie in (0, 1], not {init['y']}")
+    # anything but a number is nan here, which fails every check below
+    lam, mu, y = (init[key] if _is_number(init[key]) else math.nan for key in ("lam", "mu", "y"))
+    if not lam > 0:
+        raise DomainError(f"initial lam must be > 0, not {init['lam']!r}")
+    if not mu >= 0:
+        raise DomainError(f"initial mu must be >= 0, not {init['mu']!r}")
+    if not 0 < y <= 1:
+        raise DomainError(f"initial y must lie in (0, 1], not {init['y']!r}")
     return bounds, init
 
 

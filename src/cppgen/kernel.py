@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, TailOverflowError
 from .model import RateModel
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "solve_F",
     "node_depth_density_f",
     "survival_a",
+    "tail_at_T",
     "invert_tail",
 ]
 
@@ -186,7 +187,7 @@ class ClosedFormTail(InverseTail):
     cost grows with the log of the piece count.  Thinning composes
     multiplicatively in y.  Where F or F' leaves the float range it is +inf,
     and neither construction nor ``value`` or ``deriv`` warns; callers check
-    that F(T) is finite.
+    that F(T) is finite by :func:`tail_at_T`.
     """
 
     lam: tuple
@@ -696,9 +697,18 @@ def node_depth_density_f(F: InverseTail, t):
     return out if out.ndim else float(out)
 
 
+def tail_at_T(F: InverseTail) -> float:
+    """F(T), where every sampler and likelihood starts: the one check that it
+    is finite, which raises :class:`TailOverflowError` where it is not."""
+    FT = float(F.value(F.T))
+    if not np.isfinite(FT):
+        raise TailOverflowError(f"F(T) is not finite ({FT}): F leaves the float range")
+    return FT
+
+
 def survival_a(F: InverseTail) -> float:
-    """a = P(H < T) = 1 - 1/F(T)."""
-    return 1.0 - 1.0 / float(F.value(F.T))
+    """a = P(H < T) = 1 - 1/F(T), from :func:`tail_at_T`."""
+    return 1.0 - 1.0 / tail_at_T(F)
 
 
 def invert_tail(F: InverseTail, targets):

@@ -26,15 +26,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .cpp import RandomStream
-from .errors import (
-    DegenerateMixtureError,
-    DomainError,
-    SizeGuardError,
-    TailOverflowError,
-    TieError,
-)
-from .kernel import InverseTail, invert_tail, survival_a
+from .cpp import RandomStream, check_tip_budget
+from .errors import DegenerateMixtureError, DomainError, SizeGuardError, TieError
+from .kernel import InverseTail, invert_tail, survival_a, tail_at_T
 from .model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
 __all__ = [
@@ -44,11 +38,11 @@ __all__ = [
     "sample_mixing",
     "definetti_sample",
     "definetti_sample_many",
+    "check_k_sample",
     "loglik",
     "full_loglikelihood",
     "bernoulli_loglikelihood",
     "ksample_loglikelihood",
-    "ksample_loglikelihoods",
     "trapezoid_nodes",
     "joint_df",
     "joint_df_bruteforce",
@@ -72,6 +66,15 @@ _TRAPEZOID_DEPTH = 38.0
 _BLOCK_ROWS = 512
 
 
+def _k_tail_at_T(F: InverseTail, k: int) -> float:
+    """F(T) for a k-sample (:func:`~cppgen.kernel.tail_at_T`); for k > 1,
+    ``DegenerateMixtureError`` where F(T) = 1, as no tree then has k tips."""
+    FT = tail_at_T(F)
+    if k > 1 and FT <= 1.0:
+        raise DegenerateMixtureError(f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}")
+    return FT
+
+
 @dataclass(frozen=True)
 class MixtureParams:
     """Sample size k and depth-below-horizon probability a = P(H < T)."""
@@ -89,24 +92,15 @@ class MixtureParams:
     def from_tail(cls, F: InverseTail, k: int) -> "MixtureParams":
         """The mixture of the k-sample tree from F; a = 1 - 1/F(T).
 
-        For k > 1, raises ``DegenerateMixtureError`` when F(T) is not finite,
-        so large that a rounds to 1, or 1 (a = 0: every tree has one tip).
+        Raises the errors of :func:`_k_tail_at_T`, and for k > 1
+        ``DegenerateMixtureError`` when F(T) is so large that a rounds to 1.
         """
-        FT = float(F.value(F.T))
+        FT = _k_tail_at_T(F, k)
         a = 1.0 - 1.0 / FT
-        if k > 1:
-            if not math.isfinite(FT):
-                raise DegenerateMixtureError(
-                    f"F(T) is not finite ({FT}); the k-sample mixture needs a < 1"
-                )
-            if a >= 1.0:
-                raise DegenerateMixtureError(
-                    f"F(T) = {FT:.4g} is too large: the k-sample mixture's a rounds to 1"
-                )
-            if a <= 0.0:
-                raise DegenerateMixtureError(
-                    f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}"
-                )
+        if k > 1 and a >= 1.0:
+            raise DegenerateMixtureError(
+                f"F(T) = {FT:.4g} is too large: the k-sample mixture's a rounds to 1"
+            )
         return cls(k=k, a=a)
 
     def c(self, y: float) -> float:
@@ -152,6 +146,15 @@ def definetti_sample(
     return float(ys[0]), next(iter(batch))
 
 
+def check_k_sample(F: InverseTail, k: int, reps: int) -> MixtureParams:
+    """The mixture of ``reps`` k-sample draws from F (:meth:`MixtureParams.from_tail`),
+    after checking that their reps k tips fit in memory (``cpp.check_tip_budget``)."""
+    if reps < 0:
+        raise DomainError(f"reps must be >= 0, not {reps}")
+    check_tip_budget(reps * k, reps, f"k = {k}")
+    return MixtureParams.from_tail(F, k)
+
+
 def definetti_sample_many(
     F: InverseTail, k: int, reps: int, rng: RandomStream
 ) -> Tuple[np.ndarray, TreeBatch]:
@@ -162,9 +165,7 @@ def definetti_sample_many(
     F_y = 1 - y + y F; the inversions of all replicates are one call of
     :func:`invert_tail` on F.
     """
-    if reps < 0:
-        raise DomainError(f"reps must be >= 0, not {reps}")
-    params = MixtureParams.from_tail(F, k)
+    params = check_k_sample(F, k, reps)
     ys = np.asarray(_mixing_inverse_cdf(params, rng.rng.random(reps)))
     ys = np.minimum(np.maximum(ys, np.finfo(float).tiny), 1.0)
     heights = np.full(reps, float(F.T))
@@ -182,17 +183,6 @@ def definetti_sample_many(
 # ---------------------------------------------------------------------------
 # Likelihoods
 # ---------------------------------------------------------------------------
-
-
-def _finite_tail_at_T(F: InverseTail) -> float:
-    """F(T), or :class:`TailOverflowError` where it is not finite."""
-    FT = float(F.value(F.T))
-    if not math.isfinite(FT):
-        raise TailOverflowError(
-            f"F(T) is not finite ({FT}): at these rates the likelihood needs "
-            "log-space tails (ROADMAP item 2)"
-        )
-    return FT
 
 
 def _log_deriv(F: InverseTail, d) -> np.ndarray:
@@ -223,11 +213,23 @@ def loglik(
     Full and Bernoulli trees: ``sum(log F' - 2 log F) - log F(T)`` over the
     tree's depths, with the thinned tail ``F_y`` under Bernoulli sampling;
     all depths are evaluated in one pass and summed per tree, and a tree
-    with a depth where F' = 0 (lambda = 0 there) gets -inf.  Uniform
-    k-samples: :func:`ksample_loglikelihoods`.  Every scheme raises
-    :class:`TailOverflowError` when F(T) is not finite.
-    ``oriented=False`` adds the shape multiplicity ``log 2^(n-1-cherries)``
-    of each tree.
+    with a depth where F' = 0 (lambda = 0 there) gets -inf.
+
+    Uniform k-samples: summed over the number of unsampled tips,
+    :func:`likelihood_with_missing` gives the k-sample likelihood as one
+    integral over the mixing variable w,
+
+        k a^{1-k} F(T) prod_i F'(x_i) int_0^1 w^{k-1} prod_{i=0}^{k-1} (1 + G_i w)^-2 dw,
+
+    with G_0 = F(T) - 1 and G_i = F(x_i) - 1 at the tree's k-1 depths: a
+    fixed trapezoid sum in logit w (``_log_k_mixture``), whose error falls
+    geometrically in the step however large F(T) is (Trefethen & Weideman
+    2014).  A tree with k = 1 tip is certain, whatever F(T).
+
+    Every scheme raises :class:`TailOverflowError` when F(T) is not finite
+    (:func:`~cppgen.kernel.tail_at_T`), and k > 1 samples
+    :class:`DegenerateMixtureError` when F(T) = 1.  ``oriented=False`` adds
+    the shape multiplicity ``log 2^(n-1-cherries)`` of each tree.
     """
     T = F.T
     if len(batch) and np.abs(batch.heights - T).max() > 1e-9 * max(T, 1.0):
@@ -236,13 +238,16 @@ def loglik(
     if d.size and (d.min() <= 0.0 or d.max() >= T):
         raise DomainError("node depths must lie strictly in (0, T)")
     if scheme.variant == "uniform_k":
-        out = ksample_loglikelihoods(_k_rows(batch, scheme.k), F, scheme.k)
+        k, rows = scheme.k, _k_rows(batch, scheme.k)
+        out = np.zeros(len(batch))
+        if k > 1:
+            out = _log_k_mixture(_excess(rows, F, k))[0] + _log_deriv(F, rows).sum(axis=1)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
             F = F.thinned(scheme.y)
-        FT = _finite_tail_at_T(F)
+        FT = tail_at_T(F)
         logf = _log_deriv(F, d) - 2.0 * np.log(F.value(d))
         out = batch.tree_sums(logf) - math.log(FT)
     if not oriented:
@@ -319,7 +324,7 @@ def _log_k_mixture(G: np.ndarray, dG: Sequence[np.ndarray] = ()):
     ``dG`` (arrays of G's shape); returns (values, derivatives).
 
     Row r holds G_0 = F(T) - 1 and G_i = F(x_i) - 1 at the k-1 depths of
-    tree r (:func:`ksample_loglikelihoods`).  log a = -log1p(1/G_0), and
+    tree r (:func:`loglik`).  log a = -log1p(1/G_0), and
 
         I = int w^k (1 - w) prod_i (1 + G_i w)^-2 ds,   s = logit w,
 
@@ -365,32 +370,10 @@ def _log_k_mixture(G: np.ndarray, dG: Sequence[np.ndarray] = ()):
 
 
 def _excess(d: np.ndarray, F: InverseTail, k: int) -> np.ndarray:
-    """G = F - 1 at T and at the k-1 depths of each row of ``d``, row by row."""
-    FT = _finite_tail_at_T(F)
-    if FT <= 1.0:
-        raise DegenerateMixtureError(f"F(T) = {FT:.4g}: every tree has one tip, none has k = {k}")
+    """G = F - 1 at T and at the k-1 depths of each row of ``d``, row by row,
+    after :func:`_k_tail_at_T`."""
+    _k_tail_at_T(F, k)
     return np.asarray(F.value(np.column_stack([np.full(len(d), F.T), d]))) - 1.0
-
-
-def ksample_loglikelihoods(depths, F: InverseTail, k: int) -> np.ndarray:
-    """Oriented k-sample log-likelihoods of R trees, from their (R, k-1) depths.
-
-    Summed over the number of unsampled tips, :func:`likelihood_with_missing`
-    gives the k-sample likelihood as one integral over the mixing variable w,
-
-        k a^{1-k} F(T) prod_i F'(x_i) int_0^1 w^{k-1} prod_{i=0}^{k-1} (1 + G_i w)^-2 dw,
-
-    with G_0 = F(T) - 1 and G_i = F(x_i) - 1: a fixed trapezoid sum in
-    logit w (``_log_k_mixture``), whose error falls geometrically in the
-    step however large F(T) is (Trefethen & Weideman 2014).  Raises
-    :class:`TailOverflowError` when F(T) is not finite and
-    :class:`DegenerateMixtureError` when F(T) = 1.  Depths are not
-    range-checked here.
-    """
-    if k == 1:
-        return np.zeros(len(depths))
-    d = np.asarray(depths, dtype=float).reshape(len(depths), k - 1)
-    return _log_k_mixture(_excess(d, F, k))[0] + _log_deriv(F, d).sum(axis=1)
 
 
 def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,14 +54,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    """Is ``v`` a Python or numpy int or float (not a bool, nor a string)?"""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _numbers(values, what: str) -> tuple:
     """``values`` as a tuple of floats, or ``ModelError``."""
     try:
         if isinstance(values, (str, bytes)):
             raise TypeError
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+        items = tuple(values)
+        if not all(map(_is_number, items)):
+            raise TypeError
+    except TypeError:
         raise ModelError(f"{what} must be a list of numbers, not {values!r}") from None
+    return tuple(map(float, items))
 
 
 def _check_breaks(breaks: tuple):
@@ -931,7 +940,7 @@ def _require_keys(obj: dict, keys: set, what: str):
 
 
 def _rate_from_json(obj, what: str) -> PiecewiseConstant:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return PiecewiseConstant.constant(float(obj))
     if isinstance(obj, dict):
         _require_keys(obj, {"breaks", "values"}, f"{what} table")
@@ -944,10 +953,9 @@ def rate_model_from_json(obj: dict) -> RateModel:
         raise ModelError("model JSON must be an object")
     _require_keys(obj, _MODEL_KEYS, "model JSON")
     kind = obj["kind"]
-    try:
-        T = float(obj["T"])
-    except (TypeError, ValueError):
-        raise ModelError(f"T must be a number, not {obj['T']!r}") from None
+    if not _is_number(obj["T"]):
+        raise ModelError(f"T must be a number, not {obj['T']!r}")
+    T = float(obj["T"])
     lam = _rate_from_json(obj["lambda"], "lambda")
     mu_obj = obj["mu"]
     if kind == "age_dependent":

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cppgen
-from cppgen import cli
+from cppgen import cli, cpp
 from cppgen.cli import main
 from cppgen.kernel import ClosedFormTail, closed_form_F, step_grid, tail_for
 from cppgen.ksample import (
@@ -27,6 +27,8 @@ TV_JSON = {
     "mu": 0.5,
     "T": 2.0,
 }
+# kernel.tail_at_T's one message for an F(T) past the float range.
+TAIL_OVERFLOW = "F(T) is not finite (inf): F leaves the float range"
 # F(T) is about e^{800}, past the float range, in both models.
 BIG_JSON = {
     "time_varying": {
@@ -173,11 +175,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "rates, expected",
-        [((1.0, 0.5, 800.0), "expected 1.044e+174 tips"), ((50.0, 0.0, 20.0), "expected inf tips")],
+        [
+            ((1.0, 0.5, 800.0), "expected 1.044e+174 tips"),
+            pytest.param((50.0, 0.0, 20.0), TAIL_OVERFLOW, id="rates1-overflow"),
+        ],
     )
     @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.5"])
     def test_huge_expected_tip_count_rejected(self, capsys, tmp_path, rates, expected, scheme):
-        # F(T) = 1e174 used to loop until memory ran out; F(T) = inf as well
+        # F(T) = 1e174 used to loop until memory ran out; F(T) = inf as well,
+        # which is the likelihoods' overflow error
         lam, mu, T = rates
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"kind": "constant", "lambda": lam, "mu": mu, "T": T}))
@@ -270,6 +276,23 @@ class TestSimulationBlocks:
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(int(r), int(i)) for r, i, _ in rows] == [(r, i) for r in range(5) for i in range(2)]
+
+    def test_ksample_tip_budget_is_per_block(self, capsys, monkeypatch, model_path, tmp_path):
+        # k:6 blocks of 4 draws hold 24 tips, past a cap of 20: exit 2 before
+        # the output is opened; k:5 blocks hold 20, so 10 draws (50 tips) run
+        monkeypatch.setattr(cpp, "MAX_EXPECTED_TIPS", 20)
+        monkeypatch.setattr(cli, "SIM_BLOCK", 4)
+        path = tmp_path / "k.nwk"
+        argv = ["simulate", "--model", model_path, "--reps", "10", "--seed", "2", "--out", str(path)]
+        code, out, err = _run(capsys, *argv, "--scheme", "k:6")
+        assert (code, out) == (2, "") and not path.exists()
+        assert err == (
+            "error: expected 24 tips in 4 tree(s) (k = 6 per tree); "
+            "more than 2e+01 do not fit in memory\n"
+        )
+        code, _, err = _run(capsys, *argv, "--scheme", "k:5")
+        assert code == 0, err
+        assert len(path.read_text().splitlines()) == 10
 
     def test_memory_is_bounded_by_one_block(self, capsys, model_path, tmp_path):
         # F(T) = 4.44: 40000 replicates are about ten blocks of 4096
@@ -437,6 +460,32 @@ class TestTailOverflow:
         assert err.startswith("error: ") and "F(T) is not finite" in err
         assert "Warning" not in err
 
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scheme", "full", "--reps", "3", "--seed", "1"],
+            ["simulate", "--scheme", "bernoulli:0.5", "--reps", "3", "--seed", "1"],
+            ["simulate", "--scheme", "k:3", "--reps", "3", "--seed", "1"],
+            ["likelihood", "--scheme", "full"],
+            ["likelihood", "--scheme", "bernoulli:0.3"],
+            ["likelihood", "--scheme", "k:3"],
+            ["dump-f"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_error_line_for_every_command(self, capsys, tmp_path, argv):
+        # F(T) = e^800: samplers, likelihoods and dump-f all fail in
+        # kernel.tail_at_T, with one stderr line and no numpy warning
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(BIG_JSON["constant"]))
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((0:0.3,1:0.3):0.3,2:0.6):1.4;\n(0:1.1,(1:0.2,2:0.2):0.9):0.9;\n")
+        if argv[0] == "likelihood":
+            argv = [*argv, "--tree", str(trees)]
+        code, out, err = _run(capsys, *argv, "--model", str(big))
+        assert (code, out, err) == (2, "", f"error: {TAIL_OVERFLOW}\n")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["time_varying", "constant"])
@@ -690,14 +739,32 @@ class TestExitCodes:
                 dict(AD_JSON, mu=dict(AD_JSON["mu"], t_breaks=[])),
                 "time and age grids must start at 0",
             ),
+            # booleans and strings that float() would read are not numbers:
+            # dump-f printed e^t for the first
+            ({"kind": "constant", "lambda": True, "mu": False, "T": "2"}, "T must be a number, not '2'"),
+            ({"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": True}, "T must be a number, not True"),
+            ({"kind": "constant", "lambda": True, "mu": 0.5, "T": 2.0}, "lambda must be a number"),
+            (
+                dict(TV_JSON, mu={"breaks": [0.0, 1.3], "values": ["1", True]}),
+                "rate values must be a list of numbers",
+            ),
         ],
     )
     def test_bad_model_fields(self, capsys, tmp_path, model, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(model))
-        code, _, err = _run(capsys, "dump-f", "--model", str(path))
-        assert code == 2
+        code, out, err = _run(capsys, "dump-f", "--model", str(path))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    def test_bounds_of_booleans_and_strings(self, capsys, tmp_path, trees_path):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({"lam": [True, "1e3"], "mu": ["0", 5]}))
+        code, out, err = _run(
+            capsys, "fit", "--trees", trees_path, "--scheme", "full", "--bounds", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bound of lam must be a pair (lower, upper), not [True, '1e3']")
 
     @pytest.mark.parametrize("command", ["dump-f", "simulate"])
     @pytest.mark.parametrize(

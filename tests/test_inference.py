@@ -202,6 +202,14 @@ class TestFitMle:
             ({"bounds": {"y": (0.5, 1.5)}}, "bound of y"),
             ({"bounds": {"lam": (0.0, 1.0)}}, "bound of lam"),
             ({"bounds": {"y": (0.0, 1.0)}}, "bound of y"),
+            # booleans and strings that float() would read are not numbers
+            ({"bounds": {"lam": [True, 1e3]}}, "bound of lam must be a pair"),
+            ({"bounds": {"lam": [1e-3, "1e3"]}}, "bound of lam must be a pair"),
+            ({"bounds": {"mu": ["0", 5]}}, "bound of mu must be a pair"),
+            ({"bounds": {"y": [0.1, True]}}, "bound of y must be a pair"),
+            ({"init": {"lam": True}}, "initial lam must be > 0, not True"),
+            ({"init": {"mu": "0"}}, "initial mu must be >= 0, not '0'"),
+            ({"init": {"y": True}}, "initial y must lie in \\(0, 1\\], not True"),
         ],
     )
     def test_rejects_bad_init_and_bounds(self, options, message):
@@ -215,6 +223,14 @@ class TestFitMle:
             bounds={"lam": [0.1, 10.0], "mu": [0.0, 5.0]},
         )
         assert 0.1 <= res.lam <= 10.0 and 0.0 <= res.mu <= 5.0
+
+    def test_numpy_numbers_are_numbers(self):
+        trees = _trees(150, 7)
+        plain = fit_mle(trees, SamplingScheme.full(), init={"lam": 0.5, "mu": 0.0},
+                        bounds={"lam": [0.1, 10.0], "mu": [0.0, 5.0]})
+        res = fit_mle(trees, SamplingScheme.full(), init={"lam": np.float32(0.5), "mu": np.int64(0)},
+                      bounds={"lam": np.array([0.1, 10.0]), "mu": (np.int64(0), np.float64(5.0))})
+        assert (res.lam, res.mu, res.loglik) == (plain.lam, plain.mu, plain.loglik)
 
     def test_bounds_are_a_box(self):
         # Truth lam = 1 lies above the box: the fit stops on the bound,

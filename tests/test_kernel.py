@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from cppgen import kernel
 from cppgen.cpp import RandomStream, simulate_cpp_many
-from cppgen.errors import DegenerateMixtureError, DomainError, SolverError, TailOverflowError
+from cppgen.errors import DomainError, SolverError, TailOverflowError
 from cppgen.kernel import (
     _BLOCK,
     ClosedFormTail,
@@ -29,7 +29,7 @@ from cppgen.kernel import (
     survival_a,
     tail_for,
 )
-from cppgen.ksample import definetti_sample_many, loglik
+from cppgen.ksample import definetti_sample_many, joint_df, loglik
 from cppgen.model import AgeDependentRate, PiecewiseConstant, RateModel, SamplingScheme, TreeBatch
 
 TV_MODEL = RateModel.time_varying(
@@ -918,10 +918,14 @@ class TestOverflowingTail:
         for scheme in (SamplingScheme.full(), SamplingScheme.bernoulli(0.3)):
             with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
                 loglik(batch, F, scheme)
-        with pytest.raises(DomainError, match="tips"):
+        # the samplers raise the likelihoods' error, from kernel.tail_at_T
+        with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
             simulate_cpp_many(F, 3, RandomStream(1))
-        with pytest.raises(DegenerateMixtureError, match="not finite"):
+        with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
             definetti_sample_many(F, 3, 3, RandomStream(1))
+        # and so does the joint law with unsampled tips, through survival_a
+        with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
+            joint_df(3, 2, [0.3, 0.6], F)
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_at_the_knot_where_the_slope_overflows(self):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import quad
 
+from cppgen import cpp
 from cppgen.cpp import RandomStream
 from cppgen.errors import (
     DegenerateMixtureError,
@@ -29,7 +30,6 @@ from cppgen.ksample import (
     joint_df,
     joint_df_bruteforce,
     ksample_loglikelihood,
-    ksample_loglikelihoods,
     likelihood_with_missing,
     loglik,
     mixing_cdf,
@@ -41,6 +41,8 @@ from cppgen.ksample import (
 from cppgen.model import OrientedUltrametricTree, SamplingScheme, TreeBatch
 
 F_STD = ClosedFormTail(1.0, 0.5, 2.0)
+# kernel.tail_at_T's one message for F(T) past the float range
+TAIL_OVERFLOW = "^F\\(T\\) is not finite \\(inf\\): F leaves the float range$"
 A_STD = survival_a(F_STD)
 
 # 40-digit k-sample log-likelihoods at lambda = 1, mu = 0.5 (rT = 1, 15 and
@@ -65,6 +67,12 @@ KSAMPLE_REFS = [  # (k, T, depths, log-likelihood)
     (5, 200.0, (20.0, 70.0, 120.0, 180.0), -146.16315081046375),  # spread
     (5, 200.0, (191.0, 194.0, 196.0, 199.0), -10.27856051273484),  # deep
 ]
+
+
+def _k_batch(depths, T):
+    """A TreeBatch of height T, one tree per row of ``depths``."""
+    d = np.asarray(depths, dtype=float)
+    return TreeBatch(np.full(len(d), T), np.arange(len(d) + 1) * d.shape[1], d.ravel())
 
 
 def _F(t):
@@ -155,35 +163,53 @@ class TestMixing:
          (ClosedFormTail(0.0, 0.5, 2.0), "F\\(T\\) = 1: every tree has one tip")],
     )
     def test_from_tail_rejects_degenerate_F(self, F, message):
-        # F(T) = inf overflows in expm1, F(T) = 1e174 rounds a to 1, and at
+        # F(T) = inf overflows in expm1 (the one TailOverflowError of every
+        # sampler and likelihood), F(T) = 1e174 rounds a to 1, and at
         # lambda = 0 no tree has 3 tips: the sampler raises typed errors
         # naming F(T), without a numpy warning
-        with pytest.raises(DegenerateMixtureError, match=message):
+        FT = F.value(F.T)
+        error = DegenerateMixtureError
+        if not np.isfinite(FT):
+            error, message = TailOverflowError, TAIL_OVERFLOW
+        with pytest.raises(error, match=message):
             MixtureParams.from_tail(F, 3)
-        with pytest.raises(DegenerateMixtureError, match=message):
+        with pytest.raises(error, match=message):
             definetti_sample_many(F, 3, 2, RandomStream(1))
         # the likelihood needs only log a = -log1p(1/G_0): it fails where
         # F(T) is not finite, as the full scheme does, and where F(T) = 1
-        FT = F.value(F.T)
+        k3 = SamplingScheme.uniform_k(3)
         if not np.isfinite(FT):
-            with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
-                ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+            with pytest.raises(TailOverflowError, match=TAIL_OVERFLOW):
+                loglik(_k_batch([(0.3, 0.6)], F.T), F, k3)
         elif FT == 1.0:
             with pytest.raises(DegenerateMixtureError, match="F\\(T\\) = 1: every tree"):
-                ksample_loglikelihoods([(0.3, 0.6)], F, 3)
+                loglik(_k_batch([(0.3, 0.6)], F.T), F, k3)
         else:
-            assert np.isfinite(ksample_loglikelihoods([(0.3, 0.6), (790.0, 799.0)], F, 3)).all()
+            assert np.isfinite(loglik(_k_batch([(0.3, 0.6), (790.0, 799.0)], F.T), F, k3)).all()
         # a one-tip tree is certain whatever F(T): its likelihood needs no a
-        assert_allclose(ksample_loglikelihoods(np.empty((2, 0)), F, 1), [0.0, 0.0])
+        k1 = SamplingScheme.uniform_k(1)
+        assert_allclose(loglik(_k_batch(np.empty((2, 0)), F.T), F, k1), [0.0, 0.0])
 
     def test_single_tip_sample_without_coalescence(self):
         # lambda = 0: a = 0, and a 1-sample is still certain
         F = ClosedFormTail(0.0, 0.5, 2.0)
         assert MixtureParams.from_tail(F, 1).a == 0.0
-        assert_allclose(ksample_loglikelihoods(np.empty((2, 0)), F, 1), [0.0, 0.0])
+        batch = _k_batch(np.empty((2, 0)), F.T)
+        assert_allclose(loglik(batch, F, SamplingScheme.uniform_k(1)), [0.0, 0.0])
 
 
 class TestDeFinettiSampler:
+    def test_tip_budget_is_checked_before_drawing(self, monkeypatch):
+        # the reps k tips of the draws against the CPP sampler's cap
+        monkeypatch.setattr(cpp, "MAX_EXPECTED_TIPS", 20)
+        rng = RandomStream(1)
+        message = "^expected 21 tips in 7 tree\\(s\\) \\(k = 3 per tree\\); more than 2e\\+01"
+        with pytest.raises(DomainError, match=message):
+            definetti_sample_many(F_STD, 3, 7, rng)
+        assert rng.rng.random() == RandomStream(1).rng.random()  # nothing drawn
+        _, batch = definetti_sample_many(F_STD, 4, 5, rng)
+        assert batch.n_tips.sum() == 20
+
     def test_tip_count_is_k(self):
         rng = RandomStream(23)
         for k in (1, 2, 5):
@@ -286,7 +312,7 @@ class TestKSampleLikelihood:
 
     def test_batch_matches_per_tree(self):
         _, trees = definetti_sample_many(F_STD, 4, 25, RandomStream(5))
-        batch = ksample_loglikelihoods([t.depths for t in trees], F_STD, 4)
+        batch = loglik(trees, F_STD, SamplingScheme.uniform_k(4))
         one = [ksample_loglikelihood(t, F_STD, 4) for t in trees]
         assert_allclose(batch, one, rtol=1e-13)
 
@@ -310,10 +336,11 @@ class TestKSampleLikelihood:
         F = ClosedFormTail(1.0, 0.5, T)
         u = np.random.default_rng(3).random((300, k - 1))
         depths = invert_tail(F, 1.0 + (F.value(T) - 1.0) * u)
-        got = ksample_loglikelihoods(depths, F, k)
+        batch, scheme = _k_batch(depths, T), SamplingScheme.uniform_k(k)
+        got = loglik(batch, F, scheme)
         monkeypatch.setattr(ksample, "TRAPEZOID_STEP", ksample.TRAPEZOID_STEP / 4)
         monkeypatch.setattr(ksample, "_TRAPEZOID_DEPTH", ksample._TRAPEZOID_DEPTH + 32)
-        assert_allclose(got, ksample_loglikelihoods(depths, F, k), rtol=0, atol=1e-13)
+        assert_allclose(got, loglik(batch, F, scheme), rtol=0, atol=1e-13)
 
     def test_node_count_is_per_tree(self):
         # each tree's window depends on that tree alone, so counts add up

@@ -745,6 +745,40 @@ class TestModelJson:
         with pytest.raises(ModelError):
             rate_model_from_json({"kind": "constant", "lambda": 1.0, "T": 2.0})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lambda", True, "lambda must be a number or a breaks/values table"),
+            ("mu", False, "mu must be a number or a breaks/values table"),
+            ("T", "2", "T must be a number, not '2'"),
+            ("T", True, "T must be a number, not True"),
+            ("lambda", {"breaks": [0, 1], "values": ["1", 1.5]}, "rate values must be a list of numbers"),
+            ("lambda", {"breaks": [0, 1], "values": [1.0, True]}, "rate values must be a list of numbers"),
+            ("mu", {"breaks": [False, 1], "values": [0.5, 0.2]}, "breakpoints must be a list of numbers"),
+            ("mu", {"t_breaks": [0], "x_breaks": [0, "0.5"], "values": [[0.2, 0.7]]},
+             "age breakpoints must be a list of numbers"),
+            ("mu", {"t_breaks": [0], "x_breaks": [0, 0.5], "values": [[0.2, True]]},
+             "rate values must be a list of numbers"),
+        ],
+    )
+    def test_booleans_and_strings_are_not_numbers(self, field, value, message):
+        # float() reads all of them, as 1, 0, 2, ...; the JSON means none as a number
+        kind = "age_dependent" if isinstance(value, dict) and "t_breaks" in value else "time_varying"
+        payload = {"kind": kind, "lambda": 1.0, "mu": 0.5, "T": 2.0, field: value}
+        with pytest.raises(ModelError, match=re.escape(message)):
+            rate_model_from_json(payload)
+
+    def test_numpy_numbers_are_numbers(self):
+        payload = {
+            "kind": "time_varying",
+            "lambda": {"breaks": np.array([0, 1]), "values": [np.float32(1.5), np.int64(2)]},
+            "mu": np.float64(0.5),
+            "T": np.int64(2),
+        }
+        lam = PiecewiseConstant((0.0, 1.0), (1.5, 2.0))
+        expect = RateModel.time_varying(lam, PiecewiseConstant.constant(0.5), 2.0)
+        assert rate_model_from_json(payload) == expect
+
     def test_time_varying_round_trip(self):
         payload = {
             "kind": "time_varying",
