@@ -18,6 +18,14 @@ written a block at a time by ``model.newick_chunks`` or
 ``model.csv_chunks``, which format the whole block from its depth arrays;
 no per-replicate tree object is built.
 
+Each subcommand is declared once, in ``COMMANDS``.  A call whose first
+argument names a subcommand builds only that command's parser (about a
+quarter of the cost of the whole tree); ``build_parser`` builds the whole
+tree from the same declarations, for top-level calls (``-h``,
+``--version``, no command or an unknown one, an option before the command)
+and for reporting unrecognized arguments, so that every help, usage and
+error text is the one the whole tree prints.
+
 Importing this module loads no scipy, so a command pays only for what it
 uses.  scipy is imported on first use, once per process: ``scipy.optimize``
 by ``fit``, ``scipy.stats`` and ``scipy.integrate`` by ``validate``, and
@@ -211,66 +219,100 @@ def cmd_dump_f(args) -> int:
     return 0
 
 
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True, help="model JSON path")
+    p.add_argument("--scheme", required=True, help="full | bernoulli:<y> | k:<int>")
+    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--format", choices=("newick", "csv"), default="newick")
+    p.add_argument("--step", type=float, default=DEFAULT_STEP, help="solver grid step")
+    p.add_argument(
+        "--forward",
+        action="store_true",
+        help="use the forward event-by-event simulator (full scheme only)",
+    )
+    p.add_argument("--workers", type=int, default=None, help="ignored; accepted for old scripts")
+    p.set_defaults(func=cmd_simulate)
+
+
+def _likelihood_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tree", required=True, help="Newick file, one tree per line")
+    p.add_argument("--model", required=True)
+    p.add_argument("--scheme", required=True)
+    p.add_argument("--unoriented", action="store_true")
+    p.add_argument("--quad-nodes", type=int, help="ignored; accepted for old scripts")
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_likelihood)
+
+
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trees", required=True)
+    p.add_argument("--scheme", required=True)
+    p.add_argument("--bounds", default=None, help="bounds JSON path")
+    p.add_argument("--init", default=None, help="e.g. lam=1.0,mu=0.2")
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_fit)
+
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    tier = p.add_mutually_exclusive_group()
+    tier.add_argument("--quick", action="store_true", default=True)
+    tier.add_argument("--full", action="store_true", default=False)
+    p.set_defaults(func=cmd_validate)
+
+
+def _dump_f_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_dump_f)
+
+
+# Each subcommand once: its help line, and the function that adds its
+# arguments and its handler (``func``).  The handler is looked up when the
+# parser is built, so a patched ``cli.cmd_*`` (a test, a tracer) is the one
+# that runs.
+COMMANDS = {
+    "simulate": ("simulate sampled genealogies", _simulate_arguments),
+    "likelihood": ("log-likelihood of Newick trees", _likelihood_arguments),
+    "fit": ("maximum-likelihood fit of constant rates", _fit_arguments),
+    "validate": ("run the oracle cross-check suites", _validate_arguments),
+    "dump-f": ("dump F on the --step grid as CSV", _dump_f_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, for top-level calls: ``-h``, ``--version``,
+    no command or an unknown one, an option before the command."""
     parser = argparse.ArgumentParser(
         prog="cppgen",
         description="Simulation and likelihoods for sampled branching-process genealogies",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate sampled genealogies")
-    sim.add_argument("--model", required=True, help="model JSON path")
-    sim.add_argument("--scheme", required=True, help="full | bernoulli:<y> | k:<int>")
-    sim.add_argument("--reps", type=int, default=1)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--out", default=None, help="output path (default stdout)")
-    sim.add_argument("--format", choices=("newick", "csv"), default="newick")
-    sim.add_argument("--step", type=float, default=DEFAULT_STEP, help="solver grid step")
-    sim.add_argument(
-        "--forward",
-        action="store_true",
-        help="use the forward event-by-event simulator (full scheme only)",
-    )
-    sim.add_argument("--workers", type=int, default=None, help="ignored; accepted for old scripts")
-    sim.set_defaults(func=cmd_simulate)
-
-    lik = sub.add_parser("likelihood", help="log-likelihood of Newick trees")
-    lik.add_argument("--tree", required=True, help="Newick file, one tree per line")
-    lik.add_argument("--model", required=True)
-    lik.add_argument("--scheme", required=True)
-    lik.add_argument("--unoriented", action="store_true")
-    lik.add_argument("--quad-nodes", type=int, help="ignored; accepted for old scripts")
-    lik.add_argument("--step", type=float, default=DEFAULT_STEP)
-    lik.add_argument("--out", default=None)
-    lik.set_defaults(func=cmd_likelihood)
-
-    fit = sub.add_parser("fit", help="maximum-likelihood fit of constant rates")
-    fit.add_argument("--trees", required=True)
-    fit.add_argument("--scheme", required=True)
-    fit.add_argument("--bounds", default=None, help="bounds JSON path")
-    fit.add_argument("--init", default=None, help="e.g. lam=1.0,mu=0.2")
-    fit.add_argument("--out", default=None)
-    fit.set_defaults(func=cmd_fit)
-
-    val = sub.add_parser("validate", help="run the oracle cross-check suites")
-    tier = val.add_mutually_exclusive_group()
-    tier.add_argument("--quick", action="store_true", default=True)
-    tier.add_argument("--full", action="store_true", default=False)
-    val.set_defaults(func=cmd_validate)
-
-    dump = sub.add_parser("dump-f", help="dump F on the --step grid as CSV")
-    dump.add_argument("--model", required=True)
-    dump.add_argument("--step", type=float, default=DEFAULT_STEP)
-    dump.add_argument("--out", default=None)
-    dump.set_defaults(func=cmd_dump_f)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser`` would, building only the named
+    command's parser when ``argv[0]`` names one."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"cppgen {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            return args
+    # the whole tree reports unrecognized arguments under "cppgen"
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(exc.code or 0)

@@ -85,7 +85,9 @@ class MixtureParams:
     def __post_init__(self):
         if self.k < 1:
             raise DomainError("k must be >= 1")
-        if not (0.0 <= self.a < 1.0):
+        # a rounds to 1 where F(T) is huge; then Y = 0, which a one-tip
+        # tree (k = 1) allows, as it has no depth to draw
+        if not (0.0 <= self.a < 1.0 or (self.k == 1 and self.a == 1.0)):
             raise DomainError("a must lie in [0, 1)")
 
     @classmethod

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -436,6 +437,30 @@ class TestKSampleOverflow:
         )
         assert code == 0, err
         assert json.loads(out)["logL"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_tip_draw_needs_no_a(self, capsys, tmp_path):
+        # F(T) = 1.044e174 is finite, but a = 1 - 1/F(T) rounds to 1: a
+        # one-tip draw needs no a, while k = 2 has no mixture to draw from,
+        # and an F(T) past the float range is still an overflow
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"kind": "constant", "lambda": 1.0, "mu": 0.5, "T": 800.0}))
+        argv = ["--model", str(path), "--reps", "3", "--seed", "1"]
+        code, out, err = _run(capsys, "simulate", *argv, "--scheme", "k:1")
+        assert (code, out, err) == (0, "0:800;\n" * 3, "")
+        trees = tmp_path / "k1.nwk"
+        trees.write_text(out)
+        code, out, err = _run(
+            capsys, "likelihood", "--tree", str(trees), "--model", str(path), "--scheme", "k:1"
+        )
+        assert code == 0, err
+        assert json.loads(out)["logL"] == 0.0
+        code, out, err = _run(capsys, "simulate", *argv, "--scheme", "k:2")
+        assert (code, out) == (2, "")
+        assert "a rounds to 1" in err
+        path.write_text(json.dumps({"kind": "constant", "lambda": 50.0, "mu": 0.0, "T": 20.0}))
+        code, out, err = _run(capsys, "simulate", *argv, "--scheme", "k:1")
+        assert (code, out, err) == (2, "", f"error: {TAIL_OVERFLOW}\n")
 
 
 class TestTailOverflow:
@@ -875,6 +900,63 @@ class TestExitCodes:
         code, out, err = _run(capsys, *argv, "--reps", "0", "--format", "csv")
         assert code == 0, err
         assert out == "rep,index,depth\n"
+
+
+class TestDispatch:
+    # argv that main must answer exactly as the whole command tree does:
+    # help, version, usage errors, and an option before the command
+    ARGVS = [
+        *([name, "-h"] for name in cli.COMMANDS),
+        ["-h"],
+        ["--version"],
+        [],
+        ["bogus"],
+        ["simulate", "--model", "m.json", "--scheme", "full"],
+        ["simulate", "--model", "m.json", "--scheme", "full", "--seed", "1", "--reps", "abc"],
+        ["simulate", "--model", "m.json", "--scheme", "full", "--seed", "1", "--bogus"],
+        ["validate", "--quick", "--full"],
+        ["--foo", "simulate", "--model", "m", "--scheme", "full", "--seed", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_output_as_the_whole_tree(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert (code, out, err) == (int(exc.value.code or 0), expected.out, expected.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "m.json", "--scheme", "k:3", "--seed", "1", "--format", "csv"],
+            ["likelihood", "--tree", "t.nwk", "--model", "m.json", "--scheme", "full"],
+            ["fit", "--trees", "t.nwk", "--scheme", "full", "--init", "lam=1"],
+            ["validate", "--full"],
+            ["dump-f", "--model", "m.json", "--step", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_same_arguments_as_the_whole_tree(self, argv):
+        expected = vars(cli.build_parser().parse_args(argv))
+        assert expected.pop("command") == argv[0]
+        assert vars(cli._parse(argv)) == expected
+
+    def test_simulate_builds_only_its_parser(self, capsys, monkeypatch, model_path):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, out, _ = _run(
+            capsys, "simulate", "--model", model_path, "--scheme", "full",
+            "--reps", "2", "--seed", "1",
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+        assert progs == ["cppgen simulate"]
 
 
 class TestValidate:
