@@ -29,8 +29,7 @@ error text is the one the whole tree prints.
 Importing this module loads no scipy, so a command pays only for what it
 uses.  scipy is imported on first use, once per process: ``scipy.optimize``
 by ``fit``, ``scipy.stats`` and ``scipy.integrate`` by ``validate``, and
-``scipy.linalg`` and ``scipy.interpolate`` by age-dependent models
-(``kernel.solve_F`` and ``kernel.GridTail``).
+``scipy.linalg`` by age-dependent models (``kernel.solve_F``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,12 @@ exponentials with an exact inverse (``ClosedFormTail``); constant rates are
 its one-piece case.  Only age-dependent death needs the Volterra solver
 (``solve_F``), whose ``GridTail`` interpolates F between grid nodes by a
 monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
-every tail inverts exactly what its ``value`` evaluates.  ``tail_for`` picks
-the right one for a model.
+every tail inverts exactly what its ``value`` evaluates.  That cubic is
+PCHIP, built here in numpy: its node slopes are the Fritsch–Butland weighted
+harmonic mean of the secant slopes (0 where one is 0), its end slopes the
+one-sided three-point rule, the same floats as scipy's
+``PchipInterpolator``.  ROADMAP item 14 will change only those node slopes.
+``tail_for`` picks the right one for a model.
 
 The death rate is piecewise constant on a time x age grid: on each time
 cell q, a piecewise-constant function h_q of age with exact integral H_q,
@@ -334,9 +338,65 @@ _NEWTON_TOL = 4 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 64
 
 
+def _sign(x: float) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """PCHIP's slope at an end node: the one-sided three-point estimate from
+    the two nearest cells (widths h0, h1, secant slopes m0, m1), set to 0
+    where its sign differs from m0's and to 3 m0 where it overshoots that
+    and the secant slopes differ in sign (Moler 2004, ``pchiptx``)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if _sign(d) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(d) > 3 * abs(m0):
+        return 3 * m0
+    return d
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows c0, c1, c2, c3 of the PCHIP cubic through nondecreasing
+    (x, y): on cell i, y(t) = c0 s^3 + c1 s^2 + c2 s + c3 with s = t - x_i.
+
+    Inside, the node slope is the weighted harmonic mean of the two secant
+    slopes (Fritsch & Butland 1984), with weights 2 h_i + h_{i-1} and
+    h_i + 2 h_{i-1}, and 0 where a secant slope is 0: the mean is then +inf,
+    so its reciprocal is that 0 (the secant slopes of nondecreasing y are
+    >= 0, so they never differ in sign).  The end slopes are
+    ``_end_slope``'s, and two nodes give the line.  The formulas and their
+    order are those of scipy's ``PchipInterpolator`` and
+    ``CubicHermiteSpline``, so the coefficients are the same floats.
+    """
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    d = np.empty(len(y))
+    if len(h) == 1:
+        d[:] = m
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        np.divide(1.0, whmean, out=d[1:-1])
+        (h0, h1), (m0, m1) = h[:2].tolist(), m[:2].tolist()
+        d[0] = _end_slope(h0, h1, m0, m1)
+        (h1, h0), (m1, m0) = h[-2:].tolist(), m[-2:].tolist()
+        d[-1] = _end_slope(h0, h1, m0, m1)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class GridTail(InverseTail):
     """Grid-backed F with shape-preserving (monotone cubic) interpolation.
+
+    Between grid nodes F is the PCHIP cubic (``_pchip``): the Hermite cubic
+    whose node slopes are the Fritsch–Butland weighted harmonic mean of the
+    secant slopes, 0 at a flat cell, with one-sided three-point end slopes.
+    It is the cubic of scipy's ``PchipInterpolator``, evaluated in the same
+    order as its ``PPoly`` (NaN outside [0, T]), with no scipy import.
+    ROADMAP item 14 will change only its node slopes.
 
     ``ts`` and ``values`` may be given as any sequences and are stored as
     read-only float arrays; ``values`` is clamped to F(0) = 1 and made
@@ -349,17 +409,21 @@ class GridTail(InverseTail):
     T: float
 
     def __post_init__(self):
-        # scipy is imported here, not at module level, so that models with
-        # an exact tail never load it.
-        from scipy.interpolate import PchipInterpolator
-
         ts = np.asarray(self.ts, dtype=float)
         if ts.flags.writeable:
             ts = ts.copy()
             ts.flags.writeable = False
         vals = np.array(self.values, dtype=float)
+        if ts.ndim != 1 or len(ts) < 2:
+            raise DomainError("grid must have at least 2 nodes")
         if ts[0] != 0.0 or abs(ts[-1] - self.T) > 1e-12 * max(self.T, 1.0):
             raise DomainError("grid must span [0, T]")
+        if not np.all(ts[1:] > ts[:-1]):
+            raise DomainError("grid must rise strictly")
+        if vals.shape != ts.shape:
+            raise DomainError("values must hold one F per grid node")
+        if not np.all(np.isfinite(vals)):
+            raise SolverError("F must be finite")
         if abs(vals[0] - 1.0) > 1e-12:
             raise SolverError("F(0) must be 1")
         vals[0] = 1.0
@@ -373,18 +437,27 @@ class GridTail(InverseTail):
             )
         np.maximum.accumulate(vals, out=vals)
         vals.flags.writeable = False
-        interp = PchipInterpolator(ts, vals, extrapolate=False)
         # The dataclass is frozen, so the fields are normalized in __dict__.
-        self.__dict__.update(ts=ts, values=vals, _interp=interp, _dinterp=interp.derivative())
+        self.__dict__.update(ts=ts, values=vals, _coef=_pchip(ts, vals))
+
+    def _cell(self, t):
+        """The coefficient columns of the cell holding each t, and s = t - x_i;
+        s is NaN outside [0, T], so the cubic is too, without a warning.  The
+        cells are right-open but the last, which holds T."""
+        x = self.ts
+        i = np.searchsorted(x[1:-1], t, side="right")
+        s = np.where((t >= 0.0) & (t <= x[-1]), t - x[i], np.nan)
+        return self._coef.take(i, axis=1), s
 
     def value(self, t):
-        out = self._interp(np.asarray(t, dtype=float))
-        out = np.asarray(out)
+        (c0, c1, c2, c3), s = self._cell(np.asarray(t, dtype=float))
+        s2 = s * s
+        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
         return out if out.ndim else float(out)
 
     def deriv(self, t):
-        out = self._dinterp(np.asarray(t, dtype=float))
-        out = np.asarray(out)
+        (c0, c1, c2, _), s = self._cell(np.asarray(t, dtype=float))
+        out = c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
         return out if out.ndim else float(out)
 
     def _thinned(self, y: float) -> "GridTail":
@@ -403,7 +476,7 @@ class GridTail(InverseTail):
         few ulps of T after about three steps.
         """
         u = np.asarray(targets, dtype=float)
-        x, c, v = self._interp.x, self._interp.c, self.values
+        x, c, v = self.ts, self._coef, self.values
         i = np.clip(np.searchsorted(v, u, side="left") - 1, 0, len(x) - 2)
         c0, c1, c2, c3 = c[:, i]
         h = x[i + 1] - x[i]
@@ -478,6 +551,16 @@ _MAX_CELL_HAZARD = 700.0
 # Steps per block of ``solve_F``: below about 64 the numpy calls each block
 # makes set the cost, above it the B x B tiles and their solve.
 _BLOCK = 64
+# Where the tiles of a block of b steps are nonzero, and what they read:
+# tile[m, u] = K_q[m - 1 - u] for u < m, else 0.  And [1 | S]: S[j, k] = 1
+# for k < j and 1/2 at k = j, so that S d sums the increments of a block up
+# to its midpoint j; S0 is S less its diagonal.  They depend on _BLOCK
+# alone, and a block of b < _BLOCK steps reads their top left corner.
+_LAG = np.subtract.outer(np.arange(_BLOCK + 1), np.arange(_BLOCK)) - 1
+_TILE_MASK, _TILE_INDEX = _LAG >= 0, np.maximum(_LAG, 0)
+_ONES_SUM = np.hstack(
+    [np.ones((_BLOCK, 1)), np.tril(np.ones((_BLOCK, _BLOCK)), -1) + 0.5 * np.eye(_BLOCK)]
+)
 
 
 def _last_change(rows, B: int) -> list:
@@ -561,8 +644,7 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     Raises ``SolverError`` when a cell's age hazard over [0, T] exceeds
     ``_MAX_CELL_HAZARD``, where e^{-H} and e^{-C} leave the float range.
     """
-    # scipy is imported here, as in GridTail, so that models with an exact
-    # tail never load it.
+    # scipy is imported here, so that models with an exact tail never load it.
     from scipy.linalg.lapack import dtrtrs
 
     T = model.T
@@ -593,10 +675,13 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     h, H = mu.hazard(slice(None), (np.arange(n) + 0.5) * step)
     K_cells = h * np.exp(-H)
     cell_of_mid = mu.time_cell(T - mids)  # nonincreasing in j
-    exp_C = np.exp(-_entry_hazard(model, T - ts))
-    lag = np.subtract.outer(np.arange(B + 1), np.arange(B)) - 1  # m - 1 - u
+    # A line born at b >= 0 enters the first cell at age 0, so C_0 = 0.
+    exp_C = np.ones((n + 1, len(K_cells)))
+    if len(K_cells) > 1:
+        exp_C[:, 1:] = np.exp(-_entry_hazard(model, T - ts)[:, 1:])
+    mask, index = _TILE_MASK[: B + 1, :B], _TILE_INDEX[: B + 1, :B]
     # (first j, last j + 1, K_q, e^{-C_q} per node, tile) for each cell
-    # holding a midpoint; tile[m, u] = K_q[m - 1 - u] for u < m, else 0.
+    # holding a midpoint.
     pieces = []
     newest = np.empty(n)  # g(T - t_{i+1}, T - mid_i) = K_q[0] e^{-C_q(T - t_{i+1})}
     for q, K in enumerate(K_cells):
@@ -604,7 +689,7 @@ def solve_F(model: RateModel, step: float) -> GridTail:
         if js.size:
             lo, hi = int(js[0]), int(js[-1]) + 1
             newest[lo:hi] = K[0] * exp_C[lo + 1 : hi + 1, q]
-            tile = np.where(lag >= 0, K[np.maximum(lag, 0)], 0.0)
+            tile = np.where(mask, K[index], 0.0)
             pieces.append((lo, hi, K, exp_C[:, q], tile))
 
     # One step, with rhs_i = lam_i (F_i - step W_i), the predictor
@@ -617,9 +702,6 @@ def solve_F(model: RateModel, step: float) -> GridTail:
     beta = 0.5 * step * hl * (1.0 + hl * damp)
     gamma = 0.5 * step * hl
 
-    # [1 | S]: S[j, k] = 1 for k < j and 1/2 at k = j, so that S d sums the
-    # increments of a block up to its midpoint j; S0 is S less its diagonal.
-    ones_sum = np.hstack([np.ones((B, 1)), np.tril(np.ones((B, B)), -1) + 0.5 * np.eye(B)])
     coef = np.stack([alpha, beta, gamma])
     # A full block repeats the previous block's rows when no row of it
     # changed from the row B before: for alpha, beta and gamma, and for the
@@ -638,15 +720,18 @@ def solve_F(model: RateModel, step: float) -> GridTail:
             e = min(s + B, n)
             # Rows i = s..e: the memory sum over j < s, and the block's own
             # columns j of each piece.
-            hist = np.zeros(e - s + 1)
+            hist = None
             cols = []
             for k, (lo, hi, K, eC, _) in enumerate(pieces):
                 top = min(hi, s)
                 if top > lo:
-                    hist += eC[s : e + 1] * np.convolve(f_mid[lo:top], K[s - top : e - lo], "valid")
+                    part = eC[s : e + 1] * np.convolve(f_mid[lo:top], K[s - top : e - lo], "valid")
+                    hist = part if hist is None else np.add(hist, part, out=hist)
                 c0, c1 = max(lo, s) - s, min(hi, e) - s
                 if c1 > c0:
                     cols.append((k, c0, c1))
+            if hist is None:  # the first block has no history
+                hist = np.zeros(e - s + 1)
             # A block with the previous block's columns and rows reuses its
             # system; the partial last block's columns never equal a full one's.
             if not (
@@ -654,15 +739,18 @@ def solve_F(model: RateModel, step: float) -> GridTail:
                 and coef_changed[e - 1] < s
                 and all(cell_changed[k][e] < s for k, _, _ in cols)
             ):
-                G, r, A = _block_system(pieces, cols, coef[:, s:e], s, ones_sum)
+                G, r, A = _block_system(pieces, cols, coef[:, s:e], s, _ONES_SUM)
+                # A is C-ordered: LAPACK solves with A.T, upper and transposed.
+                G_own, A_t = G[:-1], A.T
                 layout = cols
-            be, ga = coef[1:, s:e]
-            rhs = F[s] * r - be * hist[:-1] - ga * hist[1:]
-            # A is C-ordered: LAPACK solves with A.T, upper and transposed.
-            F[s + 1 : e + 1] = dtrtrs(A.T, rhs, lower=0, trans=1, unitdiag=1)[0]
-            np.cumsum(F[s : e + 1], out=F[s : e + 1])  # d, summed from F_s
-            f_mid[s:e] = 0.5 * (F[s:e] + F[s + 1 : e + 1])
-            W[s:e] = hist[:-1] + G[:-1] @ f_mid[s:e]
+            rhs = F[s] * r - beta[s:e] * hist[:-1] - gamma[s:e] * hist[1:]
+            F[s + 1 : e + 1] = dtrtrs(A_t, rhs, lower=0, trans=1, unitdiag=1)[0]
+            np.add.accumulate(F[s : e + 1], out=F[s : e + 1])  # d, summed from F_s
+            fm = f_mid[s:e]
+            np.add(F[s:e], F[s + 1 : e + 1], out=fm)
+            fm *= 0.5
+            np.matmul(G_own, fm, out=W[s:e])
+            W[s:e] += hist[:-1]
         pred = F[:-1] + step * (lam * (F[:-1] - step * W))
         move = np.abs(F[1:] - pred) / np.maximum(np.abs(pred), 1.0)
         # A move past the float range (inf, or inf - inf) counts as infinite.
@@ -688,10 +776,12 @@ def tail_for(model: RateModel, step: float = DEFAULT_STEP, solve=None) -> Invers
 
 
 def node_depth_density_f(F: InverseTail, t):
-    """Common node-depth density f = F' / F^2."""
+    """Common node-depth density f = F' / F^2; a t within 1e-12 relative
+    past T counts as T, where every tail is defined."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > F.T * (1 + 1e-12)):
         raise DomainError("t outside [0, T]")
+    t_arr = np.minimum(t_arr, F.T)
     v = np.asarray(F.value(t_arr))
     out = np.asarray(F.deriv(t_arr)) / (v * v)
     return out if out.ndim else float(out)

@@ -1,5 +1,5 @@
 """Importing cppgen, and running its constant and piecewise-rate commands,
-loads no scipy module.
+loads no scipy module; fit and age-dependent models load only what they use.
 
 Each check runs in a fresh interpreter, because pytest's own test modules
 import scipy.
@@ -89,15 +89,23 @@ def test_exact_tail_commands_load_no_scipy(tmp_path, name):
 
 
 def test_fit_and_age_dependent_models_load_scipy_when_used(tmp_path):
+    # fit loads scipy.optimize, and the age-dependent solve scipy.linalg;
+    # GridTail builds its own cubic, so no command loads scipy.interpolate.
     model = _model(tmp_path, "constant")
     ad_model = _model(tmp_path, "age_dependent")
     commands = [
         _simulate(model, "full", "full.nwk"),
         ["fit", "--trees", "full.nwk", "--scheme", "full", "--out", "fit.json"],
         _simulate(ad_model, "full", "ad.nwk"),
+        ["likelihood", "--tree", "ad.nwk", "--model", ad_model, "--scheme", "full",
+         "--out", "lik_ad.json"],
+        ["dump-f", "--model", ad_model, "--step", "1e-2", "--out", "f_ad.csv"],
     ]
     result = _fresh_run(commands, tmp_path)
-    assert result["codes"] == [0, 0, 0]
-    assert {"scipy.optimize", "scipy.linalg", "scipy.interpolate"} <= set(result["scipy"])
+    assert result["codes"] == [0] * 5
+    assert {"scipy.optimize", "scipy.linalg"} <= set(result["scipy"])
+    assert not any(m.startswith("scipy.interpolate") for m in result["scipy"])
     assert json.loads((tmp_path / "fit.json").read_text())["converged"] is True
     assert len((tmp_path / "ad.nwk").read_text().splitlines()) == 50
+    assert json.loads((tmp_path / "lik_ad.json").read_text())["n_trees"] == 50
+    assert len((tmp_path / "f_ad.csv").read_text().splitlines()) > 200

@@ -677,7 +677,7 @@ class TestFactorizedSolver:
 
     def test_fine_step_time_and_memory(self):
         # a coarse solve first, so that the timed one excludes the lazy
-        # scipy.linalg and scipy.interpolate imports
+        # scipy.linalg import
         solve_F(AD_MODEL, 1e-2)
         start = time.perf_counter()
         solve_F(AD_MODEL, 1e-4)
@@ -776,6 +776,107 @@ class TestGridTailInverse:
         )
         targets = targets[targets <= F.value(F.T)]
         assert_allclose(invert_tail(F, targets), _bisect(F, targets), rtol=0, atol=1e-12)
+
+
+# The grid tails whose cubic is checked against scipy's PchipInterpolator:
+# every solver model, the block-reuse models and a flat window; the flat
+# cells give zero node slopes.
+CUBIC_TAILS = (
+    [(f"edge-{name}", model, 1e-3) for name, model in sorted(EDGE_MODELS.items())]
+    + [(f"reuse-{name}", model, model.T / REUSE_N) for name, model in sorted(REUSE_MODELS.items())]
+    + [("flat-window", AD_GAP_MODEL, 1e-2)]
+)
+
+
+def _pchip_oracle(F):
+    """scipy's PCHIP interpolant through F's nodes, as GridTail used to build it."""
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(F.ts, F.values, extrapolate=False)
+
+
+def _assert_cubic_matches_oracle(F, t):
+    oracle = _pchip_oracle(F)
+    assert_allclose(F._coef, oracle.c, rtol=1e-15, atol=0)
+    assert_allclose(F.value(t), oracle(t), rtol=1e-15, atol=0)
+    assert_allclose(F.deriv(t), oracle.derivative()(t), rtol=1e-15, atol=0)
+
+
+class TestGridTailCubic:
+    """GridTail's own monotone cubic against scipy's PCHIP as an oracle."""
+
+    @pytest.mark.parametrize("name, model, step", CUBIC_TAILS, ids=[c[0] for c in CUBIC_TAILS])
+    @pytest.mark.parametrize("y", [1.0, 0.3])
+    def test_matches_scipy_pchip(self, name, model, step, y):
+        F = solve_F(model, step).thinned(y)
+        rng = np.random.default_rng(7)
+        t = np.concatenate([rng.uniform(0.0, model.T, 2000), F.ts, [0.0, model.T]])
+        _assert_cubic_matches_oracle(F, t)
+
+    @pytest.mark.parametrize(
+        "ts, values",
+        [
+            ([0.0, 2.0], [1.0, 3.0]),  # two nodes: the line
+            ([0.0, 1.0, 2.0], [1.0, 1.1, 3.0]),  # first end slope 0, last one-sided
+            ([0.0, 0.5, 2.0], [1.0, 2.5, 2.6]),  # uneven cells
+            ([0.0, 1.0, 2.0], [1.0, 1.0, 2.0]),  # a flat cell
+        ],
+    )
+    def test_few_nodes_match_scipy_pchip(self, ts, values):
+        F = GridTail(ts, values, 2.0)
+        _assert_cubic_matches_oracle(F, np.linspace(0.0, 2.0, 401))
+
+    def test_end_slope_branches(self):
+        # the one-sided estimate at 0 is negative, so PCHIP sets 0; at T it
+        # keeps its sign and stands
+        F = GridTail([0.0, 1.0, 2.0], [1.0, 1.1, 3.0], 2.0)
+        assert F.deriv(0.0) == 0.0
+        assert F.deriv(2.0) == pytest.approx((3 * 1.9 - 0.1) / 2, rel=1e-15)
+        assert_allclose(GridTail([0.0, 2.0], [1.0, 3.0], 2.0).deriv([0.0, 1.0, 2.0]), 1.0, rtol=1e-15)
+
+    def test_scalar_in_float_out(self):
+        F = solve_F(AD_MODEL, 1e-2)
+        for t in (0.0, 0.7, 2.0):
+            for f in (F.value, F.deriv):
+                assert type(f(t)) is float
+                assert f(t) == f(np.array([t]))[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_outside_domain_without_warning(self):
+        F = solve_F(AD_MODEL, 1e-2)
+        outside = np.array([-1e-300, -1.0, np.nextafter(2.0, 3.0), 3.0, np.nan, np.inf, -np.inf])
+        oracle = _pchip_oracle(F)
+        for f, g in ((F.value, oracle), (F.deriv, oracle.derivative())):
+            assert np.all(np.isnan(f(outside)))
+            assert np.all(np.isnan(g(outside)))
+            assert math.isnan(f(-0.5)) and math.isnan(f(np.inf))
+        assert F.value(0.0) == 1.0 and F.value(-0.0) == 1.0
+
+    def test_invalid_grids_rejected(self):
+        with pytest.raises(DomainError, match="at least 2 nodes"):
+            GridTail([0.0], [1.0], 2.0)
+        with pytest.raises(DomainError, match="rise strictly"):
+            GridTail([0.0, 1.5, 1.0, 2.0], [1.0, 1.2, 1.3, 1.4], 2.0)
+        with pytest.raises(DomainError, match="one F per grid node"):
+            GridTail([0.0, 1.0, 2.0], [1.0, 1.2], 2.0)
+        with pytest.raises(SolverError, match="finite"):
+            GridTail([0.0, 1.0, 2.0], [1.0, 1.2, np.inf], 2.0)
+        with pytest.raises(SolverError, match="finite"):
+            GridTail([0.0, 1.0, 2.0], [1.0, np.nan, 1.3], 2.0)
+
+
+class TestDensityAtT:
+    # node_depth_density_f admits t up to T (1 + 1e-12) and takes such t as T
+    @pytest.mark.parametrize(
+        "F", [ClosedFormTail(1.0, 0.5, 2.0), solve_F(AD_MODEL, 1e-3)], ids=["exact", "grid"]
+    )
+    def test_just_past_T_is_the_value_at_T(self, F):
+        at_T = node_depth_density_f(F, 2.0)
+        assert np.isfinite(at_T)
+        assert node_depth_density_f(F, 2.0 + 1e-13) == at_T
+        assert_allclose(node_depth_density_f(F, [1.0, 2.0 + 1e-13])[1], at_T, rtol=0, atol=0)
+        with pytest.raises(DomainError):
+            node_depth_density_f(F, 2.0 * (1 + 1e-11))
 
 
 class TestPiecewiseTail:
