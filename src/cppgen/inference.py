@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, FitError
 from .kernel import DEFAULT_STEP, ClosedFormTail, solve_F, tail_for
-from .ksample import _k_rows, _log_k_mixture, loglik
+from .ksample import _check_heights, _k_points, _log_k_mixture, loglik
 # Not called here; kept importable because perfbench/tracer.py patches them by module.
 from .ksample import bernoulli_loglikelihood, full_loglikelihood, ksample_loglikelihood  # noqa: F401
 from .model import OrientedUltrametricTree, RateModel, SamplingScheme, TreeBatch, _is_number
@@ -43,17 +43,14 @@ def neg_log_likelihood(
 
     Constant-rate evaluation by default (closed-form F); pass ``model`` to
     evaluate a non-constant rate model instead (exact F where death does not
-    depend on age, else a Volterra grid solved by ``solve_F``).  A free
-    Bernoulli ``y`` (``scheme.y is None``) is taken from ``y``.
+    depend on age, else a Volterra grid solved by ``solve_F``).
     """
     if model is None:
         F = ClosedFormTail(lam, mu, T)  # DomainError for negative rates
     else:
         # this module's solve_F, so that patching ``inference.solve_F`` sees the solve
         F = tail_for(model, DEFAULT_STEP, solve=solve_F)
-    if scheme.variant == "bernoulli" and scheme.y is None:
-        if y is None:
-            raise DomainError("Bernoulli scheme needs y (fixed or free)")
+    if scheme.variant == "bernoulli" and scheme.y is None and y is not None:
         scheme = SamplingScheme.bernoulli(y)
     batch = trees if isinstance(trees, TreeBatch) else TreeBatch.from_trees(trees)
     return -float(loglik(batch, F, scheme, oriented).sum())
@@ -143,8 +140,7 @@ def _objective(batch: TreeBatch, lam: float, mu: float, y: float, T: float, k=No
     d = batch.depths
     n, m, x_sum = len(batch), d.size, float(d.sum())
     if k is not None:
-        at = np.column_stack([np.full(n, T), d.reshape(n, k - 1)])  # as ksample._excess
-        v, d_lam, d_mu = F.rate_gradient(at)
+        v, d_lam, d_mu = F.rate_gradient(_k_points(batch, k, T))
         if not math.isfinite(v[0, 0]):  # F(T), in column 0
             return math.inf, np.zeros(3)
         log_mix, (g_lam, g_mu) = _log_k_mixture(v - 1.0, (d_lam, d_mu))
@@ -208,11 +204,10 @@ def fit_mle(
         raise DomainError("need at least one tree")
     bounds, init = _fit_options(bounds, init)
     T = float(batch.heights[0])
-    if np.any(np.abs(batch.heights - T) > 1e-9 * T):
-        raise DomainError("all trees must share the same height T")
+    _check_heights(batch, T)
     k = scheme.k if scheme.variant == "uniform_k" else None
     if k is not None:
-        _k_rows(batch, k)  # the tip counts, once, before the first start
+        _k_points(batch, k, T)  # the tip counts, once, before the first start
     keys = ["lam", "mu"] + (["y"] if scheme.variant == "bernoulli" and scheme.y is None else [])
     unit = np.array([T, T, 1.0])[: len(keys)]
     lower, upper = (np.array([bounds[key][end] for key in keys]) * unit for end in (0, 1))

@@ -16,7 +16,7 @@ monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
 every tail inverts exactly what its ``value`` evaluates.  That cubic is
 PCHIP, built here in numpy: its node slopes are the Fritsch–Butland weighted
 harmonic mean of the secant slopes (0 where one is 0), its end slopes the
-one-sided three-point rule, the same floats as scipy's
+one-sided three-point rule (0 where not positive), the same floats as scipy's
 ``PchipInterpolator``.  ROADMAP item 14 will change only those node slopes.
 ``tail_for`` picks the right one for a model.
 
@@ -338,21 +338,13 @@ _NEWTON_TOL = 4 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 64
 
 
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     """PCHIP's slope at an end node: the one-sided three-point estimate from
-    the two nearest cells (widths h0, h1, secant slopes m0, m1), set to 0
-    where its sign differs from m0's and to 3 m0 where it overshoots that
-    and the secant slopes differ in sign (Moler 2004, ``pchiptx``)."""
+    the two nearest cells (widths h0, h1, secant slopes m0, m1 >= 0), or 0
+    where it is not positive.  It is then at most 2 m0, so PCHIP's 3 m0 clamp
+    (Moler 2004, ``pchiptx``) never acts on nondecreasing data."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if _sign(d) != _sign(m0):
-        return 0.0
-    if _sign(m0) != _sign(m1) and abs(d) > 3 * abs(m0):
-        return 3 * m0
-    return d
+    return d if d > 0 else 0.0
 
 
 def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -363,10 +355,11 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     slopes (Fritsch & Butland 1984), with weights 2 h_i + h_{i-1} and
     h_i + 2 h_{i-1}, and 0 where a secant slope is 0: the mean is then +inf,
     so its reciprocal is that 0 (the secant slopes of nondecreasing y are
-    >= 0, so they never differ in sign).  The end slopes are
-    ``_end_slope``'s, and two nodes give the line.  The formulas and their
-    order are those of scipy's ``PchipInterpolator`` and
-    ``CubicHermiteSpline``, so the coefficients are the same floats.
+    >= 0, so they never differ in sign).  The end slopes are the one-sided
+    three-point estimates, 0 where not positive (``_end_slope``), and two
+    nodes give the line.  The formulas and their order are those of scipy's
+    ``PchipInterpolator`` and ``CubicHermiteSpline``, so the coefficients are
+    the same floats.
     """
     h = x[1:] - x[:-1]
     m = (y[1:] - y[:-1]) / h
@@ -443,10 +436,10 @@ class GridTail(InverseTail):
     def _cell(self, t):
         """The coefficient columns of the cell holding each t, and s = t - x_i;
         s is NaN outside [0, T], so the cubic is too, without a warning.  The
-        cells are right-open but the last, which holds T."""
+        cells are right-open but the last, which holds T (past its node)."""
         x = self.ts
         i = np.searchsorted(x[1:-1], t, side="right")
-        s = np.where((t >= 0.0) & (t <= x[-1]), t - x[i], np.nan)
+        s = np.where((t >= 0.0) & (t <= self.T), t - x[i], np.nan)
         return self._coef.take(i, axis=1), s
 
     def value(self, t):

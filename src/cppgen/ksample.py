@@ -194,14 +194,21 @@ def _log_deriv(F: InverseTail, d) -> np.ndarray:
         return np.log(F.deriv(d))
 
 
-def _k_rows(batch: TreeBatch, k: int) -> np.ndarray:
-    """The depths of ``batch``, one row of k - 1 per tree, after checking
-    that every tree has k tips."""
+def _check_heights(batch: TreeBatch, T: float) -> None:
+    """Check that every tree of ``batch`` has height T, to within 1e-9 max(T, 1)."""
+    if len(batch) and np.abs(batch.heights - T).max() > 1e-9 * max(T, 1.0):
+        raise DomainError("tree height does not match the tail horizon T")
+
+
+def _k_points(batch: TreeBatch, k: int, T: float) -> np.ndarray:
+    """The points where the k-sample likelihood reads F, one row
+    [T, x_1, ..., x_{k-1}] per tree, after checking that every tree has k tips."""
     n_tips = batch.n_tips
     wrong = np.flatnonzero(n_tips != k)
     if wrong.size:
         raise DomainError(f"tree has {n_tips[wrong[0]]} tips, expected k={k}")
-    return batch.depths.reshape(len(batch), k - 1)
+    n = len(batch)
+    return np.column_stack([np.full(n, T), batch.depths.reshape(n, k - 1)])
 
 
 def loglik(
@@ -228,22 +235,24 @@ def loglik(
     geometrically in the step however large F(T) is (Trefethen & Weideman
     2014).  A tree with k = 1 tip is certain, whatever F(T).
 
-    Every scheme raises :class:`TailOverflowError` when F(T) is not finite
-    (:func:`~cppgen.kernel.tail_at_T`), and k > 1 samples
-    :class:`DegenerateMixtureError` when F(T) = 1.  ``oriented=False`` adds
-    the shape multiplicity ``log 2^(n-1-cherries)`` of each tree.
+    A tree whose height is not T (:func:`_check_heights`), a k-sample tree
+    without k tips (:func:`_k_points`) or a free Bernoulli y raises
+    :class:`DomainError`.  Every scheme raises :class:`TailOverflowError`
+    when F(T) is not finite (:func:`~cppgen.kernel.tail_at_T`), and k > 1
+    samples :class:`DegenerateMixtureError` when F(T) = 1.  ``oriented=False``
+    adds the shape multiplicity ``log 2^(n-1-cherries)`` of each tree.
     """
     T = F.T
-    if len(batch) and np.abs(batch.heights - T).max() > 1e-9 * max(T, 1.0):
-        raise DomainError("tree height does not match the tail horizon T")
+    _check_heights(batch, T)
     d = batch.depths
     if d.size and (d.min() <= 0.0 or d.max() >= T):
         raise DomainError("node depths must lie strictly in (0, T)")
     if scheme.variant == "uniform_k":
-        k, rows = scheme.k, _k_rows(batch, scheme.k)
+        k, points = scheme.k, _k_points(batch, scheme.k, T)
         out = np.zeros(len(batch))
         if k > 1:
-            out = _log_k_mixture(_excess(rows, F, k))[0] + _log_deriv(F, rows).sum(axis=1)
+            out = _log_k_mixture(_excess(points, F, k))[0]
+            out += _log_deriv(F, points[:, 1:]).sum(axis=1)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:
@@ -371,19 +380,21 @@ def _log_k_mixture(G: np.ndarray, dG: Sequence[np.ndarray] = ()):
     return out, grads
 
 
-def _excess(d: np.ndarray, F: InverseTail, k: int) -> np.ndarray:
-    """G = F - 1 at T and at the k-1 depths of each row of ``d``, row by row,
-    after :func:`_k_tail_at_T`."""
+def _excess(points: np.ndarray, F: InverseTail, k: int) -> np.ndarray:
+    """G = F - 1 at the k-sample ``points`` (:func:`_k_points`), after
+    :func:`_k_tail_at_T`."""
     _k_tail_at_T(F, k)
-    return np.asarray(F.value(np.column_stack([np.full(len(d), F.T), d]))) - 1.0
+    return np.asarray(F.value(points)) - 1.0
 
 
 def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:
-    """Nodes the k-sample trapezoid evaluates on ``batch``, summed over trees."""
+    """Nodes the k-sample trapezoid evaluates on ``batch``, summed over trees,
+    after the height and tip-count checks of :func:`loglik`."""
+    _check_heights(batch, F.T)
+    points = _k_points(batch, k, F.T)
     if k == 1:
         return 0
-    G = _excess(batch.depths.reshape(len(batch), k - 1), F, k)
-    return int(_trapezoid_windows(G)[1].sum())
+    return int(_trapezoid_windows(_excess(points, F, k))[1].sum())
 
 
 def ksample_loglikelihood(
@@ -496,12 +507,11 @@ def likelihood_with_missing(
     :func:`_log_series_coef` in O(k m).  Summed over m it gives
     P(N >= k) = a^{k-1} times the k-sample likelihood.
     """
-    if tree.n_tips != k:
-        raise DomainError(f"tree has {tree.n_tips} tips, expected k={k}")
+    x = _k_points(TreeBatch.from_trees([tree]), k, F.T)[0, 1:]
     if m < 0:
         raise DomainError("m must be >= 0")
     log_l = full_loglikelihood(tree, F, oriented)
-    p0, pi = _depth_probs(k, tree.depths, F)
+    p0, pi = _depth_probs(k, x, F)
     log_c = _log_series_coef(np.repeat(np.append(pi, p0), 2), m)
     return math.exp(log_l + log_c - math.log(math.comb(m + k, k)))
 

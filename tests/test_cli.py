@@ -868,6 +868,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: tree has 4 tips, expected k=3")
 
+    def test_ksample_likelihood_of_other_trees_fails_as_fit(self, capsys, model_path, trees_path):
+        code, out, err = _run(
+            capsys, "likelihood", "--tree", trees_path, "--model", model_path, "--scheme", "k:3"
+        )
+        assert code == 2 and out == ""
+        assert (code, out, err) == _run(capsys, "fit", "--trees", trees_path, "--scheme", "k:3")
+
     def test_malformed_bounds_json(self, capsys, tmp_path, trees_path):
         path = tmp_path / "bounds.json"
         path.write_text('{"lam": [0.1, ')

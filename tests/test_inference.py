@@ -22,7 +22,9 @@ from cppgen.ksample import (
     definetti_sample_many,
     full_loglikelihood,
     ksample_loglikelihood,
+    likelihood_with_missing,
     loglik,
+    trapezoid_nodes,
 )
 from cppgen.model import (
     AgeDependentRate, OrientedUltrametricTree, PiecewiseConstant, RateModel, SamplingScheme,
@@ -490,3 +492,44 @@ class TestConvergedIsTheWinners:
         res = fit_mle(trees, scheme, init=init)
         assert res.lam == pytest.approx(init["lam"]) and res.mu == pytest.approx(init["mu"])
         assert res.converged is winner_converges
+
+
+class TestInputRules:
+    """The likelihood, its node count, the joint law and the fitter check
+    their input by the same rules, with the same messages."""
+
+    def test_same_tip_count_message(self):
+        tree = OrientedUltrametricTree(2.0, (0.3, 0.6, 0.2))  # 4 tips
+        batch, scheme = TreeBatch.from_trees([tree]), SamplingScheme.uniform_k(3)
+        calls = [
+            lambda: loglik(batch, F_STD, scheme),
+            lambda: trapezoid_nodes(batch, F_STD, 3),
+            lambda: fit_mle(batch, scheme),
+            lambda: likelihood_with_missing(tree, F_STD, 3, 0),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "tree has 4 tips, expected k=3"
+
+    @pytest.mark.parametrize(
+        "T, spread, accepted", [(0.01, 5e-11, True), (2.0, 3e-9, False)], ids=["small-T", "T-2"]
+    )
+    def test_one_height_tolerance(self, T, spread, accepted):
+        # 1e-9 max(T, 1): 5e-11 is within it at T = 0.01, 3e-9 is not at T = 2
+        batch = TreeBatch([T, T + spread], [0, 1, 2], [0.4 * T, 0.6 * T])
+        calls = [
+            lambda: neg_log_likelihood(batch, 1.0, 0.5, SamplingScheme.full(), T),
+            lambda: fit_mle(batch, SamplingScheme.full()).loglik,
+            lambda: trapezoid_nodes(batch, ClosedFormTail(1.0, 0.5, T), 2),
+        ]
+        for call in calls:
+            if accepted:
+                assert math.isfinite(call())
+            else:
+                with pytest.raises(DomainError, match="does not match the tail horizon T"):
+                    call()
+
+    def test_free_y_needs_a_value(self):
+        with pytest.raises(DomainError, match="needs y"):
+            neg_log_likelihood(_trees(3, 1), 1.0, 0.5, SamplingScheme.bernoulli(None), 2.0)

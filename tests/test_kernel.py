@@ -27,6 +27,7 @@ from cppgen.kernel import (
     solve_F,
     step_grid,
     survival_a,
+    tail_at_T,
     tail_for,
 )
 from cppgen.ksample import definetti_sample_many, joint_df, loglik
@@ -833,6 +834,15 @@ class TestGridTailCubic:
         assert F.deriv(0.0) == 0.0
         assert F.deriv(2.0) == pytest.approx((3 * 1.9 - 0.1) / 2, rel=1e-15)
         assert_allclose(GridTail([0.0, 2.0], [1.0, 3.0], 2.0).deriv([0.0, 1.0, 2.0]), 1.0, rtol=1e-15)
+
+    def test_last_node_just_below_T(self):
+        # the constructor admits a last node 1e-12 relative below T: the last
+        # cell still holds T, so F(T) is its cubic there, not NaN
+        F = GridTail([0.0, 1.0, 2.0 - 1e-13], [1.0, 1.5, 2.0], 2.0)
+        assert F.value(2.0) == pytest.approx(2.0, rel=1e-12)
+        assert F.deriv(2.0) == pytest.approx(0.5, rel=1e-12)
+        assert tail_at_T(F) == F.value(2.0)
+        assert math.isnan(F.value(np.nextafter(2.0, 3.0)))
 
     def test_scalar_in_float_out(self):
         F = solve_F(AD_MODEL, 1e-2)

@@ -349,7 +349,22 @@ class TestKSampleLikelihood:
         nodes = trapezoid_nodes(trees, F, 4)
         assert 50 * len(trees) < nodes < 300 * len(trees)
         assert nodes == sum(trapezoid_nodes(TreeBatch.from_trees([t]), F, 4) for t in trees)
-        assert trapezoid_nodes(trees, F, 1) == 0
+        assert trapezoid_nodes(TreeBatch([30.0, 30.0], [0, 0, 0], []), F, 1) == 0
+        with pytest.raises(DomainError, match="tree has 4 tips, expected k=1"):
+            trapezoid_nodes(trees, F, 1)
+
+    @pytest.mark.parametrize(
+        "offsets, depths",
+        [
+            ([0, 2, 6], [0.5, 0.7, 0.2, 0.9, 1.1, 1.3]),  # 3 and 5 tips: 6 depths, 2 rows of 3
+            ([0, 2, 5], [0.5, 0.7, 0.2, 0.9, 1.1]),  # 3 and 4 tips: 5 depths, no rows of 3
+        ],
+        ids=["divisible", "not-divisible"],
+    )
+    def test_node_count_checks_tip_counts(self, offsets, depths):
+        batch = TreeBatch([2.0, 2.0], offsets, depths)
+        with pytest.raises(DomainError, match="tree has 3 tips, expected k=4"):
+            trapezoid_nodes(batch, F_STD, 4)
 
 
 def _ragged_trees(draw, tips):
