@@ -46,7 +46,7 @@ def neg_log_likelihood(
     depend on age, else a Volterra grid solved by ``solve_F``).
     """
     if model is None:
-        F = ClosedFormTail(lam, mu, T)  # DomainError for negative rates
+        F = ClosedFormTail(lam, mu, T)  # DomainError for negative or non-finite rates
     else:
         # this module's solve_F, so that patching ``inference.solve_F`` sees the solve
         F = tail_for(model, DEFAULT_STEP, solve=solve_F)

@@ -13,12 +13,14 @@ exponentials with an exact inverse (``ClosedFormTail``); constant rates are
 its one-piece case.  Only age-dependent death needs the Volterra solver
 (``solve_F``), whose ``GridTail`` interpolates F between grid nodes by a
 monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
-every tail inverts exactly what its ``value`` evaluates.  That cubic is
+every tail inverts exactly what its ``evaluate`` gives: F and F' from one
+lookup per point, with ``value`` and ``deriv`` as its halves.  That cubic is
 PCHIP, built here in numpy: its node slopes are the Fritsch–Butland weighted
 harmonic mean of the secant slopes (0 where one is 0), its end slopes the
 one-sided three-point rule (0 where not positive), the same floats as scipy's
-``PchipInterpolator``.  ROADMAP item 14 will change only those node slopes.
-``tail_for`` picks the right one for a model.
+``PchipInterpolator``.  ROADMAP item 14 will change only those node slopes,
+in ``GridTail.evaluate``, the one place that reads them.  ``tail_for`` picks
+the right one for a model.
 
 The death rate is piecewise constant on a time x age grid: on each time
 cell q, a piecewise-constant function h_q of age with exact integral H_q,
@@ -103,8 +105,8 @@ def _is_critical(lam, mu):
 
 def closed_form_F(lam: float, mu: float, t):
     """Constant-rate inverse tail: 1 + (lam/r)(e^{rt} - 1), or 1 + lam t at r=0."""
-    if lam < 0 or mu < 0:
-        raise DomainError("rates must be >= 0")
+    if not (0 <= lam < np.inf and 0 <= mu < np.inf):
+        raise DomainError("rate values must be finite and >= 0")
     t = np.asarray(t, dtype=float)
     r = lam - mu
     if _is_critical(lam, mu):
@@ -123,17 +125,16 @@ def closed_form_F(lam: float, mu: float, t):
 class InverseTail:
     """Common interface: a nondecreasing F on [0, T] with F(0) = 1.
 
-    ``inverse(targets)`` is exact: the smallest t with F(t) = target,
+    ``evaluate(t)`` gives (F(t), F'(t)) from one lookup of the piece or
+    cell of each t (floats for a scalar t); ``value`` and ``deriv`` are its
+    halves.  ``inverse(targets)`` is exact: the smallest t with F(t) = target,
     clipped to [0, T].  ``thinned(y)`` is the tail of the Bernoulli-sampled
     CPP, F_y = 1 - y + y F, in the same representation.
     """
 
     T: float
 
-    def value(self, t):
-        raise NotImplementedError
-
-    def deriv(self, t):
+    def evaluate(self, t):
         raise NotImplementedError
 
     def inverse(self, targets):
@@ -190,8 +191,8 @@ class ClosedFormTail(InverseTail):
     piece holding each point by one ``searchsorted`` over the knots, so its
     cost grows with the log of the piece count.  Thinning composes
     multiplicatively in y.  Where F or F' leaves the float range it is +inf,
-    and neither construction nor ``value`` or ``deriv`` warns; callers check
-    that F(T) is finite by :func:`tail_at_T`.
+    and neither construction nor ``evaluate`` warns; callers check that F(T)
+    is finite by :func:`tail_at_T`.
     """
 
     lam: tuple
@@ -203,23 +204,23 @@ class ClosedFormTail(InverseTail):
     def __post_init__(self):
         if not (0.0 < self.y <= 1.0):
             raise DomainError("y must lie in (0, 1]")
-        if not (self.T > 0):
-            raise DomainError("T must be > 0")
+        if not (0 < self.T < np.inf):
+            raise DomainError("T must be finite and > 0")
         lam, mu, breaks = _per_piece(self.lam), _per_piece(self.mu), _per_piece(self.breaks)
         n = len(breaks)
         if not (n and len(lam) == len(mu) == n):
             raise DomainError("breaks, lam and mu must have equal, positive length")
-        if breaks[0] != 0.0 or breaks[-1] >= self.T or any(map(operator.ge, breaks, breaks[1:])):
+        if breaks[0] != 0.0 or not all(map(operator.lt, breaks, breaks[1:] + (self.T,))):
             raise DomainError("breaks must rise strictly from 0 inside [0, T)")
-        if min(lam + mu) < 0:
-            raise DomainError("rates must be >= 0")
+        if not all(0 <= v < np.inf for v in lam + mu):
+            raise DomainError("rate values must be finite and >= 0")
         # One column per piece constant, indexed by the piece j of each point:
         # plain numbers for one piece (j = 0), arrays for more (j is an array).
         if n == 1:  # constant rates: F - 1 = lam (e^{rt} - 1) / r from t = 0
             (l,), (m,) = lam, mu
             columns = ((0.0,), (self.T,), lam, (l - m,), (_is_critical(l, m),), (0.0,), lam, (0.0,))
         else:
-            # F may leave the float range past a knot; value(T) is then not finite.
+            # F may leave the float range past a knot; F(T) is then not finite.
             with np.errstate(over="ignore"):
                 columns = tuple(map(np.array, zip(*_pieces(self.T, breaks, lam, mu))))
         # The dataclass is frozen, so the fields are normalized in __dict__.
@@ -246,29 +247,27 @@ class ClosedFormTail(InverseTail):
         j = np.clip(np.searchsorted(knot, t, side="right") - 1, 0, n - 1)
         return j, t - knot[j]
 
-    def value(self, t):
-        """F_y = 1 + y (G_j + F'(tau_j) (e^{r_j dt} - 1) / r_j) on the piece
-        holding t, with G_j = F(tau_j) - 1; +inf past the float range."""
-        t = np.asarray(t, dtype=float)
-        j, dt = self._piece(t)
-        _, _, _, r, critical, _, slope, G = self._columns
+    def evaluate(self, t):
+        """(F_y, F'_y) on the piece j holding t, with dt = t - tau_j:
+        F_y = 1 + y (G_j + F'(tau_j) (e^{r_j dt} - 1) / r_j), where
+        G_j = F(tau_j) - 1, and F'_y = y lambda_j e^{R_j + r_j dt}; +inf past
+        the float range."""
+        j, dt = self._piece(np.asarray(t, dtype=float))
+        _, _, lam, r, critical, R, slope, G = self._columns
         with np.errstate(over="ignore", invalid="ignore"):
             grown = slope[j] * _growth(r[j], dt, critical[j])
+            dF = self.y * lam[j] * np.exp(R[j] + r[j] * dt)
         if len(self.breaks) > 1:
             # A point on a knot grows by 0, also where F' overflowed there (inf * 0).
             grown = np.where(dt == 0.0, 0.0, grown)
-        out = 1.0 + self.y * (G[j] + grown)
-        return out if out.ndim else float(out)
+        F = 1.0 + self.y * (G[j] + grown)
+        return (F, dF) if F.ndim else (float(F), float(dF))
+
+    def value(self, t):
+        return self.evaluate(t)[0]
 
     def deriv(self, t):
-        """F' = y lambda_j e^{R_j + r_j (t - tau_j)} on the piece holding t;
-        +inf past the float range."""
-        t = np.asarray(t, dtype=float)
-        j, dt = self._piece(t)
-        _, _, lam, r, _, R, _, _ = self._columns
-        with np.errstate(over="ignore"):
-            out = self.y * lam[j] * np.exp(R[j] + r[j] * dt)
-        return out if out.ndim else float(out)
+        return self.evaluate(t)[1]
 
     def rate_gradient(self, t):
         """(F, dF/dlam, dF/dmu) at t for constant rates (one piece), from one
@@ -442,22 +441,25 @@ class GridTail(InverseTail):
         s = np.where((t >= 0.0) & (t <= self.T), t - x[i], np.nan)
         return self._coef.take(i, axis=1), s
 
-    def value(self, t):
+    def evaluate(self, t):
+        """(F, F') from the cubic of the cell holding each t and its derivative."""
         (c0, c1, c2, c3), s = self._cell(np.asarray(t, dtype=float))
         s2 = s * s
-        out = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-        return out if out.ndim else float(out)
+        F = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        dF = c2 + 2.0 * c1 * s + 3.0 * c0 * s2
+        return (F, dF) if F.ndim else (float(F), float(dF))
+
+    def value(self, t):
+        return self.evaluate(t)[0]
 
     def deriv(self, t):
-        (c0, c1, c2, _), s = self._cell(np.asarray(t, dtype=float))
-        out = c2 + 2.0 * c1 * s + 3.0 * c0 * (s * s)
-        return out if out.ndim else float(out)
+        return self.evaluate(t)[1]
 
     def _thinned(self, y: float) -> "GridTail":
         return GridTail(self.ts, 1.0 - y + y * self.values, self.T)
 
     def inverse(self, targets):
-        """Exact inverse of the interpolant ``value`` evaluates; clipped to [0, T].
+        """Exact inverse of the interpolant ``evaluate`` reads; clipped to [0, T].
 
         A target u in (F(t_i), F(t_{i+1})] lies in grid cell i, found by
         ``searchsorted`` on the node values, so a target on a flat stretch
@@ -769,15 +771,16 @@ def tail_for(model: RateModel, step: float = DEFAULT_STEP, solve=None) -> Invers
 
 
 def node_depth_density_f(F: InverseTail, t):
-    """Common node-depth density f = F' / F^2; a t within 1e-12 relative
-    past T counts as T, where every tail is defined."""
+    """Common node-depth density f = F' / F^2, taken as (F' / F) / F so that
+    F^2 never leaves the float range; a t within 1e-12 relative past T counts
+    as T, where every tail is defined.  Raises :class:`TailOverflowError`
+    where F(T) is not finite (:func:`tail_at_T`)."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or np.any(t_arr > F.T * (1 + 1e-12)):
         raise DomainError("t outside [0, T]")
-    t_arr = np.minimum(t_arr, F.T)
-    v = np.asarray(F.value(t_arr))
-    out = np.asarray(F.deriv(t_arr)) / (v * v)
-    return out if out.ndim else float(out)
+    tail_at_T(F)
+    v, dv = F.evaluate(np.minimum(t_arr, F.T))
+    return dv / v / v
 
 
 def tail_at_T(F: InverseTail) -> float:

@@ -187,13 +187,6 @@ def definetti_sample_many(
 # ---------------------------------------------------------------------------
 
 
-def _log_deriv(F: InverseTail, d) -> np.ndarray:
-    """log F' at the depths ``d``: -inf, without a warning, where F' = 0 (a
-    piece with lambda = 0), so that a tree with such a depth has likelihood 0."""
-    with np.errstate(divide="ignore"):
-        return np.log(F.deriv(d))
-
-
 def _check_heights(batch: TreeBatch, T: float) -> None:
     """Check that every tree of ``batch`` has height T, to within 1e-9 max(T, 1)."""
     if len(batch) and np.abs(batch.heights - T).max() > 1e-9 * max(T, 1.0):
@@ -221,8 +214,9 @@ def loglik(
 
     Full and Bernoulli trees: ``sum(log F' - 2 log F) - log F(T)`` over the
     tree's depths, with the thinned tail ``F_y`` under Bernoulli sampling;
-    all depths are evaluated in one pass and summed per tree, and a tree
-    with a depth where F' = 0 (lambda = 0 there) gets -inf.
+    F and F' at all depths come from one ``evaluate`` and are summed per
+    tree, and a tree with a depth where F' = 0 (lambda = 0 there) gets
+    -inf, without a warning.
 
     Uniform k-samples: summed over the number of unsampled tips,
     :func:`likelihood_with_missing` gives the k-sample likelihood as one
@@ -230,7 +224,8 @@ def loglik(
 
         k a^{1-k} F(T) prod_i F'(x_i) int_0^1 w^{k-1} prod_{i=0}^{k-1} (1 + G_i w)^-2 dw,
 
-    with G_0 = F(T) - 1 and G_i = F(x_i) - 1 at the tree's k-1 depths: a
+    with G_0 = F(T) - 1 and G_i = F(x_i) - 1 at the tree's k-1 depths, all
+    from one ``evaluate`` on the points of :func:`_k_points`: a
     fixed trapezoid sum in logit w (``_log_k_mixture``), whose error falls
     geometrically in the step however large F(T) is (Trefethen & Weideman
     2014).  A tree with k = 1 tip is certain, whatever F(T).
@@ -251,15 +246,20 @@ def loglik(
         k, points = scheme.k, _k_points(batch, scheme.k, T)
         out = np.zeros(len(batch))
         if k > 1:
-            out = _log_k_mixture(_excess(points, F, k))[0]
-            out += _log_deriv(F, points[:, 1:]).sum(axis=1)
+            _k_tail_at_T(F, k)
+            v, dv = F.evaluate(points)
+            out = _log_k_mixture(v - 1.0)[0]
+            with np.errstate(divide="ignore"):  # log 0 = -inf where F' = 0
+                out += np.log(dv[:, 1:]).sum(axis=1)
     else:
         if scheme.variant == "bernoulli":
             if scheme.y is None:
                 raise DomainError("Bernoulli scheme needs y (fixed or free)")
             F = F.thinned(scheme.y)
         FT = tail_at_T(F)
-        logf = _log_deriv(F, d) - 2.0 * np.log(F.value(d))
+        v, dv = F.evaluate(d)
+        with np.errstate(divide="ignore"):  # log 0 = -inf where F' = 0
+            logf = np.log(dv) - 2.0 * np.log(v)
         out = batch.tree_sums(logf) - math.log(FT)
     if not oriented:
         out = out + (batch.n_tips - 1 - batch.cherries) * math.log(2.0)
@@ -380,13 +380,6 @@ def _log_k_mixture(G: np.ndarray, dG: Sequence[np.ndarray] = ()):
     return out, grads
 
 
-def _excess(points: np.ndarray, F: InverseTail, k: int) -> np.ndarray:
-    """G = F - 1 at the k-sample ``points`` (:func:`_k_points`), after
-    :func:`_k_tail_at_T`."""
-    _k_tail_at_T(F, k)
-    return np.asarray(F.value(points)) - 1.0
-
-
 def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:
     """Nodes the k-sample trapezoid evaluates on ``batch``, summed over trees,
     after the height and tip-count checks of :func:`loglik`."""
@@ -394,7 +387,8 @@ def trapezoid_nodes(batch: TreeBatch, F: InverseTail, k: int) -> int:
     points = _k_points(batch, k, F.T)
     if k == 1:
         return 0
-    return int(_trapezoid_windows(_excess(points, F, k))[1].sum())
+    _k_tail_at_T(F, k)
+    return int(_trapezoid_windows(F.value(points) - 1.0)[1].sum())
 
 
 def ksample_loglikelihood(

@@ -99,6 +99,14 @@ class TestNegLogLikelihood:
         with pytest.raises(DomainError):
             neg_log_likelihood([], -1.0, 0.5, SamplingScheme.full(), 2.0)
 
+    @pytest.mark.parametrize("lam, mu", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan)])
+    def test_non_finite_rates_rejected(self, lam, mu):
+        # the rate rule's DomainError, not a TailOverflowError at F(T)
+        batch = TreeBatch.from_trees(_trees(5, 6))
+        with pytest.raises(DomainError, match="rate values must be finite and >= 0") as err:
+            neg_log_likelihood(batch, lam, mu, SamplingScheme.full(), 2.0)
+        assert type(err.value) is DomainError
+
 
 class TestFitMle:
     def test_recovers_full_scheme_rates(self):

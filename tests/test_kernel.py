@@ -799,8 +799,11 @@ def _pchip_oracle(F):
 def _assert_cubic_matches_oracle(F, t):
     oracle = _pchip_oracle(F)
     assert_allclose(F._coef, oracle.c, rtol=1e-15, atol=0)
-    assert_allclose(F.value(t), oracle(t), rtol=1e-15, atol=0)
-    assert_allclose(F.deriv(t), oracle.derivative()(t), rtol=1e-15, atol=0)
+    value, deriv = F.evaluate(t)
+    for got in (F.value(t), value):
+        assert_allclose(got, oracle(t), rtol=1e-15, atol=0)
+    for got in (F.deriv(t), deriv):
+        assert_allclose(got, oracle.derivative()(t), rtol=1e-15, atol=0)
 
 
 class TestGridTailCubic:
@@ -846,8 +849,9 @@ class TestGridTailCubic:
 
     def test_scalar_in_float_out(self):
         F = solve_F(AD_MODEL, 1e-2)
+        halves = (lambda t: F.evaluate(t)[0], lambda t: F.evaluate(t)[1])
         for t in (0.0, 0.7, 2.0):
-            for f in (F.value, F.deriv):
+            for f in (F.value, F.deriv) + halves:
                 assert type(f(t)) is float
                 assert f(t) == f(np.array([t]))[0]
 
@@ -856,7 +860,8 @@ class TestGridTailCubic:
         F = solve_F(AD_MODEL, 1e-2)
         outside = np.array([-1e-300, -1.0, np.nextafter(2.0, 3.0), 3.0, np.nan, np.inf, -np.inf])
         oracle = _pchip_oracle(F)
-        for f, g in ((F.value, oracle), (F.deriv, oracle.derivative())):
+        halves = (lambda t: F.evaluate(t)[0], lambda t: F.evaluate(t)[1])
+        for f, g in zip((F.value, F.deriv) + halves, (oracle, oracle.derivative()) * 2):
             assert np.all(np.isnan(f(outside)))
             assert np.all(np.isnan(g(outside)))
             assert math.isnan(f(-0.5)) and math.isnan(f(np.inf))
@@ -876,6 +881,18 @@ class TestGridTailCubic:
 
 
 class TestDensityAtT:
+    @pytest.mark.filterwarnings("error")
+    def test_F_squared_past_the_float_range(self):
+        # lam = 400, mu = 0.2, T = 1.7: F(T) = 1.49e295 is finite, but F^2
+        # is not from t ~ 0.89 on; f = (F'/F)/F stays in range.  The
+        # references are 40-digit values of lam e^{rt} / F(t)^2.
+        f = node_depth_density_f(ClosedFormTail(400.0, 0.2, 1.7), [0.5, 1.0, 1.7])
+        expect = [6.1116525405636545996e-85, 9.3474192765662905817e-172, 2.6855795293506806123e-293]
+        assert_allclose(f, expect, rtol=1e-12, atol=0)
+        # at T = 2, F(T) itself is past the float range: the one typed error
+        with pytest.raises(TailOverflowError, match="F\\(T\\) is not finite"):
+            node_depth_density_f(ClosedFormTail(400.0, 0.2, 2.0), 1.0)
+
     # node_depth_density_f admits t up to T (1 + 1e-12) and takes such t as T
     @pytest.mark.parametrize(
         "F", [ClosedFormTail(1.0, 0.5, 2.0), solve_F(AD_MODEL, 1e-3)], ids=["exact", "grid"]
@@ -887,6 +904,10 @@ class TestDensityAtT:
         assert_allclose(node_depth_density_f(F, [1.0, 2.0 + 1e-13])[1], at_T, rtol=0, atol=0)
         with pytest.raises(DomainError):
             node_depth_density_f(F, 2.0 * (1 + 1e-11))
+
+
+# RateModel's rule for rate values, which the exact tail also applies
+_RATE_RULE = "rate values must be finite and >= 0"
 
 
 class TestPiecewiseTail:
@@ -911,8 +932,12 @@ class TestPiecewiseTail:
             for y in (1.0, 0.3):
                 Fy = F.thinned(y)
                 expect = 1.0 - y + y * closed_form_F(lam, mu, t)
-                assert_allclose(Fy.value(t), expect, rtol=1e-15, atol=0)
-                assert_allclose(Fy.deriv(t), y * lam * np.exp((lam - mu) * t), rtol=1e-15, atol=0)
+                expect_deriv = y * lam * np.exp((lam - mu) * t)
+                value, deriv = Fy.evaluate(t)
+                for got in (Fy.value(t), value):
+                    assert_allclose(got, expect, rtol=1e-15, atol=0)
+                for got in (Fy.deriv(t), deriv):
+                    assert_allclose(got, expect_deriv, rtol=1e-15, atol=0)
 
     def test_deriv_matches_central_difference(self):
         F = ClosedFormTail.from_model(TV_MODEL).thinned(0.6)
@@ -946,20 +971,34 @@ class TestPiecewiseTail:
             ClosedFormTail.from_model(TV_MODEL).rate_gradient(1.0)
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            dict(lam=(1.0, 2.0), mu=0.5, T=2.0, breaks=(0.0, 1.0)),
-            dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.5, 1.0)),
-            dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.0, 2.0)),
-            dict(lam=(1.0, 2.0), mu=(0.5, -0.5), T=2.0, breaks=(0.0, 1.0)),
-            dict(lam=-1.0, mu=0.5, T=2.0),
-            dict(lam=1.0, mu=0.5, T=0.0),
+            (dict(lam=(1.0, 2.0), mu=0.5, T=2.0, breaks=(0.0, 1.0)), "equal, positive length"),
+            (dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.5, 1.0)), "rise strictly"),
+            (dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.0, 2.0)), "rise strictly"),
+            (dict(lam=(1.0, 2.0), mu=(0.5, 0.5), T=2.0, breaks=(0.0, math.nan)), "rise strictly"),
+            (dict(lam=(1.0, 2.0), mu=(0.5, -0.5), T=2.0, breaks=(0.0, 1.0)), _RATE_RULE),
+            (dict(lam=-1.0, mu=0.5, T=2.0), _RATE_RULE),
+            (dict(lam=1.0, mu=0.5, T=0.0), "T must be finite and > 0"),
+            (dict(lam=math.nan, mu=0.5, T=2.0), _RATE_RULE),
+            (dict(lam=math.inf, mu=0.5, T=2.0), _RATE_RULE),
+            (dict(lam=1.0, mu=math.nan, T=2.0), _RATE_RULE),
+            (dict(lam=(1.0, math.nan), mu=(0.5, 0.5), T=2.0, breaks=(0.0, 1.0)), _RATE_RULE),
+            (dict(lam=1.0, mu=0.5, T=math.inf), "T must be finite and > 0"),
         ],
-        ids=["lengths", "first-break", "break-past-T", "negative-mu", "negative-lam", "T"],
+        ids=["lengths", "first-break", "break-past-T", "nan-break", "negative-mu", "negative-lam",
+             "T", "nan-lam", "inf-lam", "nan-mu", "nan-piece", "inf-T"],
     )
-    def test_bad_pieces_rejected(self, kwargs):
-        with pytest.raises(DomainError):
+    def test_bad_pieces_rejected(self, kwargs, message):
+        # RateModel's rules and wording, not a TailOverflowError at F(T)
+        with pytest.raises(DomainError, match=message) as err:
             ClosedFormTail(**kwargs)
+        assert type(err.value) is DomainError
+
+    @pytest.mark.parametrize("lam, mu", [(-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan)])
+    def test_closed_form_F_rejects_bad_rates(self, lam, mu):
+        with pytest.raises(DomainError, match=_RATE_RULE):
+            closed_form_F(lam, mu, 1.0)
 
 
 _RATES = st.one_of(st.just(0.0), st.floats(0.25, 2.0))
@@ -1056,6 +1095,41 @@ class TestOverflowingTail:
         model = RateModel.age_dependent(PiecewiseConstant.constant(400.0), AD_MODEL.mu, 2.0)
         with pytest.raises(SolverError, match="by inf relative"):
             solve_F(model, step)
+
+
+class TestOneLookupPerPoint:
+    """``loglik`` reads F and F' from one ``evaluate``: each point's piece or
+    grid cell is looked up once, plus once for F(T) (``tail_at_T``)."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [RateModel.constant(1.0, 0.5, 2.0), TV_MODEL, AD_MODEL],
+        ids=["constant", "time_varying", "age_dependent"],
+    )
+    @pytest.mark.parametrize(
+        "scheme",
+        [SamplingScheme.full(), SamplingScheme.bernoulli(0.4), SamplingScheme.uniform_k(3)],
+        ids=["full", "bernoulli", "k3"],
+    )
+    def test_points_looked_up_once(self, monkeypatch, model, scheme):
+        F = tail_for(model, 1e-2)
+        if scheme.variant == "uniform_k":
+            batch = definetti_sample_many(F, scheme.k, 40, RandomStream(3))[1]
+            points = len(batch) * scheme.k
+        else:
+            batch = simulate_cpp_many(F, 40, RandomStream(3))
+            points = batch.depths.size
+        looked_up = []
+        for cls, name in ((kernel.GridTail, "_cell"), (kernel.ClosedFormTail, "_piece")):
+            lookup = getattr(cls, name)
+
+            def counted(self, t, lookup=lookup):
+                looked_up.append(np.size(t))
+                return lookup(self, t)
+
+            monkeypatch.setattr(cls, name, counted)
+        loglik(batch, F, scheme)
+        assert sum(looked_up) == points + 1
 
 
 def _no_solve(model, step):
