@@ -553,10 +553,12 @@ def tree_to_newick(tree: OrientedUltrametricTree, stem: bool = False) -> str:
 #
 # The reader's character classes: the structural characters, the line break
 # between two trees, and the colon before an edge length.  Every other
-# character belongs to a label run.
+# character belongs to a label run.  ``_KINDS`` maps an ASCII code to its
+# class, as a ``bytes.translate`` table; ``_CUT`` maps each of those
+# characters to ',', to split a text into the runs between them.
 _LABEL, _OPEN, _CLOSE, _COMMA, _SEMI, _BREAK, _COLON = range(7)
-_KIND = np.zeros(256, dtype=np.int8)
-_KIND[[ord(c) for c in "(),;\n:"]] = np.arange(_OPEN, _COLON + 1)
+_KINDS = bytes("(),;\n:".find(chr(c)) + 1 for c in range(256))
+_CUT = str.maketrans("(),;\n:", ",,,,,,")
 
 # A file is read in chunks of whole lines of about this many characters, so
 # that the arrays of a chunk stay small however long the file is.
@@ -586,62 +588,74 @@ def _tokens(lines: List[str]):
     """The tokens of stripped non-blank Newick lines: the structural
     characters and the label runs between them.
 
-    Returns, by token, its position in the lines joined by line breaks, its
-    kind (``_LABEL`` for a label run), its line and its nesting level (the
-    parentheses open before it); the start of each line; and the tokens with
-    an edge length, their lengths and the mask of lengths that are not
-    numbers.  A length is the text from the first colon of a label run to
-    the run's end (the next token, or the end of the line); all are cut out
-    at once by marking the colons and splitting there.
+    The lines are joined into one text with a line break before and after
+    each.  Returns, by token, its position in that text, its kind
+    (``_LABEL`` for a label run) and its line; by line, its first token and
+    its start in the text; and the tokens with an edge length, their
+    lengths and the mask of lengths that are not numbers.
+
+    The text is classified by one ``bytes.translate`` of its ASCII encoding,
+    in which every other character is one '?', so that positions count
+    characters.  Only the marked characters (structural, breaks and colons)
+    are visited after that.  Each but the last gives two slots: itself as a
+    token unless it is a colon or a break, and the label run that starts
+    after a delimiter unless another delimiter follows at once.  A length
+    is the text from the first colon of a run to the next marked character,
+    cut from the text itself, not its encoding (``float`` reads non-ASCII
+    digits); a run with a second colon has a length that is not a number.
     """
-    text = "\n".join(lines)
-    # one code point per element, so that positions count characters
-    encoding = "ascii" if text.isascii() else "utf-32-le"
-    codes = np.frombuffer(text.encode(encoding), np.uint8 if encoding == "ascii" else np.uint32)
-    kind = _KIND[np.minimum(codes, 255)]
-    starts = np.zeros(len(lines), dtype=np.int64)
-    starts[1:] = np.flatnonzero(kind == _BREAK) + 1
-    delim = (kind > _LABEL) & (kind < _COLON)
-    first = ~delim
-    first[1:] &= delim[:-1]  # the first character of a label run
-    pos = np.flatnonzero(first | (delim & (kind != _BREAK)))
-    tk = np.where(delim[pos], kind[pos], _LABEL)
-    line = np.searchsorted(starts, pos, "right") - 1
-    step = (tk == _OPEN).astype(np.int64) - (tk == _CLOSE)
-    level = np.cumsum(step) - step
+    text = "\n" + "\n".join(lines) + "\n"
+    kind = np.frombuffer(text.encode("ascii", "replace").translate(_KINDS), np.int8)
+    marked = (kind != _LABEL).nonzero()[0]
+    mk = kind[marked]
+    at, k = marked[:-1], mk[:-1]
+    after = kind[at + 1]
+    slots = np.empty((len(at), 2), dtype=bool)
+    slots[:, 0] = k < _BREAK
+    slots[:, 1] = (k < _COLON) & ((after == _LABEL) | (after == _COLON))
+    src = slots.ravel().nonzero()[0]
+    pos = at[src >> 1] + (src & 1)
+    kinds = np.zeros_like(slots, dtype=np.int8)
+    kinds[:, 0] = k
+    tk = kinds.ravel()[src]
+    breaks = (k == _BREAK).nonzero()[0]
+    firsts = np.searchsorted(src, 2 * breaks)  # each line's first token
+    line = np.repeat(np.arange(len(breaks)), np.diff(firsts, append=len(src)))
 
-    colons = np.flatnonzero(kind == _COLON)
-    runs = np.searchsorted(pos, colons, "right") - 1
-    firsts = np.ones(len(runs), dtype=bool)
-    firsts[1:] = runs[1:] != runs[:-1]
-    colons, with_length = colons[firsts], runs[firsts]
-    stops = np.minimum(
-        np.append(pos[1:], len(text))[with_length],
-        np.append(starts[1:] - 1, len(text))[line[with_length]],
-    )
-    marks = np.zeros(len(codes) + 1, dtype=np.int8)
-    marks[colons] = 1
-    marks[stops] = -1
-    cut_out = codes.copy()
-    cut_out[colons] = ord(",")
-    cut_out = cut_out[np.cumsum(marks[:-1], dtype=np.int8).view(bool)]
-    values, unparsed = _floats(cut_out.tobytes().decode(encoding).split(",")[1:])
-    return pos, tk, line, level, starts, with_length, values, unparsed
+    colon = mk == _COLON
+    first_colon = colon.copy()
+    first_colon[1:] &= ~colon[:-1]  # the first colon of a run
+    lead = first_colon.nonzero()[0] - 1  # the delimiter before it
+    token = np.empty(len(slots) * 2, dtype=np.int64)
+    token[src] = np.arange(len(src))
+    with_length = token[2 * lead + 1]
+    pieces = text.translate(_CUT).split(",")  # piece i + 1 follows marked character i
+    after_first = itertools.compress(itertools.islice(pieces, 1, None), first_colon.tobytes())
+    values, unparsed = _floats(list(after_first))
+    twice = colon[lead + 2]
+    values[twice], unparsed[twice] = np.nan, True
+    return pos, tk, line, firsts, at[breaks] + 1, with_length, values, unparsed
 
 
-def _owners(tk: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative integers, sorted
+    in the narrowest type that holds them: up to 65 535, numpy's radix
+    sort."""
+    return np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+
+
+def _owners(is_open: np.ndarray, paren: np.ndarray, level: np.ndarray) -> np.ndarray:
     """The '(' token that each ')' and ',' belongs to; -1 elsewhere.
+    ``paren`` holds the indices of the '(', ')' and ',' tokens.
 
     Within one level, in text order, a '(' opening that level is followed
     by its commas and its ')', so a stable sort by level puts each owner
     last before them.
     """
-    is_open = tk == _OPEN
-    paren = np.flatnonzero(is_open | (tk == _CLOSE) | (tk == _COMMA))
-    order = paren[np.argsort(level[paren] + is_open[paren], kind="stable")]
+    order = paren[_stable_order(level[paren] + is_open[paren])]
     latest = np.where(is_open[order], np.arange(len(order)), 0)
     np.maximum.accumulate(latest, out=latest)
-    owner = np.full(len(tk), -1)
+    owner = np.full(len(is_open), -1)
     owner[order] = order[latest]
     return owner
 
@@ -654,7 +668,7 @@ def _root_distances(level: np.ndarray, parent: np.ndarray, edge: np.ndarray) -> 
     path, summed by one running sum, which adds in the same order; so a
     caterpillar costs a few array operations, not one per level.
     """
-    order = np.argsort(level, kind="stable")
+    order = _stable_order(level)
     widths = np.bincount(level)
     bounds = np.zeros(len(widths) + 1, dtype=np.int64)
     np.cumsum(widths, out=bounds[1:])
@@ -701,30 +715,32 @@ def _read_trees(lines: List[str], rtol: float, height: Optional[float], where):
     non-ultrametric tree, an explicit ``height`` below the span, a missing
     root edge, and depths outside (0, height).
     """
-    pos, tk, line, level, starts, with_length, values, unparsed = _tokens(lines)
-    last = np.ones(len(pos), dtype=bool)  # the last token of its line
-    last[:-1] = line[1:] != line[:-1]
-    prev = np.roll(tk, 1)
-    prev[np.roll(last, 1)] = _COMMA  # a line starts as after a comma
-    length = np.zeros(len(pos))
+    pos, tk, line, firsts, starts, with_length, values, unparsed = _tokens(lines)
+    is_open, is_close, is_comma, is_semi = (tk == kind for kind in (_OPEN, _CLOSE, _COMMA, _SEMI))
+    step = is_open.astype(np.int64) - is_close
+    level = np.cumsum(step) - step
+    last = np.zeros(len(tk), dtype=bool)  # the last token of its line
+    last[firsts - 1] = True
+    prev = np.empty_like(tk)
+    prev[1:] = tk[:-1]
+    prev[firsts] = _COMMA  # a line starts as after a comma
+    length = np.zeros(len(tk))
     length[with_length] = values
-    has_length = np.zeros(len(pos), dtype=bool)
+    has_length = np.zeros(len(tk), dtype=bool)
     has_length[with_length] = True
 
     # Levels run on across lines.  A well-formed line ends at level 0, so
     # they are right up to the end of the first malformed line.
     nested = level > 0
-    err = np.zeros(len(pos), dtype=np.int8)  # a code of _SYNTAX, or 4 or 5
-    misplaced = ((tk == _OPEN) & ((prev == _LABEL) | (prev == _CLOSE))) | (
-        (tk == _SEMI) & nested
-    )
+    err = np.zeros(len(tk), dtype=np.int8)  # a code of _SYNTAX, or 4 or 5
+    misplaced = (is_open & ((prev == _LABEL) | (prev == _CLOSE))) | (is_semi & nested)
     err[misplaced] = np.where(nested[misplaced], 1, 2)
-    err[((tk == _COMMA) | (tk == _CLOSE)) & ~nested] = 2
-    err[(tk == _SEMI) & ~nested & ~last] = 3
+    err[(is_comma | is_close) & ~nested] = 2
+    err[is_semi & ~nested & ~last] = 3
     err[with_length[~(values >= 0.0) | (values == np.inf)]] = 5
     err[with_length[unparsed]] = 4
-    bad_tokens = np.flatnonzero(err)
-    open_ends = np.flatnonzero(last & (tk != _SEMI))  # lines without ';'
+    bad_tokens = err.nonzero()[0]
+    open_ends = (last & ~is_semi).nonzero()[0]  # lines without ';'
     bad = min(
         int(line[bad_tokens[0]]) if len(bad_tokens) else len(lines),
         int(line[open_ends[0]]) if len(open_ends) else len(lines),
@@ -743,23 +759,26 @@ def _read_trees(lines: List[str], rtol: float, height: Optional[float], where):
         else:
             t = open_ends[np.searchsorted(line[open_ends], bad)]
             at = len(lines[bad])
-            msg = _SYNTAX[1 if level[t] + (tk[t] == _OPEN) - (tk[t] == _CLOSE) > 0 else 2]
+            msg = _SYNTAX[1 if level[t] + step[t] > 0 else 2]
         error = NewickError(f"{where(bad)}Newick parse error at position {at}: {msg}")
         if bad == 0:
             raise error
 
     # The lines before the first syntax error are well formed and balanced.
-    cut = int(np.searchsorted(line, bad))
+    cut = int(firsts[bad]) if bad < len(lines) else len(tk)
     tk, prev, level, line = tk[:cut], prev[:cut], level[:cut], line[:cut]
+    is_open, is_close, is_comma, is_semi = (a[:cut] for a in (is_open, is_close, is_comma, is_semi))
     length, has_length = length[:cut], has_length[:cut]
-    owner = _owners(tk, level)
-    opens = (tk == _OPEN).nonzero()[0]
-    commas = (tk == _COMMA).nonzero()[0]
-    closes = (tk == _CLOSE).nonzero()[0]
+    paren = (is_open | is_close | is_comma).nonzero()[0]
+    owner = _owners(is_open, paren, level)
+    opens = is_open.nonzero()[0]
+    commas = is_comma.nonzero()[0]
+    closes = is_close.nonzero()[0]
     # A tip is a label run not after ')', or nothing: a ',', ')' or ';'
     # right after '(', ',' or the start of the line.
-    label_tip = (tk == _LABEL) & (prev != _CLOSE)
-    empty_tip = ((prev == _OPEN) | (prev == _COMMA)) & (tk > _OPEN) & (tk < _BREAK)
+    is_label = tk == _LABEL
+    label_tip = is_label & (prev != _CLOSE)
+    empty_tip = ((prev == _OPEN) | (prev == _COMMA)) & (is_close | is_comma | is_semi)
     tips = (label_tip | empty_tip).nonzero()[0]
     inner = np.zeros(cut, dtype=np.int64)  # the index of each '(' among them
     inner[opens] = np.arange(len(opens))
@@ -769,14 +788,14 @@ def _read_trees(lines: List[str], rtol: float, height: Optional[float], where):
     after = np.empty(len(opens), dtype=np.int64)
     after[inner[owner[closes]]] = closes + 1
     open_edge = length[after]  # an internal label's length, or 0
-    open_up = owner[after + (tk[after] == _LABEL)]
+    open_up = owner[after + is_label[after]]
     tip_up = owner[tips + label_tip[tips]]
     with np.errstate(all="ignore"):
         dist = _root_distances(level[opens], inner[open_up], open_edge)
         tip_dist = length[tips]
         below = tip_up >= 0  # not a single-tip tree
         tip_dist[below] += dist[inner[tip_up[below]]]
-        tip_starts = np.searchsorted(line[tips], np.arange(bad))
+        tip_starts = np.searchsorted(tips, firsts[:bad])
         span = np.maximum.reduceat(tip_dist, tip_starts)
         dev = (span - np.minimum.reduceat(tip_dist, tip_starts)) / span
         dev[~(span > 0)] = 0.0
@@ -988,7 +1007,8 @@ def rate_model_to_json(model: RateModel) -> dict:
 
 
 def read_newick_file(path) -> TreeBatch:
-    """One tree per line, UTF-8; blank lines ignored.
+    """One tree per line, UTF-8 (after a byte-order mark, if the file starts
+    with one); blank lines ignored.
 
     The file is parsed in chunks of whole lines of about ``_CHUNK_CHARS``
     characters, each in arrays.  An error names the file and the 1-based
@@ -996,16 +1016,17 @@ def read_newick_file(path) -> TreeBatch:
     """
     parts = [(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0))]
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             first = 1
-            while lines := [line.strip() for line in fh.readlines(_CHUNK_CHARS)]:
-                numbers = [first + i for i, text in enumerate(lines) if text]
+            while lines := list(map(str.strip, fh.readlines(_CHUNK_CHARS))):
+                if trees := list(filter(None, lines)):
+
+                    def where(i):  # the file line of the i-th tree, for an error
+                        number = [n for n, text in enumerate(lines, first) if text][i]
+                        return f"{path} line {number}: "
+
+                    parts.append(_read_trees(trees, 1e-9, None, where))
                 first += len(lines)
-                if numbers:
-                    trees = [text for text in lines if text]
-                    parts.append(
-                        _read_trees(trees, 1e-9, None, lambda i: f"{path} line {numbers[i]}: ")
-                    )
     except UnicodeDecodeError as exc:
         raise NewickError(f"{path} is not UTF-8 text ({exc.reason})") from None
     heights, sizes, depths = map(np.concatenate, zip(*parts))

@@ -854,6 +854,28 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {bad} is not ")
 
+    @pytest.mark.parametrize("command", ["likelihood", "fit", "dump-f", "fit-bounds"])
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, model_path, trees_path, command):
+        bounds = tmp_path / "bounds.json"
+        bounds.write_text(json.dumps({"lam": [0.1, 10.0], "mu": [0.0, 10.0]}))
+
+        def argv(trees, model, bounds):
+            return {
+                "likelihood": ["likelihood", "--tree", trees, "--model", model, "--scheme", "full"],
+                "fit": ["fit", "--trees", trees, "--scheme", "full"],
+                "dump-f": ["dump-f", "--model", model],
+                "fit-bounds": ["fit", "--trees", trees, "--scheme", "full", "--bounds", bounds],
+            }[command]
+
+        marked = []
+        for path in (trees_path, model_path, str(bounds)):
+            copy = tmp_path / f"bom_{Path(path).name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+            marked.append(str(copy))
+        code, out, err = _run(capsys, *argv(*marked))
+        assert (code, err) == (0, "")
+        assert out == _run(capsys, *argv(trees_path, model_path, str(bounds)))[1]
+
     def test_directory_as_output_file(self, capsys, tmp_path, model_path):
         code, _, err = _run(
             capsys, "simulate", "--model", model_path, "--scheme", "full", "--reps", "1",

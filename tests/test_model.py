@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cppgen.errors import (
@@ -515,6 +515,24 @@ _NEWLY_REJECTED = [
 ]
 
 
+# The characters of one or two edits of a written line.
+_EDITS = "(),;:01.5e- é١\t"
+
+
+@st.composite
+def edited_lines(draw):
+    """A line of :func:`newick_lines` after one or two characters of
+    ``_EDITS`` are inserted, deleted or replaced."""
+    _, lines = draw(newick_lines())
+    line = draw(st.sampled_from([line for line in lines if line.strip()]))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if edit == "delete" else draw(st.sampled_from(_EDITS))
+        line = line[:i] + new + line[i + (edit != "insert") :]
+    return line
+
+
 class TestArrayReader:
     @given(newick_lines(), st.sampled_from([1, 7, 120, 1 << 16]))
     @settings(
@@ -526,6 +544,67 @@ class TestArrayReader:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with mock.patch.object(model, "_CHUNK_CHARS", chunk):
             assert _outcome(read_newick_file, path) == _outcome(_reference_read, path)
+
+    @given(edited_lines(), st.sampled_from([1, 7, 120, 1 << 16]))
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_file_line_reads_as_newick_to_tree(self, tmp_path, line, chunk):
+        assume(line.strip())
+        path = tmp_path / "trees.nwk"
+        path.write_text(f"(0:1,1:1):1;\n\n{line}\n(0:1,1:1):1;\n", encoding="utf-8")
+        try:
+            tree = newick_to_tree(line)
+        except (NewickError, DomainError) as exc:
+            with mock.patch.object(model, "_CHUNK_CHARS", chunk):
+                with pytest.raises((NewickError, DomainError)) as raised:
+                    read_newick_file(path)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == f"{path} line 3: {exc}"
+        else:
+            with mock.patch.object(model, "_CHUNK_CHARS", chunk):
+                batch = read_newick_file(path)
+            assert list(batch)[1] == tree
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(é:1,1:1):1;;", "position 12: trailing characters after ';'"),
+            ("(éé:1,1:x):1;", "position 6: bad edge length 'x'"),
+            ("(😀:1,1:1):1;;", "position 12: trailing characters after ';'"),
+        ],
+    )
+    def test_positions_count_characters(self, text, message):
+        with pytest.raises(NewickError) as raised:
+            newick_to_tree(text)
+        assert str(raised.value) == f"Newick parse error at {message}"
+
+    def test_lengths_are_read_from_the_text(self):
+        # Arabic-Indic one: a number to float(), a label character to the
+        # ASCII classification
+        assert newick_to_tree("(0:١,1:١):1;") == OrientedUltrametricTree(2.0, (1.0,))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 120, 1 << 16])
+    def test_colon_at_the_start_of_a_line(self, tmp_path, chunk):
+        path = tmp_path / "trees.nwk"
+        path.write_text(":1;\n(0:1,1:1):1;\n:2;\n")
+        with mock.patch.object(model, "_CHUNK_CHARS", chunk):
+            batch = read_newick_file(path)
+        assert batch.heights.tolist() == [1.0, 2.0, 2.0]
+        assert batch.offsets.tolist() == [0, 0, 1, 1]
+        assert batch.depths.tolist() == [1.0]
+
+    def test_byte_order_mark_starts_the_file_only(self, tmp_path):
+        plain, marked = tmp_path / "plain.nwk", tmp_path / "bom.nwk"
+        plain.write_text("(0:1,1:1):1;\n0:2;\n", encoding="utf-8")
+        marked.write_text("\ufeff(0:1,1:1):1;\n0:2;\n", encoding="utf-8")
+        assert _bits(read_newick_file(marked)) == _bits(read_newick_file(plain))
+        # anywhere else, U+FEFF is a label character
+        assert newick_to_tree("(\ufeff0:1,1:1):1;") == OrientedUltrametricTree(2.0, (1.0,))
+        marked.write_text("(0:1,1:1):1;\n\ufeff(0:1,1:1):1;\n", encoding="utf-8")
+        with pytest.raises(NewickError) as raised:
+            read_newick_file(marked)
+        assert str(raised.value) == f"{marked} line 2: Newick parse error at position 1: expected ';'"
 
     @given(newick_lines(stem=False))
     @settings(max_examples=100, deadline=None)
