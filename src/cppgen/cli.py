@@ -8,8 +8,7 @@ after another with ``--forward``), and its lines are written before the
 next block is drawn, so memory holds about one block at a time.  Every
 block is drawn in this process: each inverse tail inverts exactly, grid
 tails included, so a block of depths costs one vectorized inversion.
-``--workers`` and ``likelihood --quad-nodes`` are accepted for old scripts
-and ignored.
+``--workers`` is accepted for old scripts and ignored.
 
 Each command builds the model's inverse tail F once (``kernel.tail_for``).
 ``solve_F`` is passed to ``tail_for`` under this module's name, so code
@@ -240,7 +239,6 @@ def _likelihood_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--unoriented", action="store_true")
-    p.add_argument("--quad-nodes", type=int, help="ignored; accepted for old scripts")
     p.add_argument("--step", type=float, default=DEFAULT_STEP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_likelihood)

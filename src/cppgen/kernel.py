@@ -11,10 +11,11 @@ born at time t.  There are two tails, exact and grid.  Where death does not
 depend on age, piecewise-constant lambda(t), mu(t) give F as a sum of
 exponentials with an exact inverse (``ClosedFormTail``); constant rates are
 its one-piece case.  Only age-dependent death needs the Volterra solver
-(``solve_F``), whose ``GridTail`` interpolates F between grid nodes by a
-monotone cubic and inverts that cubic by Newton's method, cell by cell.  So
-every tail inverts exactly what its ``evaluate`` gives: F and F' from one
-lookup per point, with ``value`` and ``deriv`` as its halves.  That cubic is
+(``solve_F``), whose ``GridTail`` holds F on the uniform ``step_grid(T,
+T/n)``, finds each point's cell by arithmetic, interpolates by a monotone
+cubic and inverts that cubic by Newton's method, cell by cell.  So every
+tail inverts exactly what its ``evaluate`` gives: F and F' from one lookup
+per point, with ``value`` and ``deriv`` as its halves.  That cubic is
 PCHIP, built here in numpy: its node slopes are the Fritsch–Butland weighted
 harmonic mean of the secant slopes (0 where one is 0), its end slopes the
 one-sided three-point rule (0 where not positive), the same floats as scipy's
@@ -383,37 +384,27 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class GridTail(InverseTail):
     """Grid-backed F with shape-preserving (monotone cubic) interpolation.
 
-    Between grid nodes F is the PCHIP cubic (``_pchip``): the Hermite cubic
-    whose node slopes are the Fritsch–Butland weighted harmonic mean of the
-    secant slopes, 0 at a flat cell, with one-sided three-point end slopes.
-    It is the cubic of scipy's ``PchipInterpolator``, evaluated in the same
-    order as its ``PPoly`` (NaN outside [0, T]), with no scipy import.
-    ROADMAP item 14 will change only its node slopes.
-
-    ``ts`` and ``values`` may be given as any sequences and are stored as
-    read-only float arrays; ``values`` is clamped to F(0) = 1 and made
-    nondecreasing.  A grid that already is a read-only array is shared, so
-    ``thinned`` reuses its parent's.
+    ``values`` holds F on the solver's grid ``step_grid(T, T / n)``, n + 1
+    nodes, and ``ts`` is that grid to the bit (the same ``np.linspace``).
+    Between nodes F is the PCHIP cubic (``_pchip``): the Hermite cubic whose
+    node slopes are the Fritsch–Butland weighted harmonic mean of the secant
+    slopes, 0 at a flat cell, with one-sided three-point end slopes.  It is
+    the cubic of scipy's ``PchipInterpolator``, evaluated in the same order
+    as its ``PPoly`` (NaN outside [0, T]), with no scipy import.  ROADMAP
+    item 14 will change only its node slopes.  ``values`` may be any
+    sequence and is stored as a read-only float array, clamped to F(0) = 1
+    and made nondecreasing; each point's cell is found by arithmetic.
     """
 
-    ts: np.ndarray
     values: np.ndarray
     T: float
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        if ts.flags.writeable:
-            ts = ts.copy()
-            ts.flags.writeable = False
+        if not (0 < self.T < np.inf):
+            raise DomainError("T must be finite and > 0")
         vals = np.array(self.values, dtype=float)
-        if ts.ndim != 1 or len(ts) < 2:
-            raise DomainError("grid must have at least 2 nodes")
-        if ts[0] != 0.0 or abs(ts[-1] - self.T) > 1e-12 * max(self.T, 1.0):
-            raise DomainError("grid must span [0, T]")
-        if not np.all(ts[1:] > ts[:-1]):
-            raise DomainError("grid must rise strictly")
-        if vals.shape != ts.shape:
-            raise DomainError("values must hold one F per grid node")
+        if vals.ndim != 1 or len(vals) < 2:
+            raise DomainError("values must hold F at 2 or more grid nodes")
         if not np.all(np.isfinite(vals)):
             raise SolverError("F must be finite")
         if abs(vals[0] - 1.0) > 1e-12:
@@ -429,16 +420,25 @@ class GridTail(InverseTail):
             )
         np.maximum.accumulate(vals, out=vals)
         vals.flags.writeable = False
+        ts = np.linspace(0.0, self.T, len(vals))
+        ts.flags.writeable = False
         # The dataclass is frozen, so the fields are normalized in __dict__.
         self.__dict__.update(ts=ts, values=vals, _coef=_pchip(ts, vals))
 
     def _cell(self, t):
         """The coefficient columns of the cell holding each t, and s = t - x_i;
         s is NaN outside [0, T], so the cubic is too, without a warning.  The
-        cells are right-open but the last, which holds T (past its node)."""
-        x = self.ts
-        i = np.searchsorted(x[1:-1], t, side="right")
-        s = np.where((t >= 0.0) & (t <= self.T), t - x[i], np.nan)
+        cells are right-open but the last, which holds T (past its node).  On
+        the uniform grid, floor(t n / T) is the cell or a neighbour, and one
+        comparison with each side's node settles it; a t outside [0, T] or
+        NaN counts as 0 before the integer cast."""
+        x, T, n = self.ts, self.T, len(self.ts) - 1
+        inside = (t >= 0.0) & (t <= T)
+        u = np.where(inside, t, 0.0)
+        i = np.minimum(u / T * n, n - 1).astype(np.intp)
+        i -= u < x[i]
+        i += (u >= x[i + 1]) & (i < n - 1)
+        s = np.where(inside, u - x[i], np.nan)
         return self._coef.take(i, axis=1), s
 
     def evaluate(self, t):
@@ -456,7 +456,7 @@ class GridTail(InverseTail):
         return self.evaluate(t)[1]
 
     def _thinned(self, y: float) -> "GridTail":
-        return GridTail(self.ts, 1.0 - y + y * self.values, self.T)
+        return GridTail(1.0 - y + y * self.values, self.T)
 
     def inverse(self, targets):
         """Exact inverse of the interpolant ``evaluate`` reads; clipped to [0, T].
@@ -754,7 +754,7 @@ def solve_F(model: RateModel, step: float) -> GridTail:
         raise SolverError(
             f"step {step} too large: corrector moved values by {worst_move:.3g} relative"
         )
-    return GridTail(ts, F, T)
+    return GridTail(F, T)
 
 
 def tail_for(model: RateModel, step: float = DEFAULT_STEP, solve=None) -> InverseTail:

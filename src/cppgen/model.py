@@ -120,11 +120,10 @@ class PiecewiseConstant:
     def max(self) -> float:
         return max(self.values)
 
-    def __call__(self, t, side: str = "right"):
-        """Rate at time t; ``side="left"`` returns the limit from below at
-        breakpoints (the two coincide elsewhere)."""
+    def __call__(self, t):
+        """Rate at time t; a breakpoint takes the rate that starts there."""
         t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.breaks, t, side=side) - 1, 0, None)
+        idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, None)
         out = np.asarray(self.values)[idx]
         return out if out.ndim else float(out)
 

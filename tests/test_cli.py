@@ -373,13 +373,13 @@ class TestLikelihood:
         F = ClosedFormTail(1.0, 0.5, 2.0)
         tree = newick_to_tree("(0:0.5,1:0.5):1.5;")
         assert_allclose(payload["logL"], ksample_loglikelihood(tree, F, 2), rtol=1e-9)
-        # the nodes the fixed trapezoid evaluated; --quad-nodes is ignored
+        # the nodes the fixed trapezoid evaluated; there is no --quad-nodes
         assert payload["quad_nodes"] == trapezoid_nodes(TreeBatch.from_trees([tree]), F, 2)
-        code, again, _ = _run(
+        code, again, err = _run(
             capsys, "likelihood", "--tree", str(trees), "--model", model_path,
             "--scheme", "k:2", "--quad-nodes", "16",
         )
-        assert code == 0 and again == out
+        assert code == 2 and again == "" and "usage:" in err
 
     @pytest.mark.parametrize("scheme", ["full", "bernoulli:0.4", "k:3"])
     def test_zero_birth_piece_under_warnings_as_errors(self, tmp_path, scheme):

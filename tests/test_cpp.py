@@ -235,7 +235,7 @@ class TestSubsampling:
 
     def test_thinned_tail_dispatch(self):
         ts = np.linspace(0.0, 2.0, 9)
-        grid = GridTail(tuple(ts), tuple(F_STD.value(ts)), 2.0)
+        grid = GridTail(tuple(F_STD.value(ts)), 2.0)
         for F in (F_STD, grid):
             assert F.thinned(1.0) is F
             assert_allclose(F.thinned(0.3).value(1.0), 0.7 + 0.3 * F_STD.value(1.0), rtol=1e-12)

@@ -20,6 +20,7 @@ from cppgen.kernel import (
     ClosedFormTail,
     GridTail,
     _entry_hazard,
+    _pchip,
     closed_form_F,
     death_density_g,
     invert_tail,
@@ -827,24 +828,29 @@ class TestGridTailCubic:
         ],
     )
     def test_few_nodes_match_scipy_pchip(self, ts, values):
-        F = GridTail(ts, values, 2.0)
-        _assert_cubic_matches_oracle(F, np.linspace(0.0, 2.0, 401))
+        from scipy.interpolate import PchipInterpolator
+
+        # _pchip reads each cell's width, since linspace's cells differ by ulps
+        oracle = PchipInterpolator(ts, values)
+        assert_allclose(_pchip(np.array(ts), np.array(values)), oracle.c, rtol=1e-15, atol=0)
+        if ts == np.linspace(0.0, 2.0, len(ts)).tolist():  # a GridTail's grid
+            _assert_cubic_matches_oracle(GridTail(values, 2.0), np.linspace(0.0, 2.0, 401))
 
     def test_end_slope_branches(self):
         # the one-sided estimate at 0 is negative, so PCHIP sets 0; at T it
         # keeps its sign and stands
-        F = GridTail([0.0, 1.0, 2.0], [1.0, 1.1, 3.0], 2.0)
+        F = GridTail([1.0, 1.1, 3.0], 2.0)
         assert F.deriv(0.0) == 0.0
         assert F.deriv(2.0) == pytest.approx((3 * 1.9 - 0.1) / 2, rel=1e-15)
-        assert_allclose(GridTail([0.0, 2.0], [1.0, 3.0], 2.0).deriv([0.0, 1.0, 2.0]), 1.0, rtol=1e-15)
+        assert_allclose(GridTail([1.0, 3.0], 2.0).deriv([0.0, 1.0, 2.0]), 1.0, rtol=1e-15)
 
     def test_last_node_just_below_T(self):
-        # the constructor admits a last node 1e-12 relative below T: the last
-        # cell still holds T, so F(T) is its cubic there, not NaN
-        F = GridTail([0.0, 1.0, 2.0 - 1e-13], [1.0, 1.5, 2.0], 2.0)
-        assert F.value(2.0) == pytest.approx(2.0, rel=1e-12)
-        assert F.deriv(2.0) == pytest.approx(0.5, rel=1e-12)
+        # the last cell holds T and the float just below it; past T is NaN
+        F = GridTail([1.0, 1.5, 2.0], 2.0)
+        below = np.nextafter(2.0, 0.0)
+        assert F.value(2.0) == 2.0 and F.deriv(2.0) == pytest.approx(0.5, rel=1e-15)
         assert tail_at_T(F) == F.value(2.0)
+        assert F.value(below) == pytest.approx(2.0, rel=1e-15)
         assert math.isnan(F.value(np.nextafter(2.0, 3.0)))
 
     def test_scalar_in_float_out(self):
@@ -868,16 +874,70 @@ class TestGridTailCubic:
         assert F.value(0.0) == 1.0 and F.value(-0.0) == 1.0
 
     def test_invalid_grids_rejected(self):
-        with pytest.raises(DomainError, match="at least 2 nodes"):
-            GridTail([0.0], [1.0], 2.0)
-        with pytest.raises(DomainError, match="rise strictly"):
-            GridTail([0.0, 1.5, 1.0, 2.0], [1.0, 1.2, 1.3, 1.4], 2.0)
-        with pytest.raises(DomainError, match="one F per grid node"):
-            GridTail([0.0, 1.0, 2.0], [1.0, 1.2], 2.0)
+        with pytest.raises(DomainError, match="2 or more grid nodes"):
+            GridTail([1.0], 2.0)
+        with pytest.raises(DomainError, match="2 or more grid nodes"):
+            GridTail([[1.0, 1.2], [1.3, 1.4]], 2.0)
         with pytest.raises(SolverError, match="finite"):
-            GridTail([0.0, 1.0, 2.0], [1.0, 1.2, np.inf], 2.0)
+            GridTail([1.0, 1.2, np.inf], 2.0)
         with pytest.raises(SolverError, match="finite"):
-            GridTail([0.0, 1.0, 2.0], [1.0, np.nan, 1.3], 2.0)
+            GridTail([1.0, np.nan, 1.3], 2.0)
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_bad_T_rejected(self, T):
+        # a NaN T would make F(T) NaN, which tail_at_T reports as an overflow
+        with pytest.raises(DomainError, match="T must be finite and > 0"):
+            GridTail([1.0, 1.5, 2.0], T)
+
+    def test_grid_is_the_solver_grid(self):
+        F = solve_F(AD_MODEL, 4e-4)
+        assert np.array_equal(F.ts, step_grid(AD_MODEL.T, 4e-4))
+        assert np.array_equal(F.thinned(0.4).ts, F.ts)
+        assert not F.ts.flags.writeable and not F.values.flags.writeable
+
+
+def _cell_oracle(F, t):
+    """GridTail's cell lookup by ``searchsorted`` over its interior nodes."""
+    x = F.ts
+    i = np.searchsorted(x[1:-1], t, side="right")
+    return F._coef.take(i, axis=1), np.where((t >= 0.0) & (t <= F.T), t - x[i], np.nan)
+
+
+def _cell_points(x, T, rng):
+    """Random depths, every node and both its float neighbours, and the edges."""
+    edges = [0.0, -0.0, T, -1.0, 2 * T, np.inf, -np.inf, np.nan, 5e-324]
+    nodes = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    return np.concatenate([rng.uniform(0.0, T, 1000), nodes, edges]), edges + nodes[::97].tolist()
+
+
+def _assert_cell_matches_oracle(F, rng):
+    t, scalars = _cell_points(F.ts, F.T, rng)
+    for points in [t] + [np.asarray(v) for v in scalars]:
+        (c, s), (c_want, s_want) = F._cell(points), _cell_oracle(F, points)
+        # inside [0, T], s = t - x_i pins the cell; outside, s is NaN
+        # whatever the cell, so only the inside columns must match
+        assert np.array_equal(s, s_want, equal_nan=True)
+        inside = ~np.isnan(s_want)
+        assert np.array_equal(np.where(inside, c, 0.0), np.where(inside, c_want, 0.0))
+
+
+class TestCellLookup:
+    """``GridTail._cell`` finds cells by arithmetic; ``searchsorted`` is the oracle."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9, 64, 1001, 5000])
+    @pytest.mark.parametrize("T", [1e-3, 0.3, 2.0, 7.77, 123.456])
+    def test_linspace_grids(self, n, T):
+        rng = np.random.default_rng(n)
+        F = GridTail(np.cumsum(np.r_[1.0, rng.uniform(0.1, 1.0, n)]), T)
+        _assert_cell_matches_oracle(F, rng)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model", [AD_MODEL, AD_GAP_MODEL], ids=["age_dependent", "flat-window"])
+    @pytest.mark.parametrize("step", [1e-2, 2.5e-3, 1e-3, 4e-4])
+    @pytest.mark.parametrize("y", [1.0, 0.4])
+    def test_solver_grids(self, model, step, y):
+        _assert_cell_matches_oracle(solve_F(model, step).thinned(y), np.random.default_rng(3))
 
 
 class TestDensityAtT:

@@ -722,7 +722,6 @@ class TestRates:
         pc = PiecewiseConstant((0.0, 1.0), (1.0, 2.0))
         assert pc(0.5) == 1.0
         assert pc(1.0) == 2.0
-        assert pc(1.0, side="left") == 1.0
         # the same rate as an age hazard on the grid, and its exact integral
         by_age = AgeDependentRate((0.0,), (0.0, 1.0), ((1.0, 2.0),))
         (h0, h1), (H0, H1) = by_age.hazard(0, [0.5, 1.5])
